@@ -12,19 +12,17 @@ multi-robot cooperative map alignment through null-space inputs.
 from .core import (AngularVelocityMatrix, ContractionDiagnostics, FilterState,
                    RobotInputs, Rotation2D, fit_contraction_rate,
                    heading_forward, rotation2d, skew, wrap_angle)
-from .kalman import (DivergenceError, FilterConfig, KalmanGain, gain, ode_step,
-                     step, step_no_translation)
+from .kalman import DivergenceError, FilterConfig, ode_step, step
 from .noisecal import NoiseSpec, PortedNoise
 from .slam_local import LocalLandmarkFilter, LocalMap, SensorBundle
 from .vmeas import VirtualMeasurement
 
 __all__ = [
     "AngularVelocityMatrix", "ContractionDiagnostics", "DivergenceError",
-    "FilterConfig", "FilterState", "KalmanGain", "LocalLandmarkFilter",
-    "LocalMap", "NoiseSpec", "PortedNoise", "RobotInputs", "Rotation2D",
-    "SensorBundle", "VirtualMeasurement", "fit_contraction_rate", "gain",
-    "heading_forward", "ode_step", "rotation2d", "skew", "step",
-    "step_no_translation", "wrap_angle",
+    "FilterConfig", "FilterState", "LocalLandmarkFilter", "LocalMap",
+    "NoiseSpec", "PortedNoise", "RobotInputs", "Rotation2D", "SensorBundle",
+    "VirtualMeasurement", "fit_contraction_rate", "heading_forward",
+    "ode_step", "rotation2d", "skew", "step", "wrap_angle",
 ]
 
 __version__ = "0.1.0"

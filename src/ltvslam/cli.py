@@ -29,7 +29,6 @@ def main():
 @click.option("--case", default=2, type=int, help="Sensor case 1-5.")
 @click.option("--scenario", default="single-vehicle-2d",
               help="Builtin scenario name or JSON file path.")
-@click.option("--log", default=None, type=click.Path(), help="Recorded obs log.")
 @click.option("--dt", default=None, type=float)
 @click.option("--seed", default=None, type=int)
 @click.option("--out", "out_dir", default=None, type=click.Path())
@@ -38,11 +37,11 @@ def main():
 @click.option("--gamma-omega", default=4.0, type=float)
 @click.option("--r-max", default=100.0, type=float)
 @click.option("--duration", default=None, type=float)
-def run_cmd(mode, case, scenario, log, dt, seed, out_dir, gamma_beta,
+def run_cmd(mode, case, scenario, dt, seed, out_dir, gamma_beta,
             gamma_v, gamma_omega, r_max, duration):
     """Run one scenario and write traces + metrics."""
     try:
-        cfg = RunConfig(mode=mode, case=case, scenario=scenario, log=log,
+        cfg = RunConfig(mode=mode, case=case, scenario=scenario,
                         dt=dt, seed=seed, out_dir=out_dir,
                         gamma_beta=gamma_beta, gamma_v=gamma_v,
                         gamma_omega=gamma_omega, r_max=r_max,

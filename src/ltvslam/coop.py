@@ -1,56 +1,48 @@
 """Multi-robot cooperative SLAM through a shared medium.
 
-Each robot runs its own pair-filter map (as in :mod:`ltvslam.dunk`) in
-its own coordinate frame.  Because no global information exists, every
-map is free to translate and rotate: applying a common (v, Omega) drift
-to all states of one map changes nothing observable.  The algorithms
-here spend that freedom to make all maps converge to one shared frame,
-steered by medium variables (averages over robots) in three modes:
+Each robot runs its own pair-filter map in its own coordinate frame,
+stepped by :func:`ltvslam.dunk.pair_tick`.  Because no global
+information exists, every map is free to translate and rotate: applying
+a common (v, Omega) drift to all states of one map changes nothing
+observable.  The algorithms here spend that freedom to make all maps
+converge to one shared frame: each tick :func:`coop_step` derives every
+robot's null-space drift from the medium variables (averages over
+robots) and hands it to the shared pair tick.  Three modes:
 
 * ``full``: every robot sees every landmark; medium holds per-map
   centers and their consensus.
 * ``partial``: robots see subsets; the medium averages per-landmark
   positions and nearest-neighbor feature vectors.
 * ``robots_only``: no landmarks; robots observe each other and the
-  "landmarks" are moving vehicles with communicated speeds.
+  "landmarks" are moving vehicles with communicated speeds, plus a self
+  pair tying each robot to its own vehicle estimate.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import vmeas
-from .core import FilterState, RobotInputs, heading_forward, skew, wrap_angle
-from .dunk import (DunkNetwork, LandmarkPairState, consensus,
-                   feedback_measurement, init_pair, pair_measurement)
-from .kalman import ode_step
-from .slam_global import beta_d_closed_form_2d, track_heading
-from .slam_local import SensorBundle
+from .core import heading_forward
+from .dunk import DunkNetwork, Drift, pair_tick
 
 #: 90-degree rotation used in every heading-error descent formula.
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-#: Measurement std tying a robot's self-entry to its own vehicle estimate.
-SELF_TIE_SIGMA = 1e-2
 
 MODES = ("full", "partial", "robots_only")
 
 
 @dataclass
 class RobotMap:
-    """One robot's map, heading and null-space inputs."""
+    """One robot's map and its null-space gains."""
 
     robot_id: int
     net: DunkNetwork
     gamma_v: float = 1.0
     gamma_omega: float = 4.0
-    gamma_beta: float = 1.0
     omega_max: float = 2.0
-    v: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    omega_null: float = 0.0
 
     def center(self) -> np.ndarray | None:
         """Mean landmark position in this robot's frame (None if map empty)."""
@@ -69,7 +61,6 @@ class NNFeature:
     landmark: int
     neighbor: int
     a: np.ndarray
-    valid: bool = True
 
 
 @dataclass(frozen=True)
@@ -81,6 +72,7 @@ class MediumState:
     x_ck: dict          # landmark id -> average position over observers
     c_k: dict           # landmark id -> average NN feature over agreeing robots
     k_star: dict        # landmark id -> coordinated nearest-neighbor id
+    features: dict = field(default_factory=dict)  # robot id -> its NN features
     e_c: float = 0.0
     e_h: float = 0.0
 
@@ -100,15 +92,14 @@ class RobotTick:
 # Medium variables
 # ---------------------------------------------------------------------------
 
-def centers(maps: dict[int, RobotMap]) -> tuple[dict, np.ndarray | None]:
-    """Per-map landmark centers x_ic and their global average x_cc."""
+def centers(maps: dict[int, RobotMap]) -> dict[int, np.ndarray]:
+    """Per-map landmark centers x_ic of the non-empty maps."""
     x_ic = {}
     for i, m in maps.items():
         c = m.center()
         if c is not None:
             x_ic[i] = c
-    x_cc = np.mean(list(x_ic.values()), axis=0) if x_ic else None
-    return x_ic, x_cc
+    return x_ic
 
 
 def nn_features(m: RobotMap) -> dict[int, NNFeature]:
@@ -147,48 +138,51 @@ def coordinate_k_star(all_feats: dict[int, dict[int, NNFeature]]) -> dict[int, i
     return k_star
 
 
+def _medium_core(x_ic: dict, positions: dict, feats: dict) -> tuple:
+    """x_cc, x_ck, k_star and c_k from per-robot centers, positions and NN features."""
+    x_cc = np.mean(list(x_ic.values()), axis=0) if x_ic else None
+    observers: dict[int, list] = {}
+    for pos in positions.values():
+        for k, x in pos.items():
+            observers.setdefault(k, []).append(x)
+    x_ck = {k: np.mean(xs, axis=0) for k, xs in observers.items()}
+    k_star = coordinate_k_star(feats)
+    c_k: dict[int, np.ndarray] = {}
+    for k, kstar in k_star.items():
+        agreeing = [feats[i][k].a for i in sorted(feats)
+                    if k in feats[i] and feats[i][k].neighbor == kstar]
+        if agreeing:
+            c_k[k] = np.mean(agreeing, axis=0)
+    return x_cc, x_ck, k_star, c_k
+
+
 def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
     """Recompute all medium variables from the current maps."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    x_ic, x_cc = centers(maps)
+    x_ic = centers(maps)
     positions = {i: m.landmark_positions() for i, m in maps.items()}
-    x_ck: dict[int, np.ndarray] = {}
-    observers: dict[int, list] = {}
-    for i, pos in positions.items():
-        for k, x in pos.items():
-            observers.setdefault(k, []).append(x)
-    for k, xs in observers.items():
-        x_ck[k] = np.mean(xs, axis=0)
-
-    all_feats = {i: nn_features(m) for i, m in maps.items()}
-    k_star = coordinate_k_star(all_feats)
-    c_k: dict[int, np.ndarray] = {}
-    for k, kstar in k_star.items():
-        agreeing = [all_feats[i][k].a for i in sorted(all_feats)
-                    if k in all_feats[i] and all_feats[i][k].neighbor == kstar]
-        if agreeing:
-            c_k[k] = np.mean(agreeing, axis=0)
-
-    e_c, e_h = heading_errors(maps, mode)
+    feats = {i: nn_features(m) for i, m in maps.items()}
+    x_cc, x_ck, k_star, c_k = _medium_core(x_ic, positions, feats)
+    e_c, e_h = heading_errors(positions, x_ic, feats, mode)
     return MediumState(x_ic=x_ic, x_cc=x_cc, x_ck=x_ck, c_k=c_k,
-                       k_star=k_star, e_c=e_c, e_h=e_h)
+                       k_star=k_star, features=feats, e_c=e_c, e_h=e_h)
 
 
-def heading_errors(maps: dict[int, RobotMap], mode: str) -> tuple[float, float]:
+def heading_errors(pos: dict, x_ic: dict, feats: dict,
+                   mode: str) -> tuple[float, float]:
     """Center error e_c and heading error e_h over all robot pairs.
 
+    Takes per-robot landmark positions, map centers and NN features.
     With partial visibility per-map centers differ even on a perfectly
     merged map (each robot averages a different landmark subset), so the
     partial-mode e_c compares commonly mapped landmarks instead; its e_h
     compares nearest-neighbor features only between robots agreeing on
     the neighbor, since the features are undefined otherwise.
     """
-    ids = sorted(maps)
-    x_ic, _ = centers(maps)
+    ids = sorted(pos)
     e_c = 0.0
     if mode == "partial":
-        pos = {i: maps[i].landmark_positions() for i in ids}
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 i, j = ids[a], ids[b]
@@ -202,7 +196,6 @@ def heading_errors(maps: dict[int, RobotMap], mode: str) -> tuple[float, float]:
                     e_c += float(np.sum((x_ic[i] - x_ic[j]) ** 2))
     e_h = 0.0
     if mode == "partial":
-        feats = {i: nn_features(maps[i]) for i in ids}
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 i, j = ids[a], ids[b]
@@ -211,7 +204,6 @@ def heading_errors(maps: dict[int, RobotMap], mode: str) -> tuple[float, float]:
                     if fi.neighbor == fj.neighbor:
                         e_h += float(np.sum((fi.a - fj.a) ** 2))
     else:
-        pos = {i: maps[i].landmark_positions() for i in ids}
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 i, j = ids[a], ids[b]
@@ -266,11 +258,12 @@ def null_rotation_full(m: RobotMap, medium: MediumState) -> float:
 def null_rotation_partial(m: RobotMap, medium: MediumState) -> float:
     """omega_i ~ Sum_k a_ik^T J c_k over features agreeing with k*.
 
-    Normalized by Sum ||a_ik|| ||c_k|| for the same scale-free angular
-    rate as :func:`null_rotation_full`.
+    Uses the features the medium computed for this map.  Normalized by
+    Sum ||a_ik|| ||c_k|| for the same scale-free angular rate as
+    :func:`null_rotation_full`.
     """
     w, moment = 0.0, 0.0
-    for k, f in nn_features(m).items():
+    for k, f in medium.features.get(m.robot_id, {}).items():
         if medium.k_star.get(k) == f.neighbor and k in medium.c_k:
             w += float(f.a @ J @ medium.c_k[k])
             moment += float(np.linalg.norm(f.a) * np.linalg.norm(medium.c_k[k]))
@@ -279,20 +272,24 @@ def null_rotation_partial(m: RobotMap, medium: MediumState) -> float:
     return m.gamma_omega * w / moment
 
 
-def _saturate(w: float, w_max: float) -> float:
-    return float(np.clip(w, -w_max, w_max))
+def null_drift(m: RobotMap, medium: MediumState, mode: str) -> Drift:
+    """Robot i's null-space input: v_i, saturated omega_i and the rotation center."""
+    if mode == "partial":
+        w = null_rotation_partial(m, medium)
+        center = None   # partial-information rotation acts about the origin
+    else:
+        w = null_rotation_full(m, medium)
+        center = medium.x_ic.get(m.robot_id)
+        if center is None:
+            center = m.center()
+    return Drift(v=null_translation(m, medium, mode),
+                 omega=float(np.clip(w, -m.omega_max, m.omega_max)),
+                 center=center)
 
 
 # ---------------------------------------------------------------------------
 # The cooperative step
 # ---------------------------------------------------------------------------
-
-def _self_tie_measurement(dim: int) -> vmeas.VirtualMeasurement:
-    """Identity rows forcing a robot's self-entry onto its vehicle estimate."""
-    H = np.hstack([np.eye(dim), -np.eye(dim)])
-    return vmeas.VirtualMeasurement(y=np.zeros(dim), H=H,
-                                    R=SELF_TIE_SIGMA**2 * np.eye(dim))
-
 
 def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
               mode: str, medium: MediumState | None = None) -> MediumState:
@@ -300,7 +297,7 @@ def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
 
     The null-space drift v_i + Omega_i (x - x_ic) is applied uniformly to
     all states of robot i's map; with a single robot it vanishes and the
-    step reduces exactly to the plain pair-filter step.
+    step is exactly the plain pair-filter step.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -310,98 +307,15 @@ def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
 
     for i in sorted(maps):
         m, tick = maps[i], ticks[i]
-        net = m.net
-
-        if multi:
-            v_i = null_translation(m, medium, mode)
-            if mode == "partial":
-                w_i = null_rotation_partial(m, medium)
-            else:
-                w_i = null_rotation_full(m, medium)
-            w_i = _saturate(w_i, m.omega_max)
-        else:
-            v_i, w_i = np.zeros(2), 0.0
-        m.v, m.omega_null = v_i, w_i
-        if mode == "partial":
-            # partial-information rotation acts about the origin
-            x_ic = None
-        else:
-            x_ic = medium.x_ic.get(i)
-            if x_ic is None:
-                x_ic = m.center()
-        Om = skew(w_i).matrix
-
-        for k, bundle in tick.observations.items():
-            if k not in net.pairs:
-                net.pairs[k] = init_pair(
-                    k, bundle, net.pairs, net.beta_hat,
-                    (net.vehicle_prior_x, net.vehicle_prior_P), net.r_max, net.t)
-        if mode == "robots_only" and i not in net.pairs:
-            x_v0 = np.asarray(net.vehicle_prior_x, float)
-            P0 = np.zeros((4, 4))
-            P0[:2, :2] = np.asarray(net.vehicle_prior_P, float)
-            P0[2:, 2:] = np.asarray(net.vehicle_prior_P, float)
-            P0[:2, 2:] = P0[2:, :2] = 0.9 * np.asarray(net.vehicle_prior_P, float)
-            net.pairs[i] = LandmarkPairState(
-                i, FilterState(np.concatenate([x_v0, x_v0]), P0, net.t))
-
-        body_inputs = RobotInputs(u=np.array([0.0, tick.u]),
-                                  omega=skew(tick.omega_m))
-        fb = feedback_measurement(net.last_consensus)
-        d = 2
-
-        # heading residue uses offsets at the sample instant, before the updates
-        visible = [(k, bb) for k, bb in tick.observations.items()
-                   if bb.bearing is not None and k in net.pairs]
-        if visible:
-            offsets = np.array([net.pairs[k].x_landmark - net.pairs[k].x_vehicle
-                                for k, _ in visible])
-            thetas = np.array([bb.bearing.theta for _, bb in visible])
-            beta_d = beta_d_closed_form_2d(offsets, np.zeros(2), thetas,
-                                           net.beta_hat)
-        else:
-            beta_d = net.beta_hat
-        for k in sorted(net.pairs):
-            pair = net.pairs[k]
-            bundle = tick.observations.get(k)
-            if mode == "robots_only" and k == i:
-                case_vm = _self_tie_measurement(d)
-            elif bundle is not None:
-                r_hint = float(np.linalg.norm(pair.x_landmark
-                                              - pair.x_vehicle)) or None
-                case_vm = pair_measurement(net.case, bundle, net.beta_hat,
-                                           body_inputs, net.r_max, r_hint)
-            else:
-                case_vm = None
-            vm = vmeas.stack_measurements(case_vm, fb)
-
-            A = np.kron(np.eye(2), Om)
-            b = np.zeros(2 * d)
-            base = v_i - (Om @ x_ic if x_ic is not None else 0.0)
-            b[:d] += base
-            b[d:] += base
-            # vehicle block drifts with this robot's own motion
-            b[d:] += tick.u * heading_forward(net.beta_hat)
-            if mode == "robots_only":
-                if k == i:
-                    b[:d] += tick.u * heading_forward(net.beta_hat)
-                elif k in tick.speeds and k in tick.heading_diffs:
-                    b[:d] += tick.speeds[k] * heading_forward(
-                        net.beta_hat + tick.heading_diffs[k])
-            new_state = ode_step(pair.state, A, b, vm, net.Q, net.cfg)
-            net.pairs[k] = replace(
-                pair, state=new_state,
-                last_seen=new_state.t if bundle is not None else pair.last_seen)
-        net.t += net.cfg.dt
-
-        observed = set(tick.observations)
+        drift = null_drift(m, medium, mode) if multi else None
         if mode == "robots_only":
-            observed.add(i)
-        net.last_consensus = consensus(net.pairs, observed)
-
-        net.beta_hat = wrap_angle(
-            net.beta_hat + net.cfg.dt * (tick.omega_m + w_i
-                                         + m.gamma_beta * wrap_angle(beta_d - net.beta_hat)))
+            targets = {k: tick.speeds[k] * heading_forward(
+                           m.net.beta_hat + tick.heading_diffs[k])
+                       for k in tick.speeds if k in tick.heading_diffs}
+            pair_tick(m.net, tick.u, tick.omega_m, tick.observations, drift,
+                      self_id=i, target_velocities=targets)
+        else:
+            pair_tick(m.net, tick.u, tick.omega_m, tick.observations, drift)
 
     return medium_update(maps, mode)
 
@@ -410,6 +324,10 @@ def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
 # Medium message-passing interface
 # ---------------------------------------------------------------------------
 
+def _xy(v) -> list[float]:
+    return [float(v[0]), float(v[1])]
+
+
 def medium_request(m: RobotMap, tick: int) -> str:
     """Serialize one robot's map summary for the medium (JSON line)."""
     feats = nn_features(m)
@@ -417,10 +335,10 @@ def medium_request(m: RobotMap, tick: int) -> str:
     return json.dumps({
         "robot_id": m.robot_id,
         "tick": tick,
-        "map_summary": [[int(k), float(x[0]), float(x[1])]
+        "map_summary": [[int(k), *_xy(x)]
                         for k, x in sorted(m.landmark_positions().items())],
-        "center": None if center is None else [float(center[0]), float(center[1])],
-        "nn_features": [[int(k), int(f.neighbor), [float(f.a[0]), float(f.a[1])]]
+        "center": None if center is None else _xy(center),
+        "nn_features": [[int(k), int(f.neighbor), _xy(f.a)]
                         for k, f in sorted(feats.items())],
     })
 
@@ -428,27 +346,20 @@ def medium_request(m: RobotMap, tick: int) -> str:
 def medium_response(requests: list[str]) -> str:
     """Compute the medium variables from serialized map summaries (JSON)."""
     parsed = [json.loads(r) for r in requests]
-    cs = [np.array(p["center"]) for p in parsed if p["center"] is not None]
-    x_cc = np.mean(cs, axis=0) if cs else None
-    observers: dict[int, list] = {}
-    for p in parsed:
-        for k, x, y in p["map_summary"]:
-            observers.setdefault(k, []).append(np.array([x, y]))
-    x_ck = {k: np.mean(xs, axis=0) for k, xs in observers.items()}
-    all_feats = {}
-    for p in parsed:
-        all_feats[p["robot_id"]] = {
-            k: NNFeature(k, kp, np.array(a)) for k, kp, a in p["nn_features"]}
-    k_star = coordinate_k_star(all_feats)
-    c_k = {}
-    for k, kstar in k_star.items():
-        agreeing = [f[k].a for f in all_feats.values()
-                    if k in f and f[k].neighbor == kstar]
-        if agreeing:
-            c_k[k] = np.mean(agreeing, axis=0)
+    if len({p["robot_id"] for p in parsed}) != len(parsed):
+        raise ValueError("one request per robot_id expected")
+    x_ic = {p["robot_id"]: np.array(p["center"]) for p in parsed
+            if p["center"] is not None}
+    positions = {p["robot_id"]: {k: np.array([x, y])
+                                 for k, x, y in p["map_summary"]}
+                 for p in parsed}
+    feats = {p["robot_id"]: {k: NNFeature(k, kp, np.array(a))
+                             for k, kp, a in p["nn_features"]}
+             for p in parsed}
+    x_cc, x_ck, k_star, c_k = _medium_core(x_ic, positions, feats)
     return json.dumps({
-        "x_cc": None if x_cc is None else [float(x_cc[0]), float(x_cc[1])],
-        "x_ck": {str(k): [float(v[0]), float(v[1])] for k, v in x_ck.items()},
-        "c_k": {str(k): [float(v[0]), float(v[1])] for k, v in c_k.items()},
+        "x_cc": None if x_cc is None else _xy(x_cc),
+        "x_ck": {str(k): _xy(v) for k, v in x_ck.items()},
+        "c_k": {str(k): _xy(v) for k, v in c_k.items()},
         "k_star": {str(k): int(v) for k, v in k_star.items()},
     })

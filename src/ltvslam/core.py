@@ -21,7 +21,7 @@ All angles are radians; positions are meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,15 +166,10 @@ class RobotInputs:
 
 @dataclass(frozen=True)
 class ContractionDiagnostics:
-    """Fitted exponential decay rate of an error series, plus optional metric."""
+    """Fitted exponential decay rate of an error series."""
 
     rate: float                      # decay rate (1/s); +inf means converged to zero
     r_squared: float = float("nan")  # goodness of the log-error regression
-    metric: np.ndarray | None = field(default=None, compare=False)
-
-    @staticmethod
-    def metric_from_covariance(P: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(_check_covariance(P))
 
 
 def fit_contraction_rate(error_series) -> ContractionDiagnostics:

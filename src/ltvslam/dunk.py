@@ -5,6 +5,10 @@ each pair is a small constant-size filter and the per-tick cost is
 linear in the number of landmarks.  The pairs are tied together by an
 information-weighted consensus over the virtual vehicles, fed back to
 every pair as one extra virtual measurement (leader-follower coupling).
+
+:func:`pair_tick` is the one place pair filters are stepped.  The
+single-vehicle :func:`dunk_step` calls it with no drift; each robot of
+:mod:`ltvslam.coop` calls it with its map's null-space drift.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .slam_local import SensorBundle, build_measurement
 
 #: Tikhonov term added before inverting a virtual-vehicle covariance.
 REG = 1e-9
+
+#: Measurement std tying a robot's self pair to its own vehicle estimate.
+SELF_TIE_SIGMA = 1e-2
 
 
 @dataclass(frozen=True)
@@ -180,31 +187,63 @@ class DunkNetwork:
         return c.x_vc
 
 
-def pair_drift(dim: int, u_speed: float, beta_hat: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """A = 0 and b = [0; u * forward(beta)] for one pair in global coordinates."""
-    A = np.zeros((2 * dim, 2 * dim))
-    b = np.zeros(2 * dim)
-    b[dim:] = u_speed * heading_forward(beta_hat)
-    return A, b
+@dataclass(frozen=True)
+class Drift:
+    """Null-space input of one map: every state x moves with v + Omega (x - center).
+
+    Applied alike to all states of a map it changes nothing observable;
+    ``center`` None rotates about the origin.
+    """
+
+    v: np.ndarray
+    omega: float = 0.0
+    center: np.ndarray | None = None
 
 
-def dunk_step(net: DunkNetwork, u_speed: float, omega: float,
-              observations: dict[int, SensorBundle]) -> Consensus | None:
-    """One two-level tick: per-pair filter steps, then consensus and heading.
+def _self_pair(net: DunkNetwork, robot_id: int) -> LandmarkPairState:
+    """A robot's own entry: both blocks at the vehicle prior, 0.9 correlated."""
+    x_v0 = np.asarray(net.vehicle_prior_x, float)
+    P_v0 = np.asarray(net.vehicle_prior_P, float)
+    P0 = np.block([[P_v0, 0.9 * P_v0], [0.9 * P_v0, P_v0]])
+    return LandmarkPairState(
+        robot_id, FilterState(np.concatenate([x_v0, x_v0]), P0, net.t))
+
+
+def _self_tie_measurement(dim: int) -> vmeas.VirtualMeasurement:
+    """Identity rows forcing a robot's self pair onto its vehicle estimate."""
+    H = np.hstack([np.eye(dim), -np.eye(dim)])
+    return vmeas.VirtualMeasurement(y=np.zeros(dim), H=H,
+                                    R=SELF_TIE_SIGMA**2 * np.eye(dim))
+
+
+def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
+              observations: dict[int, SensorBundle], drift: Drift | None = None,
+              self_id: int | None = None,
+              target_velocities: dict[int, np.ndarray] | None = None
+              ) -> Consensus | None:
+    """One two-level tick of a pair-filter map: pair steps, then consensus and heading.
 
     Observed pairs get [case rows; feedback rows]; unobserved pairs get
     feedback-only (or prediction-only) steps.  The feedback uses the
-    consensus computed at the end of the previous tick.
+    consensus computed at the end of the previous tick.  Both blocks of
+    every pair follow the map's null-space ``drift`` (none by default);
+    the vehicle block also moves with u * forward(beta_hat).
+
+    ``self_id`` names the pair whose "landmark" is the robot itself: it
+    starts from :func:`_self_pair`, is measured by tie rows instead of
+    case rows, and its landmark block moves with the vehicle.
+    ``target_velocities`` gives the global velocity of landmarks that
+    are moving robots.
     """
     for lid, bundle in observations.items():
         if lid not in net.pairs:
             net.pairs[lid] = init_pair(
                 lid, bundle, net.pairs, net.beta_hat,
                 (net.vehicle_prior_x, net.vehicle_prior_P), net.r_max, net.t)
+    if self_id is not None and self_id not in net.pairs:
+        net.pairs[self_id] = _self_pair(net, self_id)
 
-    body_u = np.array([0.0, u_speed])
-    inputs = RobotInputs(u=body_u, omega=skew(omega))
+    inputs = RobotInputs(u=np.array([0.0, u_speed]), omega=skew(omega))
     fb = feedback_measurement(net.last_consensus)
 
     # heading residue uses offsets at the sample instant, before the updates
@@ -217,25 +256,49 @@ def dunk_step(net: DunkNetwork, u_speed: float, omega: float,
         beta_d = beta_d_closed_form_2d(offsets, np.zeros(2), thetas, net.beta_hat)
     else:
         beta_d = net.beta_hat
+
+    own_v = u_speed * heading_forward(net.beta_hat)
+    d = own_v.size
+    if drift is None:
+        drift = Drift(np.zeros(d))
+    Om = skew(drift.omega).matrix
+    A = np.kron(np.eye(2), Om)
+    base = drift.v - (Om @ drift.center if drift.center is not None else 0.0)
+    targets = target_velocities or {}
     for lid in sorted(net.pairs):
         pair = net.pairs[lid]
         bundle = observations.get(lid)
-        if bundle is not None:
+        if lid == self_id:
+            case_vm = _self_tie_measurement(d)
+        elif bundle is not None:
             r_hint = float(np.linalg.norm(pair.x_landmark - pair.x_vehicle)) or None
             case_vm = pair_measurement(net.case, bundle, net.beta_hat, inputs,
                                        net.r_max, r_hint)
         else:
             case_vm = None
         vm = vmeas.stack_measurements(case_vm, fb)
-        A, b = pair_drift(pair.dim, u_speed, net.beta_hat)
+        b = np.concatenate([base, base + own_v])
+        if lid == self_id:
+            b[:d] += own_v
+        elif lid in targets:
+            b[:d] += targets[lid]
         new_state = ode_step(pair.state, A, b, vm, net.Q, net.cfg)
         net.pairs[lid] = replace(
             pair, state=new_state,
             last_seen=new_state.t if bundle is not None else pair.last_seen)
     net.t += net.cfg.dt
 
-    c = consensus(net.pairs, observations.keys())
+    observed = set(observations)
+    if self_id is not None:
+        observed.add(self_id)
+    c = consensus(net.pairs, observed)
     net.last_consensus = c
-    net.beta_hat = track_heading(net.beta_hat, omega, beta_d,
+    net.beta_hat = track_heading(net.beta_hat, omega + drift.omega, beta_d,
                                  net.gamma_beta, net.cfg.dt)
     return c
+
+
+def dunk_step(net: DunkNetwork, u_speed: float, omega: float,
+              observations: dict[int, SensorBundle]) -> Consensus | None:
+    """One tick of the single-vehicle pair network: :func:`pair_tick` with no drift."""
+    return pair_tick(net, u_speed, omega, observations)

@@ -9,9 +9,8 @@ with fixed-step RK4 (default) or Euler integration.  Every estimator in
 the package is an instance of this engine with a different (A, b):
 
 * relative-frame landmark tracking uses A = -Omega, b = -u;
-* rotation-compensated (translation-free) tracking uses a block
-  diagonal A of Omega blocks;
-* global-frame estimation uses A = 0 with the drift folded into b.
+* global-frame estimation uses A = 0 with the drift folded into b;
+* cooperative pair filters add a null-space drift, A = I (x) Omega.
 
 The correction term can be arbitrarily stiff right after initialization
 when P is large and R small, so each step is split: the (A, b, Q)
@@ -51,21 +50,6 @@ class FilterConfig:
             raise ValueError("dt must be > 0")
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator: {self.integrator}")
-
-
-@dataclass(frozen=True)
-class KalmanGain:
-    """Gain K = P H^T R^{-1} with the factors it was built from."""
-
-    K: np.ndarray
-    H: np.ndarray
-    R_inv: np.ndarray
-
-
-def gain(state: FilterState | np.ndarray, vm: VirtualMeasurement) -> KalmanGain:
-    P = state.P if isinstance(state, FilterState) else np.asarray(state, float)
-    R_inv = np.linalg.inv(vm.R)
-    return KalmanGain(K=P @ vm.H.T @ R_inv, H=vm.H, R_inv=R_inv)
 
 
 def _predict_derivatives(x, P, A, b, Q):
@@ -157,25 +141,3 @@ def step(state: FilterState, inputs: RobotInputs,
     """
     A = -inputs.omega.matrix
     return ode_step(state, A, -inputs.u, vm, inputs.Q, cfg)
-
-
-def step_no_translation(state: FilterState, inputs: RobotInputs,
-                        vm: VirtualMeasurement | None,
-                        cfg: FilterConfig = FilterConfig()) -> FilterState:
-    """Tracking in the rotation-only frame (translation-fixed, co-rotating).
-
-    The state stacks n landmark positions followed by the vehicle
-    position, all expressed in a frame that rotates with the robot but
-    does not translate.  Every block evolves with +Omega and only the
-    vehicle block receives the body-frame velocity u.
-    """
-    d = inputs.dim
-    n = state.dim
-    if n % d:
-        raise ValueError(f"state size {n} is not a multiple of the block size {d}")
-    k = n // d
-    Om = inputs.omega.matrix
-    A = np.kron(np.eye(k), Om)
-    b = np.zeros(n)
-    b[-d:] = inputs.u
-    return ode_step(state, A, b, vm, inputs.Q, cfg)

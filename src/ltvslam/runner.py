@@ -8,7 +8,6 @@ rigid alignment used for trajectory error after map convergence.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,7 +19,6 @@ from . import sim as sim_mod
 from .core import RobotInputs, body_from_global, fit_contraction_rate, skew
 from .dunk import DunkNetwork, dunk_step
 from .kalman import DivergenceError, FilterConfig
-from .noisecal import NoiseSpec
 from .slam_global import init_global, step_global
 from .slam_local import LocalMap
 
@@ -43,7 +41,6 @@ class RunConfig:
     mode: str = "local"
     case: int = 2
     scenario: str = "single-vehicle-2d"   # builtin name or JSON path
-    log: str | None = None
     dt: float | None = None               # overrides the scenario dt when set
     seed: int | None = None
     out_dir: str | None = None
@@ -72,7 +69,11 @@ class Metrics:
     e_h: list = field(default_factory=list)
     discrepancy: list = field(default_factory=list)       # [(t, max inter-map gap)]
     wall_time_per_step: float = 0.0
-    diverged: bool = False
+    divergence: str | None = None   # the DivergenceError message, if any
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
     def final_errors(self) -> dict:
         return {lid: series[-1][1] for lid, series in self.landmark_errors.items()
@@ -173,14 +174,14 @@ def _trace_row(t, kind, ident, est, true, P) -> str:
     return ",".join(cells)
 
 
-def _run_local(scenario, cfg: RunConfig, trace: list) -> Metrics:
+def _run_local(scenario, cfg: RunConfig, trace: list,
+               metrics: Metrics) -> None:
     (vid, vspec), = scenario.vehicles
     pose_fn = scenario.pose_fns()[vid]
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
     dt = cfg.dt or scenario.dt
     fcfg = FilterConfig(dt=dt)
     lmap = LocalMap(case=cfg.case, cfg=fcfg, r_max=cfg.r_max)
-    metrics = Metrics()
     n_steps = int(round((cfg.duration or scenario.duration) / dt))
     t0 = time.perf_counter()
     for step_i in range(n_steps):
@@ -206,7 +207,6 @@ def _run_local(scenario, cfg: RunConfig, trace: list) -> Metrics:
                                     x_true, f.state.P))
     metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
     _fit_contraction(metrics)
-    return metrics
 
 
 def _fit_contraction(metrics: Metrics) -> None:
@@ -224,7 +224,8 @@ def _fit_contraction(metrics: Metrics) -> None:
         metrics.contraction_r2 = diag.r_squared
 
 
-def _run_global(scenario, cfg: RunConfig, trace: list) -> Metrics:
+def _run_global(scenario, cfg: RunConfig, trace: list,
+                metrics: Metrics) -> None:
     (vid, vspec), = scenario.vehicles
     pose_fn = scenario.pose_fns()[vid]
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
@@ -232,7 +233,6 @@ def _run_global(scenario, cfg: RunConfig, trace: list) -> Metrics:
     fcfg = FilterConfig(dt=dt)
     pose0 = pose_fn(0.0)
     gs = init_global(pose0.position, beta0=pose0.beta)
-    metrics = Metrics()
     n_steps = int(round((cfg.duration or scenario.duration) / dt))
     est_path, true_path = [], []
     t0 = time.perf_counter()
@@ -261,10 +261,10 @@ def _run_global(scenario, cfg: RunConfig, trace: list) -> Metrics:
         _, _, metrics.vehicle_ate = align_procrustes(np.array(est_path),
                                                      np.array(true_path))
     _fit_contraction(metrics)
-    return metrics
 
 
-def _run_dunk(scenario, cfg: RunConfig, trace: list) -> Metrics:
+def _run_dunk(scenario, cfg: RunConfig, trace: list,
+              metrics: Metrics) -> None:
     (vid, vspec), = scenario.vehicles
     pose_fn = scenario.pose_fns()[vid]
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
@@ -275,7 +275,6 @@ def _run_dunk(scenario, cfg: RunConfig, trace: list) -> Metrics:
                       gamma_beta=cfg.gamma_beta, beta_hat=pose0.beta,
                       vehicle_prior_x=pose0.position.copy(),
                       vehicle_prior_P=1e-2 * np.eye(2))
-    metrics = Metrics()
     n_steps = int(round((cfg.duration or scenario.duration) / dt))
     t0 = time.perf_counter()
     for step_i in range(n_steps):
@@ -296,7 +295,6 @@ def _run_dunk(scenario, cfg: RunConfig, trace: list) -> Metrics:
                                         pair.x_landmark, lm.position, None))
     metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
     _fit_contraction(metrics)
-    return metrics
 
 
 def _coop_mode(cfg_mode: str) -> str:
@@ -315,19 +313,18 @@ def make_coop_maps(scenario, cfg: RunConfig) -> dict[int, coop_mod.RobotMap]:
                           vehicle_prior_P=100.0 * np.eye(2))
         maps[vid] = coop_mod.RobotMap(robot_id=vid, net=net,
                                       gamma_v=cfg.gamma_v,
-                                      gamma_omega=cfg.gamma_omega,
-                                      gamma_beta=cfg.gamma_beta)
+                                      gamma_omega=cfg.gamma_omega)
     return maps
 
 
-def _run_coop(scenario, cfg: RunConfig, trace: list) -> Metrics:
+def _run_coop(scenario, cfg: RunConfig, trace: list,
+              metrics: Metrics) -> None:
     mode = _coop_mode(cfg.mode)
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
     dt = cfg.dt or scenario.dt
     pose_fns = scenario.pose_fns()
     specs = dict(scenario.vehicles)
     maps = make_coop_maps(scenario, cfg)
-    metrics = Metrics()
     n_steps = int(round((cfg.duration or scenario.duration) / dt))
     medium = None
     t0 = time.perf_counter()
@@ -363,7 +360,6 @@ def _run_coop(scenario, cfg: RunConfig, trace: list) -> Metrics:
                 for k, x in m.landmark_positions().items():
                     trace.append(_trace_row(tick_t, f"map{vid}", k, x, None, None))
     metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
-    return metrics
 
 
 def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
@@ -380,37 +376,48 @@ def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
 
 
 def run(cfg: RunConfig) -> Metrics:
-    """Execute a configured run; write traces + metrics if an out dir is set."""
+    """Execute a configured run; write traces + metrics if an out dir is set.
+
+    Both files are written on every exit path; a diverged run records
+    the divergence in ``metrics.json`` and re-raises.
+    """
     scenario = load_scenario(cfg.scenario)
     trace: list[str] = []
+    metrics = Metrics()
     runners = {"local": _run_local, "global": _run_global, "dunk": _run_dunk,
                "coop-full": _run_coop, "coop-partial": _run_coop,
                "coop-robots": _run_coop}
     try:
-        metrics = runners[cfg.mode](scenario, cfg, trace)
-    except DivergenceError:
-        metrics = Metrics(diverged=True)
+        runners[cfg.mode](scenario, cfg, trace, metrics)
+    except DivergenceError as exc:
+        metrics.divergence = str(exc)
         raise
     finally:
         if cfg.out_dir:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            with open(os.path.join(cfg.out_dir, "trace.csv"), "w") as f:
-                f.write("t,entity_kind,id,est...,true...,cov_upper...\n")
-                f.write("\n".join(trace))
-                f.write("\n")
-    if cfg.out_dir:
-        payload = {
-            "mode": cfg.mode, "case": cfg.case, "scenario": scenario.name,
-            "final_errors_m": metrics.final_errors(),
-            "vehicle_ate_m": metrics.vehicle_ate,
-            "contraction_rate": metrics.contraction_rate,
-            "contraction_r2": metrics.contraction_r2,
-            "final_e_c": metrics.e_c[-1][1] if metrics.e_c else None,
-            "final_e_h": metrics.e_h[-1][1] if metrics.e_h else None,
-            "final_discrepancy_m": (metrics.discrepancy[-1][1]
-                                    if metrics.discrepancy else None),
-            "wall_time_per_step_s": metrics.wall_time_per_step,
-        }
-        with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as f:
-            json.dump(payload, f, indent=2, default=float)
+            _write_outputs(cfg, scenario.name, trace, metrics)
     return metrics
+
+
+def _write_outputs(cfg: RunConfig, scenario_name: str, trace: list[str],
+                   metrics: Metrics) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "trace.csv"), "w") as f:
+        f.write("t,entity_kind,id,est...,true...,cov_upper...\n")
+        f.write("\n".join(trace))
+        f.write("\n")
+    payload = {
+        "mode": cfg.mode, "case": cfg.case, "scenario": scenario_name,
+        "final_errors_m": metrics.final_errors(),
+        "vehicle_ate_m": metrics.vehicle_ate,
+        "contraction_rate": metrics.contraction_rate,
+        "contraction_r2": metrics.contraction_r2,
+        "final_e_c": metrics.e_c[-1][1] if metrics.e_c else None,
+        "final_e_h": metrics.e_h[-1][1] if metrics.e_h else None,
+        "final_discrepancy_m": (metrics.discrepancy[-1][1]
+                                if metrics.discrepancy else None),
+        "wall_time_per_step_s": metrics.wall_time_per_step,
+        "diverged": metrics.diverged,
+        "divergence": metrics.divergence,
+    }
+    with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as f:
+        json.dump(payload, f, indent=2, default=float)

@@ -7,16 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam import vmeas
-from ltvslam.coop import (MediumState, NNFeature, RobotMap, RobotTick,
-                          centers, coop_step, coordinate_k_star,
-                          heading_errors, medium_request, medium_response,
+from ltvslam import dunk, sim
+from ltvslam.coop import (NNFeature, RobotMap, RobotTick, centers, coop_step,
+                          coordinate_k_star, medium_request, medium_response,
                           medium_update, nn_features, null_rotation_full,
                           null_translation)
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
 from ltvslam.dunk import DunkNetwork, LandmarkPairState, dunk_step
 from ltvslam.kalman import FilterConfig
-from ltvslam.slam_local import SensorBundle
+from ltvslam.runner import RunConfig, make_coop_maps
 
 from conftest import exact_bundle
 
@@ -33,12 +32,12 @@ def test_centers_and_empty_maps():
     maps = {1: seeded_map(1, {1: (0.0, 0.0), 2: (2.0, 0.0)}),
             2: seeded_map(2, {1: (0.0, 4.0)}),
             3: seeded_map(3, {})}
-    x_ic, x_cc = centers(maps)
+    x_ic = centers(maps)
     assert set(x_ic) == {1, 2}
     assert np.allclose(x_ic[1], [1.0, 0.0])
-    assert np.allclose(x_cc, [0.5, 2.0])
-    x_ic, x_cc = centers({3: maps[3]})
-    assert x_ic == {} and x_cc is None
+    assert np.allclose(medium_update(maps, "full").x_cc, [0.5, 2.0])
+    assert centers({3: maps[3]}) == {}
+    assert medium_update({3: maps[3]}, "full").x_cc is None
 
 
 def test_nn_features():
@@ -77,7 +76,8 @@ def test_heading_errors_zero_on_identical_maps():
     pos = {1: (1.0, 0.0), 2: (-1.0, 2.0), 3: (0.0, -2.0)}
     maps = {1: seeded_map(1, pos), 2: seeded_map(2, pos)}
     for mode in ("full", "partial"):
-        e_c, e_h = heading_errors(maps, mode)
+        med = medium_update(maps, mode)
+        e_c, e_h = med.e_c, med.e_h
         assert e_c == pytest.approx(0.0, abs=1e-20)
         assert e_h == pytest.approx(0.0, abs=1e-20)
 
@@ -88,12 +88,11 @@ def test_heading_errors_detect_rotation_but_not_common_translation():
     shift = np.array([5.0, -3.0])
     maps = {1: seeded_map(1, pos),
             2: seeded_map(2, {k: p + shift for k, p in pos.items()})}
-    e_c, e_h = heading_errors(maps, "full")
-    assert e_c > 1.0 and e_h == pytest.approx(0.0, abs=1e-18)
+    med = medium_update(maps, "full")
+    assert med.e_c > 1.0 and med.e_h == pytest.approx(0.0, abs=1e-18)
     T = body_from_global(0.5)
     maps[2] = seeded_map(2, {k: T @ p for k, p in pos.items()})
-    _, e_h = heading_errors(maps, "full")
-    assert e_h > 0.1
+    assert medium_update(maps, "full").e_h > 0.1
 
 
 def test_null_inputs_vanish_when_aligned_and_descend_otherwise():
@@ -142,11 +141,50 @@ def test_single_robot_coop_matches_plain_pair_filter():
     net_b = run(lambda net, tick: coop_step(
         {1: RobotMap(robot_id=1, net=net)}, {1: tick}, "full"))
     for k in landmarks:
-        assert np.allclose(net_a.pairs[k].state.x, net_b.pairs[k].state.x,
-                           atol=1e-10)
-        assert np.allclose(net_a.pairs[k].state.P, net_b.pairs[k].state.P,
-                           atol=1e-10)
-    assert net_a.beta_hat == pytest.approx(net_b.beta_hat, abs=1e-10)
+        assert np.array_equal(net_a.pairs[k].state.x, net_b.pairs[k].state.x)
+        assert np.array_equal(net_a.pairs[k].state.P, net_b.pairs[k].state.P)
+    assert net_a.beta_hat == net_b.beta_hat
+
+
+def test_robots_only_self_pair_starts_correlated_and_stays_tied(monkeypatch):
+    sc = sim.scenario_coop("robots_only")
+    sc.vehicles = sc.vehicles[:2]
+    maps = make_coop_maps(sc, RunConfig(mode="coop-robots"))
+    pose_fns = sc.pose_fns()
+    rng = np.random.default_rng(0)
+    stepped = []
+    real_ode_step = dunk.ode_step
+
+    def recording_ode_step(state, *args):
+        stepped.append(state)
+        return real_ode_step(state, *args)
+
+    monkeypatch.setattr(dunk, "ode_step", recording_ode_step)
+    medium = None
+    for n in range(300):
+        poses = {i: f(n * sc.dt) for i, f in pose_fns.items()}
+        obs = sim.observe_robots(poses, sc.noise, rng)
+        ticks = {i: RobotTick(u=p.u, omega_m=p.omega,
+                              observations=obs[i]["bundles"],
+                              heading_diffs=obs[i]["heading_diffs"],
+                              speeds=obs[i]["speeds"])
+                 for i, p in poses.items()}
+        medium = coop_step(maps, ticks, "robots_only", medium)
+        if n == 0:
+            monkeypatch.undo()
+            # robot 1's first pair step is its self pair, from the prior
+            P_v = maps[1].net.vehicle_prior_P
+            assert np.array_equal(stepped[0].x, np.zeros(4))
+            assert np.array_equal(stepped[0].P, np.block(
+                [[P_v, 0.9 * P_v], [0.9 * P_v, P_v]]))
+        for i, m in maps.items():
+            assert sorted(m.net.pairs) == [1, 2]
+            own = m.net.pairs[i]
+            assert np.linalg.norm(own.x_landmark - own.x_vehicle) < 1e-6
+            P = own.state.P
+            corr = P[0, 2] / math.sqrt(P[0, 0] * P[2, 2])
+            assert corr > 0.999
+    assert maps[1].net.pairs[1].state.P[0, 0] < 1.0   # the tie has converged
 
 
 def test_coop_step_rejects_unknown_mode():
@@ -205,6 +243,8 @@ def test_medium_request_response_round_trip():
         assert reply["k_star"][str(k)] == med.k_star[k]
     for k in med.c_k:
         assert np.allclose(reply["c_k"][str(k)], med.c_k[k])
+    with pytest.raises(ValueError):
+        medium_response([medium_request(maps[1], tick=3)] * 2)
 
 
 def test_medium_request_is_one_json_line():

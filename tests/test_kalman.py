@@ -7,8 +7,7 @@ import pytest
 
 from ltvslam import vmeas
 from ltvslam.core import FilterState, RobotInputs, skew
-from ltvslam.kalman import (DivergenceError, FilterConfig, gain, ode_step,
-                            step, step_no_translation)
+from ltvslam.kalman import DivergenceError, FilterConfig, ode_step, step
 
 
 def scalar_vm(y=0.0, r=1.0):
@@ -115,13 +114,6 @@ def test_config_validation():
         FilterConfig(integrator="rk5")
 
 
-def test_gain_formula():
-    st = FilterState(np.zeros(2), np.diag([2.0, 3.0]))
-    vm = vmeas.VirtualMeasurement(y=[0.0], H=[[1.0, 0.0]], R=[[0.5]])
-    g = gain(st, vm)
-    assert np.allclose(g.K, [[4.0], [0.0]])
-
-
 def test_step_tracks_static_landmark_noise_free():
     # exact relative kinematics: noise-free tight measurements keep the
     # estimate on the true trajectory while the vehicle spins and drives
@@ -136,24 +128,6 @@ def test_step_tracks_static_landmark_noise_free():
         x_true = x_true + dt * (-Om @ x_true - u)  # reference Euler truth
         st = step(st, inputs, None, FilterConfig(dt=dt, integrator="euler"))
     assert np.allclose(st.x, x_true, atol=1e-12)
-
-
-def test_step_no_translation_moves_only_vehicle_block():
-    # stacked [landmark; vehicle] in the co-rotating frame: with omega = 0
-    # the landmark is frozen and the vehicle integrates u
-    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
-    st = FilterState(np.array([3.0, 4.0, 0.0, 0.0]), np.eye(4))
-    for _ in range(100):
-        st = step_no_translation(st, inputs, None, FilterConfig(dt=0.01))
-    assert np.allclose(st.x[:2], [3.0, 4.0], atol=1e-12)
-    assert np.allclose(st.x[2:], [0.0, 1.0], atol=1e-9)
-
-
-def test_step_no_translation_rejects_bad_block_size():
-    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
-    st = FilterState(np.zeros(3), np.eye(3))
-    with pytest.raises(ValueError):
-        step_no_translation(st, inputs, None)
 
 
 def test_psd_repair_clips_negative_eigenvalues():

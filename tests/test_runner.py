@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ltvslam import runner as runner_mod
 from ltvslam.cli import main as cli_main
 from ltvslam.core import rotation2d
+from ltvslam.kalman import DivergenceError
 from ltvslam.noisecal import NoiseSpec
 from ltvslam.runner import (BUILTIN_SCENARIOS, ConfigError, Metrics,
                             RunConfig, align_procrustes, ingest_log,
@@ -108,6 +110,7 @@ def test_run_local_is_deterministic_and_writes_outputs(tmp_path):
     metrics = json.loads((out_a / "metrics.json").read_text())
     assert metrics["mode"] == "local" and metrics["case"] == 2
     assert set(metrics["final_errors_m"]) == {"1", "2", "3"}
+    assert metrics["diverged"] is False and metrics["divergence"] is None
 
 
 def test_run_seed_override_changes_noise(tmp_path):
@@ -133,6 +136,29 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert bad.exit_code == 2
     missing = runner.invoke(cli_main, ["run", "--scenario", "nope.json"])
     assert missing.exit_code == 2
+    log = runner.invoke(cli_main, ["run", "--log", "x.csv"])
+    assert log.exit_code == 2
+
+
+def test_diverged_run_still_writes_metrics(tmp_path, monkeypatch):
+    real_step = runner_mod.dunk_step
+    calls = []
+
+    def diverge_on_tick_50(net, *args):
+        calls.append(None)
+        if len(calls) == 50:
+            raise DivergenceError(f"filter diverged at t={net.t:g}")
+        return real_step(net, *args)
+
+    monkeypatch.setattr(runner_mod, "dunk_step", diverge_on_tick_50)
+    out = CliRunner().invoke(cli_main, ["run", "--mode", "dunk", "--duration",
+                                        "2.0", "--out", str(tmp_path)])
+    assert out.exit_code == 3, out.output
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["diverged"] is True
+    assert metrics["divergence"] == "filter diverged at t=0.49"
+    assert metrics["final_errors_m"]   # the ticks before the divergence count
+    assert (tmp_path / "trace.csv").exists()
 
 
 def test_cli_scenarios_list():
