@@ -151,13 +151,10 @@ class RobotInputs:
 
     u: np.ndarray
     omega: AngularVelocityMatrix
-    Q: np.ndarray | None = None  # process noise covariance on the estimated state
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).ravel()
         object.__setattr__(self, "u", u)
-        if self.Q is not None:
-            object.__setattr__(self, "Q", _check_covariance(self.Q, "Q"))
 
     @property
     def dim(self) -> int:

@@ -174,17 +174,9 @@ class DunkNetwork:
     beta_hat: float = 0.0
     vehicle_prior_x: np.ndarray = field(default_factory=lambda: np.zeros(2))
     vehicle_prior_P: np.ndarray = field(default_factory=lambda: 100.0 * np.eye(2))
-    Q: np.ndarray | None = None
     pairs: dict[int, LandmarkPairState] = field(default_factory=dict)
     last_consensus: Consensus | None = None
     t: float = 0.0
-
-    @property
-    def vehicle_estimate(self) -> np.ndarray:
-        c = consensus(self.pairs, self.pairs.keys())
-        if c is None:
-            return np.asarray(self.vehicle_prior_x, float)
-        return c.x_vc
 
 
 @dataclass(frozen=True)
@@ -282,7 +274,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
             b[:d] += own_v
         elif lid in targets:
             b[:d] += targets[lid]
-        new_state = ode_step(pair.state, A, b, vm, net.Q, net.cfg)
+        new_state = ode_step(pair.state, A, b, vm, None, net.cfg)
         net.pairs[lid] = replace(
             pair, state=new_state,
             last_seen=new_state.t if bundle is not None else pair.last_seen)

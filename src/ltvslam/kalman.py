@@ -5,7 +5,7 @@ One generic propagation engine for the model
     xdot = A x + b + K (y - H x),      K = P H^T R^{-1}
     Pdot = Q + A P + P A^T - P H^T R^{-1} H P
 
-with fixed-step RK4 (default) or Euler integration.  Every estimator in
+with fixed-step RK4 integration of the prediction.  Every estimator in
 the package is an instance of this engine with a different (A, b):
 
 * relative-frame landmark tracking uses A = -Omega, b = -u;
@@ -35,47 +35,43 @@ class DivergenceError(RuntimeError):
     """Raised when the state or covariance stops being finite."""
 
 
+#: Each RK4 substep advances the fastest mode (max row sum of |A|) by at
+#: most this many radians, with at most MAX_SUBSTEPS substeps per step.
+MAX_RATE_PER_SUBSTEP = 0.5
+MAX_SUBSTEPS = 1000
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Integration settings shared by all filters."""
 
     dt: float = 0.01
-    integrator: str = "rk4"      # "rk4" or "euler"
     psd_repair: bool = False     # clip negative covariance eigenvalues
-    max_rate_per_substep: float = 0.5
-    max_substeps: int = 1000
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-        if self.integrator not in ("rk4", "euler"):
-            raise ValueError(f"unknown integrator: {self.integrator}")
 
 
 def _predict_derivatives(x, P, A, b, Q):
     return A @ x + b, Q + A @ P + P @ A.T
 
 
-def _predict(x, P, A, b, Q, dt, cfg: FilterConfig):
-    """Integrate xdot = A x + b, Pdot = Q + A P + P A^T over dt."""
+def _predict(x, P, A, b, Q, dt):
+    """RK4-integrate xdot = A x + b, Pdot = Q + A P + P A^T over dt."""
     rate = float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
-    m = int(np.ceil(rate * dt / cfg.max_rate_per_substep)) if rate > 0 else 1
-    m = min(max(m, 1), cfg.max_substeps)
+    m = int(np.ceil(rate * dt / MAX_RATE_PER_SUBSTEP)) if rate > 0 else 1
+    m = min(max(m, 1), MAX_SUBSTEPS)
     h = dt / m
     for _ in range(m):
-        if cfg.integrator == "euler":
-            dx, dP = _predict_derivatives(x, P, A, b, Q)
-            x = x + h * dx
-            P = P + h * dP
-        else:
-            k1x, k1P = _predict_derivatives(x, P, A, b, Q)
-            k2x, k2P = _predict_derivatives(x + 0.5 * h * k1x,
-                                            P + 0.5 * h * k1P, A, b, Q)
-            k3x, k3P = _predict_derivatives(x + 0.5 * h * k2x,
-                                            P + 0.5 * h * k2P, A, b, Q)
-            k4x, k4P = _predict_derivatives(x + h * k3x, P + h * k3P, A, b, Q)
-            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            P = P + (h / 6.0) * (k1P + 2 * k2P + 2 * k3P + k4P)
+        k1x, k1P = _predict_derivatives(x, P, A, b, Q)
+        k2x, k2P = _predict_derivatives(x + 0.5 * h * k1x,
+                                        P + 0.5 * h * k1P, A, b, Q)
+        k3x, k3P = _predict_derivatives(x + 0.5 * h * k2x,
+                                        P + 0.5 * h * k2P, A, b, Q)
+        k4x, k4P = _predict_derivatives(x + h * k3x, P + h * k3P, A, b, Q)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        P = P + (h / 6.0) * (k1P + 2 * k2P + 2 * k3P + k4P)
         P = 0.5 * (P + P.T)
     return x, P
 
@@ -119,7 +115,7 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
     x, P = state.x.copy(), state.P.copy()
     if vm is not None:
         x, P = _correct(x, P, vm, cfg.dt)
-    x, P = _predict(x, P, A, b, Q, cfg.dt, cfg)
+    x, P = _predict(x, P, A, b, Q, cfg.dt)
 
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
         raise DivergenceError(f"filter diverged at t={state.t + cfg.dt:g}")
@@ -140,4 +136,4 @@ def step(state: FilterState, inputs: RobotInputs,
     its relative position rotates with -Omega and translates with -u.
     """
     A = -inputs.omega.matrix
-    return ode_step(state, A, -inputs.u, vm, inputs.Q, cfg)
+    return ode_step(state, A, -inputs.u, vm, None, cfg)

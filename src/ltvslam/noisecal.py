@@ -218,6 +218,12 @@ def tangential_R(bearing, rstar: float) -> np.ndarray:
     return np.diag([st**2 * rstar**2, sp**2 * rstar**2])
 
 
+def range_row_R(range_obs) -> np.ndarray:
+    """Case II range row h* x = r: the (floored) sensor variance itself."""
+    var = _floored(range_obs.sigma_r, SIGMA_RANGE_FLOOR)**2
+    return np.array([[max(var, VAR_FLOOR)]])
+
+
 def block_diag_R(*blocks: np.ndarray) -> np.ndarray:
     n = sum(b.shape[0] for b in blocks)
     R = np.zeros((n, n))
@@ -305,33 +311,3 @@ def ttc_row_R(ttc, radial_speed: float, sigma_u: float = 0.01) -> np.ndarray:
         rel_tau = 0.05
     var = (rel_tau * y)**2 + (ttc.tau * sigma_u)**2
     return np.array([[max(var, SIGMA_RANGE_FLOOR**2)]])
-
-
-def assemble_R(case: int, bearing=None, rng_obs=None, rate=None, ttc=None,
-               doppler=None, inputs=None, r_max: float = 100.0) -> np.ndarray:
-    """R for a case from the shared policy: diagonal, cross-covariance zero.
-
-    Case II's range row uses the sensor variance directly; Case III rate
-    rows are Monte Carlo-calibrated; Case IV uses the conservative
-    time-to-contact bound.
-    """
-    if case == 1:
-        return tangential_R(bearing, r_star(None, 0.0, r_max))
-    if case == 2:
-        rs = r_star(rng_obs.r, rng_obs.sigma_r, r_max)
-        return block_diag_R(
-            tangential_R(bearing, rs),
-            np.array([[max(_floored(rng_obs.sigma_r, SIGMA_RANGE_FLOOR)**2,
-                           VAR_FLOOR)]]))
-    if case == 3:
-        rs = r_star(None, 0.0, r_max)
-        return block_diag_R(tangential_R(bearing, rs),
-                            rate_row_R(bearing, rate, inputs, rs))
-    if case == 4:
-        raise ValueError("Case IV R depends on the radial speed and is "
-                         "assembled inside the builder")
-    if case == 5:
-        var = (doppler.r_dot * doppler.sigma_r)**2 \
-            + (doppler.r * doppler.sigma_r_dot)**2
-        return np.array([[max(var, VAR_FLOOR)]])
-    raise ValueError(f"unknown case {case}")

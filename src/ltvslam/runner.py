@@ -23,6 +23,7 @@ from .slam_global import init_global, step_global
 from .slam_local import LocalMap
 
 MODES = ("local", "global", "dunk", "coop-full", "coop-partial", "coop-robots")
+SINGLE_VEHICLE_MODES = ("local", "global", "dunk")
 
 BUILTIN_SCENARIOS = {
     "single-vehicle-2d": sim_mod.scenario_single_vehicle_2d,
@@ -174,26 +175,15 @@ def _trace_row(t, kind, ident, est, true, P) -> str:
     return ",".join(cells)
 
 
-def _run_local(scenario, cfg: RunConfig, trace: list,
+def _run_local(scenario, cfg: RunConfig, dt: float, stream, trace: list,
                metrics: Metrics) -> None:
-    (vid, vspec), = scenario.vehicles
+    (vid, _), = scenario.vehicles
     pose_fn = scenario.pose_fns()[vid]
-    rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
-    dt = cfg.dt or scenario.dt
-    fcfg = FilterConfig(dt=dt)
-    lmap = LocalMap(case=cfg.case, cfg=fcfg, r_max=cfg.r_max)
-    n_steps = int(round((cfg.duration or scenario.duration) / dt))
-    t0 = time.perf_counter()
-    for step_i in range(n_steps):
-        t = step_i * dt
-        pose = pose_fn(t)
-        observations = {}
-        for lm in scenario.landmarks:
-            if sim_mod.is_visible(scenario, vspec, pose, lm):
-                bundle, _ = sim_mod.sense(pose, lm, scenario.noise, rng, robot=vid)
-                observations[lm.id] = bundle
-        inputs = RobotInputs(u=np.array([0.0, pose.u]), omega=skew(pose.omega))
-        lmap.step(inputs, observations)
+    lmap = LocalMap(case=cfg.case, cfg=FilterConfig(dt=dt), r_max=cfg.r_max)
+    for _, ticks in stream:
+        tick = ticks[vid]
+        inputs = RobotInputs(u=np.array([0.0, tick.u]), omega=skew(tick.omega_m))
+        lmap.step(inputs, tick.observations)
         pose_now = pose_fn(lmap.t)  # estimates live at the post-step instant
         T = body_from_global(pose_now.beta)
         for lm in scenario.landmarks:
@@ -205,7 +195,6 @@ def _run_local(scenario, cfg: RunConfig, trace: list,
             metrics.landmark_errors.setdefault(lm.id, []).append((lmap.t, err))
             trace.append(_trace_row(lmap.t, "landmark", lm.id, f.state.x,
                                     x_true, f.state.P))
-    metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
     _fit_contraction(metrics)
 
 
@@ -224,28 +213,19 @@ def _fit_contraction(metrics: Metrics) -> None:
         metrics.contraction_r2 = diag.r_squared
 
 
-def _run_global(scenario, cfg: RunConfig, trace: list,
+def _run_global(scenario, cfg: RunConfig, dt: float, stream, trace: list,
                 metrics: Metrics) -> None:
-    (vid, vspec), = scenario.vehicles
+    (vid, _), = scenario.vehicles
     pose_fn = scenario.pose_fns()[vid]
-    rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
-    dt = cfg.dt or scenario.dt
     fcfg = FilterConfig(dt=dt)
     pose0 = pose_fn(0.0)
     gs = init_global(pose0.position, beta0=pose0.beta)
-    n_steps = int(round((cfg.duration or scenario.duration) / dt))
     est_path, true_path = [], []
-    t0 = time.perf_counter()
-    for step_i in range(n_steps):
-        t = step_i * dt
-        pose = pose_fn(t)
-        observations = {}
-        for lm in scenario.landmarks:
-            if sim_mod.is_visible(scenario, vspec, pose, lm):
-                bundle, _ = sim_mod.sense(pose, lm, scenario.noise, rng, robot=vid)
-                observations[lm.id] = bundle
-        gs = step_global(gs, pose.u, pose.omega, observations, case=cfg.case,
-                         cfg=fcfg, gamma_beta=cfg.gamma_beta, r_max=cfg.r_max)
+    for _, ticks in stream:
+        tick = ticks[vid]
+        gs = step_global(gs, tick.u, tick.omega_m, tick.observations,
+                         case=cfg.case, cfg=fcfg, gamma_beta=cfg.gamma_beta,
+                         r_max=cfg.r_max)
         for lm in scenario.landmarks:
             if lm.id in gs.landmark_ids:
                 err = float(np.linalg.norm(gs.landmark(lm.id) - lm.position))
@@ -256,36 +236,24 @@ def _run_global(scenario, cfg: RunConfig, trace: list,
         true_path.append(true_now)
         trace.append(_trace_row(gs.state.t, "vehicle", vid, gs.vehicle,
                                 true_now, None))
-    metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
     if len(est_path) >= 2:
         _, _, metrics.vehicle_ate = align_procrustes(np.array(est_path),
                                                      np.array(true_path))
     _fit_contraction(metrics)
 
 
-def _run_dunk(scenario, cfg: RunConfig, trace: list,
+def _run_dunk(scenario, cfg: RunConfig, dt: float, stream, trace: list,
               metrics: Metrics) -> None:
-    (vid, vspec), = scenario.vehicles
-    pose_fn = scenario.pose_fns()[vid]
-    rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
-    dt = cfg.dt or scenario.dt
-    pose0 = pose_fn(0.0)
+    (vid, _), = scenario.vehicles
+    pose0 = scenario.pose_fns()[vid](0.0)
     # the start pose anchors the translation gauge (otherwise unobservable)
     net = DunkNetwork(case=cfg.case, cfg=FilterConfig(dt=dt), r_max=cfg.r_max,
                       gamma_beta=cfg.gamma_beta, beta_hat=pose0.beta,
                       vehicle_prior_x=pose0.position.copy(),
                       vehicle_prior_P=1e-2 * np.eye(2))
-    n_steps = int(round((cfg.duration or scenario.duration) / dt))
-    t0 = time.perf_counter()
-    for step_i in range(n_steps):
-        t = step_i * dt
-        pose = pose_fn(t)
-        observations = {}
-        for lm in scenario.landmarks:
-            if sim_mod.is_visible(scenario, vspec, pose, lm):
-                bundle, _ = sim_mod.sense(pose, lm, scenario.noise, rng, robot=vid)
-                observations[lm.id] = bundle
-        dunk_step(net, pose.u, pose.omega, observations)
+    for _, ticks in stream:
+        tick = ticks[vid]
+        dunk_step(net, tick.u, tick.omega_m, tick.observations)
         for lm in scenario.landmarks:
             pair = net.pairs.get(lm.id)
             if pair is not None:
@@ -293,7 +261,6 @@ def _run_dunk(scenario, cfg: RunConfig, trace: list,
                 metrics.landmark_errors.setdefault(lm.id, []).append((net.t, err))
                 trace.append(_trace_row(net.t, "landmark", lm.id,
                                         pair.x_landmark, lm.position, None))
-    metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
     _fit_contraction(metrics)
 
 
@@ -317,39 +284,12 @@ def make_coop_maps(scenario, cfg: RunConfig) -> dict[int, coop_mod.RobotMap]:
     return maps
 
 
-def _run_coop(scenario, cfg: RunConfig, trace: list,
+def _run_coop(scenario, cfg: RunConfig, dt: float, stream, trace: list,
               metrics: Metrics) -> None:
     mode = _coop_mode(cfg.mode)
-    rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
-    dt = cfg.dt or scenario.dt
-    pose_fns = scenario.pose_fns()
-    specs = dict(scenario.vehicles)
     maps = make_coop_maps(scenario, cfg)
-    n_steps = int(round((cfg.duration or scenario.duration) / dt))
     medium = None
-    t0 = time.perf_counter()
-    for step_i in range(n_steps):
-        t = step_i * dt
-        poses = {vid: pose_fns[vid](t) for vid in pose_fns}
-        ticks = {}
-        if mode == "robots_only":
-            robot_obs = sim_mod.observe_robots(poses, scenario.noise, rng)
-            for vid, pose in poses.items():
-                ticks[vid] = coop_mod.RobotTick(
-                    u=pose.u, omega_m=pose.omega,
-                    observations=robot_obs[vid]["bundles"],
-                    heading_diffs=robot_obs[vid]["heading_diffs"],
-                    speeds=robot_obs[vid]["speeds"])
-        else:
-            for vid, pose in poses.items():
-                observations = {}
-                for lm in scenario.landmarks:
-                    if sim_mod.is_visible(scenario, specs[vid], pose, lm):
-                        bundle, _ = sim_mod.sense(pose, lm, scenario.noise,
-                                                  rng, robot=vid)
-                        observations[lm.id] = bundle
-                ticks[vid] = coop_mod.RobotTick(u=pose.u, omega_m=pose.omega,
-                                                observations=observations)
+    for step_i, (_, ticks) in enumerate(stream):
         medium = coop_mod.coop_step(maps, ticks, mode, medium)
         tick_t = (step_i + 1) * dt
         metrics.e_c.append((tick_t, medium.e_c))
@@ -359,7 +299,6 @@ def _run_coop(scenario, cfg: RunConfig, trace: list,
             for vid, m in maps.items():
                 for k, x in m.landmark_positions().items():
                     trace.append(_trace_row(tick_t, f"map{vid}", k, x, None, None))
-    metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
 
 
 def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
@@ -378,17 +317,28 @@ def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
 def run(cfg: RunConfig) -> Metrics:
     """Execute a configured run; write traces + metrics if an out dir is set.
 
-    Both files are written on every exit path; a diverged run records
-    the divergence in ``metrics.json`` and re-raises.
+    Every mode consumes the same :func:`sim.ticks` stream.  Both files are
+    written on every exit path; a diverged run records the divergence in
+    ``metrics.json`` and re-raises.
     """
     scenario = load_scenario(cfg.scenario)
+    if cfg.mode in SINGLE_VEHICLE_MODES and len(scenario.vehicles) != 1:
+        raise ConfigError(f"mode {cfg.mode!r} needs a single-vehicle scenario; "
+                          f"{scenario.name!r} has {len(scenario.vehicles)} vehicles")
+    dt = cfg.dt or scenario.dt
+    n_steps = int(round((cfg.duration or scenario.duration) / dt))
+    rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
+    stream = sim_mod.ticks(scenario, rng, dt, n_steps,
+                           robots_only=cfg.mode == "coop-robots")
     trace: list[str] = []
     metrics = Metrics()
     runners = {"local": _run_local, "global": _run_global, "dunk": _run_dunk,
                "coop-full": _run_coop, "coop-partial": _run_coop,
                "coop-robots": _run_coop}
     try:
-        runners[cfg.mode](scenario, cfg, trace, metrics)
+        t0 = time.perf_counter()
+        runners[cfg.mode](scenario, cfg, dt, stream, trace, metrics)
+        metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
     except DivergenceError as exc:
         metrics.divergence = str(exc)
         raise

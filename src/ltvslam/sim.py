@@ -2,20 +2,22 @@
 
 Builds ground-truth trajectories, derives every observable analytically
 from the relative kinematics, adds Gaussian sensor noise, and packages
-the result as per-tick sensor bundles plus flat observation records for
-logging.  All randomness flows from the scenario seed, so reruns are
-byte-identical.
+the result as a per-tick stream of robot inputs and sensor bundles
+(:func:`ticks`) plus flat observation records for logging.  All
+randomness flows from the scenario seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import vmeas
+from .coop import RobotTick
 from .core import RobotInputs, body_from_global, skew, wrap_angle
 from .noisecal import NoiseSpec
 from .slam_local import SensorBundle
@@ -280,7 +282,7 @@ def scenario_coop(mode: str = "full") -> Scenario:
     ``full`` gives unlimited visibility; ``partial`` restricts each
     vehicle to landmarks in its circle center's (closed) quadrant;
     ``robots_only`` drops the landmarks entirely (vehicles observe each
-    other; see :func:`run_coop_observations`).  Headings are stored as
+    other; see :func:`observe_robots`).  Headings are stored as
     printed (measured from +x1); the trajectory generator derives the
     internal heading from the circle geometry.
     """
@@ -299,12 +301,12 @@ def scenario_coop(mode: str = "full") -> Scenario:
 
 
 def observe_robots(poses: dict[int, Pose], noise: NoiseSpec,
-                   rng: np.random.Generator
-                   ) -> dict[int, dict]:
+                   rng: np.random.Generator) -> dict[int, RobotTick]:
     """Robots-only sensing: each robot sees every other robot.
 
-    Returns per-robot dicts with bearing/range bundles, relative heading
-    differences theta_ij = beta_j - beta_i, and communicated speeds.
+    Each robot's tick carries bearing/range bundles of the others,
+    relative heading differences theta_ij = beta_j - beta_i, and their
+    communicated speeds.
     """
     out = {}
     for i, pi in poses.items():
@@ -318,5 +320,35 @@ def observe_robots(poses: dict[int, Pose], noise: NoiseSpec,
             diffs[j] = wrap_angle(pj.beta - pi.beta
                                   + rng.normal(0.0, noise.sigma_theta))
             speeds[j] = pj.u
-        out[i] = {"bundles": bundles, "heading_diffs": diffs, "speeds": speeds}
+        out[i] = RobotTick(u=pi.u, omega_m=pi.omega, observations=bundles,
+                           heading_diffs=diffs, speeds=speeds)
     return out
+
+
+def ticks(scenario: Scenario, rng: np.random.Generator, dt: float,
+          n_steps: int, robots_only: bool = False
+          ) -> Iterator[tuple[float, dict[int, RobotTick]]]:
+    """The per-tick input stream of a run: ``(t, {robot id: RobotTick})``.
+
+    This is where a run draws its sensor noise.  At t = step * dt every
+    robot senses, in scenario order, the landmarks :func:`is_visible`
+    lets it see; in ``robots_only`` mode the robots observe each other
+    instead (:func:`observe_robots`).  Each tick carries the robot's
+    measured twist (u, omega) alongside its observations.
+    """
+    pose_fns = scenario.pose_fns()
+    specs = dict(scenario.vehicles)
+    for step_i in range(n_steps):
+        t = step_i * dt
+        poses = {vid: pose_fn(t) for vid, pose_fn in pose_fns.items()}
+        if robots_only:
+            yield t, observe_robots(poses, scenario.noise, rng)
+            continue
+        out = {}
+        for vid, pose in poses.items():
+            obs = {lm.id: sense(pose, lm, scenario.noise, rng, robot=vid)[0]
+                   for lm in scenario.landmarks
+                   if is_visible(scenario, specs[vid], pose, lm)}
+            out[vid] = RobotTick(u=pose.u, omega_m=pose.omega,
+                                 observations=obs)
+        yield t, out

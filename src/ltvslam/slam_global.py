@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vmeas
+from . import noisecal, vmeas
 from .core import (FilterState, RobotInputs, angle_diff, body_from_global,
                    heading_forward, rotation2d, skew, wrap_angle)
 from .kalman import FilterConfig, ode_step
@@ -219,7 +219,6 @@ def _second_order_rows(gs: GlobalState, index: int, case: int,
     n = gs.state.dim
     i_blk, v_blk = gs._block(index), gs._block(gs.n_landmarks)
     vel_blk = gs._block(gs.n_landmarks + 1)
-    from . import noisecal
 
     def row(M, y_val, var):
         r = np.zeros((1, n))
@@ -235,9 +234,7 @@ def _second_order_rows(gs: GlobalState, index: int, case: int,
     rows.append(r1); ys.append(y1); variances.append(v1)
     if case == 2:
         r2, y2, v2 = row(h_star, bundle.range.r,
-                         max(noisecal._floored(bundle.range.sigma_r,
-                                               noisecal.SIGMA_RANGE_FLOOR)**2,
-                             noisecal.VAR_FLOOR))
+                         noisecal.range_row_R(bundle.range)[0, 0])
         rows.append(r2); ys.append(y2); variances.append(v2)
     elif case == 3:
         # (theta_dot h* + h Omega) T (x_i - x_v) + h T v = 0
@@ -270,8 +267,7 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
                 observations: dict, case: int = 2,
                 cfg: FilterConfig = FilterConfig(),
                 gamma_beta: float = 1.0,
-                r_max: float = vmeas.DEFAULT_R_MAX,
-                Q: np.ndarray | None = None) -> GlobalState:
+                r_max: float = vmeas.DEFAULT_R_MAX) -> GlobalState:
     """One tick of the full-state filter.
 
     ``u`` is the forward speed (first-order mode) or the body-frame
@@ -322,7 +318,7 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
         b[d * (nv + 1):] = acc
     else:
         b[d * nv:d * nv + d] = float(u) * heading_forward(beta_hat)
-    new_state = ode_step(gs.state, A, b, vm_all, Q, cfg)
+    new_state = ode_step(gs.state, A, b, vm_all, None, cfg)
     beta_next = track_heading(beta_hat, omega, beta_d, gamma_beta, cfg.dt)
     return GlobalState(gs.landmark_ids, new_state, beta_next,
                        gs.second_order, gs.dim)

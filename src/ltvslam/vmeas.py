@@ -207,12 +207,8 @@ def case2(bearing: BearingObs, rng: RangeObs, *, r_max: float = DEFAULT_R_MAX
     rstar = noisecal.r_star(rng.r, rng.sigma_r, r_max)
     H = np.vstack([h, h_star])
     y = np.concatenate([np.zeros(h.shape[0]), [rng.r]])
-    R = noisecal.block_diag_R(
-        noisecal.tangential_R(bearing, rstar),
-        np.array([[max(noisecal._floored(rng.sigma_r,
-                                         noisecal.SIGMA_RANGE_FLOOR)**2,
-                       noisecal.VAR_FLOOR)]]),
-    )
+    R = noisecal.block_diag_R(noisecal.tangential_R(bearing, rstar),
+                              noisecal.range_row_R(rng))
     return VirtualMeasurement(y=y, H=H, R=R)
 
 

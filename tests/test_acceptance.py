@@ -245,35 +245,13 @@ def _run_coop_direct(mode, record_tail_from=None):
     scenario = sim.scenario_coop(mode)
     rng = np.random.default_rng(scenario.seed)
     dt = scenario.dt
-    pose_fns = scenario.pose_fns()
-    specs = dict(scenario.vehicles)
     cfg = RunConfig(mode=f"coop-{'robots' if mode == 'robots_only' else mode}")
     maps = make_coop_maps(scenario, cfg)
     medium = None
     history = {"e_c": [], "e_h": [], "disc": [], "tail": []}
     n_steps = int(round(scenario.duration / dt))
-    for step_i in range(n_steps):
-        t = step_i * dt
-        poses = {vid: pose_fns[vid](t) for vid in pose_fns}
-        ticks = {}
-        if mode == "robots_only":
-            robot_obs = sim.observe_robots(poses, scenario.noise, rng)
-            for vid, pose in poses.items():
-                ticks[vid] = coop_mod.RobotTick(
-                    u=pose.u, omega_m=pose.omega,
-                    observations=robot_obs[vid]["bundles"],
-                    heading_diffs=robot_obs[vid]["heading_diffs"],
-                    speeds=robot_obs[vid]["speeds"])
-        else:
-            for vid, pose in poses.items():
-                obs = {}
-                for lm in scenario.landmarks:
-                    if sim.is_visible(scenario, specs[vid], pose, lm):
-                        bundle, _ = sim.sense(pose, lm, scenario.noise, rng,
-                                              robot=vid)
-                        obs[lm.id] = bundle
-                ticks[vid] = coop_mod.RobotTick(u=pose.u, omega_m=pose.omega,
-                                                observations=obs)
+    for t, ticks in sim.ticks(scenario, rng, dt, n_steps,
+                              robots_only=mode == "robots_only"):
         medium = coop_mod.coop_step(maps, ticks, mode, medium)
         history["e_c"].append(medium.e_c)
         history["e_h"].append(medium.e_h)

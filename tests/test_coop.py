@@ -150,7 +150,6 @@ def test_robots_only_self_pair_starts_correlated_and_stays_tied(monkeypatch):
     sc = sim.scenario_coop("robots_only")
     sc.vehicles = sc.vehicles[:2]
     maps = make_coop_maps(sc, RunConfig(mode="coop-robots"))
-    pose_fns = sc.pose_fns()
     rng = np.random.default_rng(0)
     stepped = []
     real_ode_step = dunk.ode_step
@@ -161,14 +160,8 @@ def test_robots_only_self_pair_starts_correlated_and_stays_tied(monkeypatch):
 
     monkeypatch.setattr(dunk, "ode_step", recording_ode_step)
     medium = None
-    for n in range(300):
-        poses = {i: f(n * sc.dt) for i, f in pose_fns.items()}
-        obs = sim.observe_robots(poses, sc.noise, rng)
-        ticks = {i: RobotTick(u=p.u, omega_m=p.omega,
-                              observations=obs[i]["bundles"],
-                              heading_diffs=obs[i]["heading_diffs"],
-                              speeds=obs[i]["speeds"])
-                 for i, p in poses.items()}
+    stream = sim.ticks(sc, rng, sc.dt, 300, robots_only=True)
+    for n, (_, ticks) in enumerate(stream):
         medium = coop_step(maps, ticks, "robots_only", medium)
         if n == 0:
             monkeypatch.undo()

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam.core import (AngularVelocityMatrix, FilterState, RobotInputs,
-                          Rotation2D, angle_diff, body_from_global,
-                          fit_contraction_rate, heading_forward, rotation2d,
-                          skew, wrap_angle)
+from ltvslam.core import (AngularVelocityMatrix, FilterState, Rotation2D,
+                          angle_diff, body_from_global, fit_contraction_rate,
+                          heading_forward, rotation2d, skew, wrap_angle)
 
 
 def test_wrap_angle_range():
@@ -77,13 +76,6 @@ def test_filter_state_validates_covariance():
         FilterState(np.zeros(3), np.eye(2))
     st = FilterState(np.zeros(2), np.eye(2))
     assert st.dim == 2
-
-
-def test_robot_inputs_validate_q():
-    with pytest.raises(ValueError):
-        RobotInputs(u=np.zeros(2), omega=skew(0.0), Q=-np.eye(2))
-    inp = RobotInputs(u=np.zeros(2), omega=skew(0.0), Q=2.0 * np.eye(2))
-    assert np.allclose(inp.Q, 2.0 * np.eye(2))
 
 
 def test_fit_contraction_rate_recovers_exponential():

@@ -107,18 +107,3 @@ def test_ttc_row_R_positive_and_scales_with_tau():
     small = noisecal.ttc_row_R(ttc_small, radial_speed=1.0)[0, 0]
     large = noisecal.ttc_row_R(ttc_large, radial_speed=1.0)[0, 0]
     assert 0.0 < small < large
-
-
-def test_assemble_R_shapes():
-    bearing = vmeas.BearingObs(theta=0.1, sigma_theta=0.02)
-    rng_obs = vmeas.RangeObs(r=4.0, sigma_r=0.2)
-    rate = vmeas.BearingRateObs(theta_dot=0.1, sigma_theta_dot=0.05)
-    dop = vmeas.DopplerObs(r=4.0, r_dot=-0.5, sigma_r=0.2, sigma_r_dot=0.1)
-    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.1))
-    assert noisecal.assemble_R(1, bearing=bearing).shape == (1, 1)
-    assert noisecal.assemble_R(2, bearing=bearing, rng_obs=rng_obs).shape == (2, 2)
-    assert noisecal.assemble_R(3, bearing=bearing, rate=rate,
-                               inputs=inputs).shape == (2, 2)
-    assert noisecal.assemble_R(5, doppler=dop).shape == (1, 1)
-    with pytest.raises(ValueError):
-        noisecal.assemble_R(4)

@@ -113,6 +113,26 @@ def test_run_local_is_deterministic_and_writes_outputs(tmp_path):
     assert metrics["diverged"] is False and metrics["divergence"] is None
 
 
+@pytest.mark.parametrize("mode,scenario,fields", [
+    ("local", "single-vehicle-2d", ["contraction_rate"]),
+    ("global", "single-vehicle-2d", ["vehicle_ate_m"]),
+    ("dunk", "single-vehicle-2d", ["contraction_rate"]),
+    ("coop-full", "coop-full", ["final_discrepancy_m", "final_e_c"]),
+    ("coop-partial", "coop-partial", ["final_discrepancy_m", "final_e_c"]),
+    ("coop-robots", "coop-robots", ["final_discrepancy_m", "final_e_c"]),
+])
+def test_run_every_mode_writes_its_metrics(tmp_path, mode, scenario, fields):
+    run(RunConfig(mode=mode, scenario=scenario, duration=1.0,
+                  out_dir=str(tmp_path)))
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["mode"] == mode
+    assert metrics["diverged"] is False
+    assert metrics["wall_time_per_step_s"] > 0.0
+    for name in fields:
+        assert isinstance(metrics[name], float) and math.isfinite(metrics[name])
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) > 1
+
+
 def test_run_seed_override_changes_noise(tmp_path):
     m1 = run(RunConfig(mode="local", case=2, duration=2.0, seed=1))
     m2 = run(RunConfig(mode="local", case=2, duration=2.0, seed=2))
@@ -138,6 +158,11 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert missing.exit_code == 2
     log = runner.invoke(cli_main, ["run", "--log", "x.csv"])
     assert log.exit_code == 2
+    for mode in ("local", "global", "dunk"):
+        multi = runner.invoke(cli_main, ["run", "--mode", mode,
+                                         "--scenario", "coop-full"])
+        assert multi.exit_code == 2, multi.output
+        assert "single-vehicle" in multi.output
 
 
 def test_diverged_run_still_writes_metrics(tmp_path, monkeypatch):

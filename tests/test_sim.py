@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from ltvslam.core import heading_forward, wrap_angle
+from ltvslam.coop import RobotTick
 from ltvslam.noisecal import NoiseSpec
 from ltvslam.sim import (COOP_RADIUS, CircleSpec, Landmark, Scenario,
                          circle_trajectory, is_visible, observe_robots,
                          scenario_coop, scenario_single_vehicle_2d,
-                         sense, write_obs_csv, write_obs_jsonl)
+                         sense, ticks, write_obs_csv, write_obs_jsonl)
 
 
 def test_circle_trajectory_kinematic_consistency():
@@ -143,11 +144,40 @@ def test_observe_robots_structure():
     poses = {vid: fn(0.0) for vid, fn in sc.pose_fns().items()}
     out = observe_robots(poses, NoiseSpec(), np.random.default_rng(0))
     assert set(out) == set(poses)
-    for i, data in out.items():
-        assert set(data["bundles"]) == set(poses) - {i}
-        for j, bundle in data["bundles"].items():
+    for i, tick in out.items():
+        assert isinstance(tick, RobotTick)
+        assert (tick.u, tick.omega_m) == (poses[i].u, poses[i].omega)
+        assert set(tick.observations) == set(poses) - {i}
+        for j, bundle in tick.observations.items():
             d_true = np.linalg.norm(poses[j].position - poses[i].position)
             assert bundle.range.r == pytest.approx(d_true, abs=1e-9)
-            assert data["heading_diffs"][j] == pytest.approx(
+            assert tick.heading_diffs[j] == pytest.approx(
                 wrap_angle(poses[j].beta - poses[i].beta), abs=1e-9)
-            assert data["speeds"][j] == poses[j].u
+            assert tick.speeds[j] == poses[j].u
+
+
+def test_ticks_respect_visibility_and_match_observe_robots():
+    sc = scenario_coop("partial")
+    pose_fns = sc.pose_fns()
+    specs = dict(sc.vehicles)
+    stream = list(ticks(sc, np.random.default_rng(3), sc.dt, 5))
+    assert [t for t, _ in stream] == [k * sc.dt for k in range(5)]
+    for t, per_robot in stream:
+        assert list(per_robot) == [vid for vid, _ in sc.vehicles]
+        for vid, tick in per_robot.items():
+            pose = pose_fns[vid](t)
+            assert (tick.u, tick.omega_m) == (pose.u, pose.omega)
+            # each robot sees exactly the landmarks in its circle's quadrant
+            center = np.asarray(specs[vid].center)
+            quadrant = {lm.id for lm in sc.landmarks
+                        if np.all(lm.position * center >= 0.0)}
+            assert set(tick.observations) == quadrant
+            assert 0 < len(quadrant) < len(sc.landmarks)
+            assert not tick.heading_diffs and not tick.speeds
+
+    # robots-only ticks are observe_robots on the same poses and draws
+    sc = scenario_coop("robots_only")
+    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+    for t, per_robot in ticks(sc, rng_a, sc.dt, 3, robots_only=True):
+        poses = {vid: fn(t) for vid, fn in sc.pose_fns().items()}
+        assert per_robot == observe_robots(poses, sc.noise, rng_b)
