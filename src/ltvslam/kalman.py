@@ -5,20 +5,20 @@ One generic propagation engine for the model
     xdot = A x + b + K (y - H x),      K = P H^T R^{-1}
     Pdot = Q + A P + P A^T - P H^T R^{-1} H P
 
-with fixed-step RK4 integration of the prediction.  Every estimator in
-the package is an instance of this engine with a different (A, b):
+Every estimator in the package is an instance of this engine with a
+different (A, b):
 
 * relative-frame landmark tracking uses A = -Omega, b = -u;
 * global-frame estimation uses A = 0 with the drift folded into b;
 * cooperative pair filters add a null-space drift, A = I (x) Omega.
 
-The correction term can be arbitrarily stiff right after initialization
-when P is large and R small, so each step is split: the (A, b, Q)
-prediction is integrated explicitly, while the correction term is
-advanced with its exact flow.  Holding H, R constant over the step, the
-information matrix grows linearly, I(t) = I0 + t H^T R^{-1} H, which is
-identical to a discrete-time Kalman update with R_d = R / dt -- stable
-for any P/R ratio and exact for the pure-correction dynamics.
+Each step holds A, b, Q, H and R over dt and applies two exact flows.
+First the correction: the information matrix grows linearly,
+I(t) = I0 + t H^T R^{-1} H, which is a discrete Kalman update with
+R_d = R / dt -- stable for any P/R ratio, however stiff.  Then the exact
+zero-order-hold transition of the prediction, Phi = e^{A dt}, with the
+process noise from Van Loan, "Computing integrals involving the matrix
+exponential", IEEE TAC 1978.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import FilterState, RobotInputs
 from .vmeas import VirtualMeasurement
@@ -35,44 +36,38 @@ class DivergenceError(RuntimeError):
     """Raised when the state or covariance stops being finite."""
 
 
-#: Each RK4 substep advances the fastest mode (max row sum of |A|) by at
-#: most this many radians, with at most MAX_SUBSTEPS substeps per step.
-MAX_RATE_PER_SUBSTEP = 0.5
-MAX_SUBSTEPS = 1000
-
-
 @dataclass(frozen=True)
 class FilterConfig:
-    """Integration settings shared by all filters."""
+    """The step length dt shared by all filters."""
 
     dt: float = 0.01
-    psd_repair: bool = False     # clip negative covariance eigenvalues
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
 
 
-def _predict_derivatives(x, P, A, b, Q):
-    return A @ x + b, Q + A @ P + P @ A.T
-
-
 def _predict(x, P, A, b, Q, dt):
-    """RK4-integrate xdot = A x + b, Pdot = Q + A P + P A^T over dt."""
-    rate = float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
-    m = int(np.ceil(rate * dt / MAX_RATE_PER_SUBSTEP)) if rate > 0 else 1
-    m = min(max(m, 1), MAX_SUBSTEPS)
-    h = dt / m
-    for _ in range(m):
-        k1x, k1P = _predict_derivatives(x, P, A, b, Q)
-        k2x, k2P = _predict_derivatives(x + 0.5 * h * k1x,
-                                        P + 0.5 * h * k1P, A, b, Q)
-        k3x, k3P = _predict_derivatives(x + 0.5 * h * k2x,
-                                        P + 0.5 * h * k2P, A, b, Q)
-        k4x, k4P = _predict_derivatives(x + h * k3x, P + h * k3P, A, b, Q)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        P = P + (h / 6.0) * (k1P + 2 * k2P + 2 * k3P + k4P)
-        P = 0.5 * (P + P.T)
+    """Exact flow of xdot = A x + b, Pdot = Q + A P + P A^T over dt.
+
+    A, b and Q are held over the step; ``Q=None`` means no process noise.
+    Phi and the input term come from one exponential of the augmented
+    generator [[A dt, b dt], [0, 0]]; Q_d from Van Loan's block
+    [[-A, Q], [0, A^T]] dt.  With A = 0 the flow is x + b dt, P + Q dt.
+    """
+    if not A.any():
+        return x + b * dt, (P if Q is None else P + Q * dt)
+    n = x.size
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = A * dt
+    M[:n, n] = b * dt
+    E = expm(M)
+    Phi = E[:n, :n]
+    x = Phi @ x + E[:n, n]
+    P = Phi @ P @ Phi.T
+    if Q is not None:
+        F = expm(np.block([[-A, Q], [np.zeros((n, n)), A.T]]) * dt)
+        P = P + Phi @ F[:n, n:]
     return x, P
 
 
@@ -100,30 +95,26 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
     ``vm`` is held constant over the step (zero-order hold); pass None
     when no measurement is available this step.  The correction is
     applied first, at the instant the measurement was sampled, followed
-    by a full prediction step.
+    by the exact transition over the full step.
     """
     n = state.dim
     A = np.asarray(A, dtype=float)
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float).ravel()
-    Q = np.zeros((n, n)) if Q is None else np.asarray(Q, dtype=float)
-    if A.shape != (n, n) or b.shape != (n,) or Q.shape != (n, n):
+    Q = None if Q is None else np.asarray(Q, dtype=float)
+    if A.shape != (n, n) or b.shape != (n,) or (Q is not None
+                                               and Q.shape != (n, n)):
         raise ValueError("A, b, Q shapes must match the state dimension")
     if vm is not None and vm.H.shape[1] != n:
         raise ValueError(
             f"measurement has {vm.H.shape[1]} columns for state size {n}")
 
-    x, P = state.x.copy(), state.P.copy()
+    x, P = state.x, state.P
     if vm is not None:
         x, P = _correct(x, P, vm, cfg.dt)
     x, P = _predict(x, P, A, b, Q, cfg.dt)
 
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
         raise DivergenceError(f"filter diverged at t={state.t + cfg.dt:g}")
-    if cfg.psd_repair:
-        w, V = np.linalg.eigh(P)
-        if w.min() < 0:
-            P = (V * np.maximum(w, 0.0)) @ V.T
-            P = 0.5 * (P + P.T)
     return FilterState(x=x, P=P, t=state.t + cfg.dt)
 
 

@@ -325,6 +325,12 @@ def run(cfg: RunConfig) -> Metrics:
     if cfg.mode in SINGLE_VEHICLE_MODES and len(scenario.vehicles) != 1:
         raise ConfigError(f"mode {cfg.mode!r} needs a single-vehicle scenario; "
                           f"{scenario.name!r} has {len(scenario.vehicles)} vehicles")
+    if cfg.mode in ("coop-full", "coop-partial") and not scenario.landmarks:
+        raise ConfigError(f"mode {cfg.mode!r} needs landmarks; "
+                          f"{scenario.name!r} has none")
+    if cfg.mode == "coop-robots" and len(scenario.vehicles) < 2:
+        raise ConfigError(f"mode 'coop-robots' needs two or more robots; "
+                          f"{scenario.name!r} has {len(scenario.vehicles)}")
     dt = cfg.dt or scenario.dt
     n_steps = int(round((cfg.duration or scenario.duration) / dt))
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)

@@ -63,9 +63,9 @@ def test_prediction_matches_linear_ode():
         st = ode_step(st, A, b, None, None, cfg)
     E = expm(A * 1.0)
     x_exact = E @ x0 + np.linalg.solve(A, (E - np.eye(2)) @ b)
-    assert np.allclose(st.x, x_exact, atol=1e-9)
+    assert np.allclose(st.x, x_exact, rtol=0.0, atol=1e-12)
     # P follows Pdot = A P + P A^T: a pure rotation leaves the identity fixed
-    assert np.allclose(st.P, np.eye(2), atol=1e-9)
+    assert np.allclose(st.P, np.eye(2), rtol=0.0, atol=1e-12)
 
 
 def test_process_noise_grows_covariance():
@@ -73,6 +73,15 @@ def test_process_noise_grows_covariance():
     st = ode_step(st, np.zeros((2, 2)), np.zeros(2), None, 0.5 * np.eye(2),
                   FilterConfig(dt=0.01))
     assert np.allclose(st.P, 0.005 * np.eye(2), atol=1e-15)
+    # under a rotation Phi, isotropic noise integrates to exactly Q dt:
+    # Q_d = int_0^dt Phi(s) Q Phi(s)^T ds = 0.3 dt I
+    dt = 0.01
+    P0 = np.array([[2.0, 0.3], [0.3, 1.0]])
+    st = ode_step(FilterState(np.zeros(2), P0), skew(0.5).matrix, np.zeros(2),
+                  None, 0.3 * np.eye(2), FilterConfig(dt=dt))
+    Phi = rotation2d(0.5 * dt).matrix
+    expected = Phi @ P0 @ Phi.T + 0.3 * dt * np.eye(2)
+    assert np.allclose(st.P, expected, rtol=0.0, atol=1e-14)
 
 
 def test_covariance_stays_symmetric_psd_under_random_stable_steps(rng):
@@ -112,26 +121,27 @@ def test_config_validation():
         FilterConfig(dt=0.0)
 
 
-def test_step_tracks_static_landmark_noise_free():
+@pytest.mark.parametrize("w, u, x0", [
+    ((0.7,), (0.3, 1.2), (2.0, 5.0)),
+    ((0.3, -0.5, 0.7), (0.4, 1.1, -0.2), (2.0, 5.0, -1.0)),
+], ids=["2d", "3d"])
+def test_step_tracks_static_landmark_noise_free(w, u, x0):
     # exact relative kinematics xdot = -Omega x - u while the vehicle spins
-    # and drives: x(t) = e^{-Omega t} x0 - int_0^t e^{-Omega s} ds u, and
-    # int_0^t e^{-Omega s} ds = Omega^{-1} (I - e^{-Omega t})
+    # and drives: x(t) = e^{-Omega t} x0 - int_0^t e^{-Omega s} ds u, both
+    # from Rodrigues with K = Omega/|w| and th = |w| t (in 2D, K^2 = -I):
+    #   e^{-Omega t} = I - sin(th) K + (1 - cos(th)) K^2
+    #   int_0^t e^{-Omega s} ds = t I - (1 - cos th)/|w| K + (t - sin(th)/|w|) K^2
     dt, n = 0.01, 200
-    omega, u = 0.7, np.array([0.3, 1.2])
-    inputs = RobotInputs(u=u, omega=skew(omega))
-    x0 = np.array([2.0, 5.0])
-    st = FilterState(x0.copy(), 1e-8 * np.eye(2))
+    inputs = RobotInputs(u=u, omega=skew(*w))
+    x0 = np.array(x0)
+    st = FilterState(x0.copy(), 1e-8 * np.eye(x0.size))
     for _ in range(n):
         st = step(st, inputs, None, FilterConfig(dt=dt))
-    E = rotation2d(-omega * n * dt).matrix
-    x_exact = E @ x0 - np.linalg.solve(skew(omega).matrix, np.eye(2) - E) @ u
-    assert np.allclose(st.x, x_exact, rtol=0.0, atol=1e-9)
-
-
-def test_psd_repair_clips_negative_eigenvalues():
-    # force a slightly indefinite P through an aggressive Euler step
-    st = FilterState(np.zeros(1), np.eye(1))
-    cfg = FilterConfig(dt=0.01, psd_repair=True)
-    out = ode_step(st, np.zeros((1, 1)), np.zeros(1), scalar_vm(r=1e-9),
-                   None, cfg)
-    assert out.P[0, 0] >= 0.0
+    t, rate = n * dt, np.linalg.norm(w)
+    K = inputs.omega.matrix / rate
+    th = rate * t
+    eye = np.eye(x0.size)
+    E = eye - math.sin(th) * K + (1 - math.cos(th)) * K @ K
+    G = (t * eye - (1 - math.cos(th)) / rate * K
+         + (t - math.sin(th) / rate) * K @ K)
+    assert np.allclose(st.x, E @ x0 - G @ inputs.u, rtol=0.0, atol=1e-12)

@@ -163,6 +163,13 @@ def test_cli_run_and_exit_codes(tmp_path):
                                          "--scenario", "coop-full"])
         assert multi.exit_code == 2, multi.output
         assert "single-vehicle" in multi.output
+    no_landmarks = runner.invoke(cli_main, ["run", "--mode", "coop-full",
+                                            "--scenario", "coop-robots"])
+    assert no_landmarks.exit_code == 2, no_landmarks.output
+    assert "needs landmarks" in no_landmarks.output
+    one_robot = runner.invoke(cli_main, ["run", "--mode", "coop-robots"])
+    assert one_robot.exit_code == 2, one_robot.output
+    assert "two or more robots" in one_robot.output
 
 
 def test_diverged_run_still_writes_metrics(tmp_path, monkeypatch):
