@@ -19,9 +19,10 @@ import numpy as np
 from scipy.stats import chi2
 
 from . import vmeas
-from .core import FilterState, RobotInputs, heading_forward, rotation2d, skew
+from .core import FilterState, RobotInputs, heading_forward, skew
 from .kalman import FilterConfig, ode_step
-from .slam_global import beta_d_closed_form_2d, body_from_global, track_heading
+from .slam_global import (beta_d_closed_form_2d, body_from_global,
+                          first_sighting_offset, track_heading)
 from .slam_local import SensorBundle, build_measurement
 
 #: Tikhonov term added before inverting a virtual-vehicle covariance.
@@ -129,12 +130,7 @@ def init_pair(landmark_id: int, bundle: SensorBundle,
     else:
         x_v0, P_v0 = np.asarray(vehicle_prior[0], float), np.asarray(vehicle_prior[1], float)
     d = x_v0.size
-    if bundle.bearing is not None:
-        r0 = bundle.range.r if bundle.range is not None else 0.5 * r_max
-        _, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
-        offset = rotation2d(beta_hat).apply(r0 * h_star.ravel())
-    else:
-        offset = np.zeros(d)
+    offset = first_sighting_offset(bundle, beta_hat, r_max, d)
     x = np.concatenate([x_v0 + offset, x_v0])
     P = np.zeros((2 * d, 2 * d))
     P[:d, :d] = 100.0 * np.eye(d)

@@ -1,8 +1,8 @@
 """Scenario execution, metrics, and trace emission.
 
 Runs any estimator mode over a scenario, writes a plot-ready trace CSV
-plus a metrics JSON, ingests recorded observation logs, and provides the
-rigid alignment used for trajectory error after map convergence.
+plus a metrics JSON, and provides the rigid alignment used for trajectory
+error after map convergence.
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.case not in (1, 2, 3, 4, 5):
             raise ConfigError(f"unknown case {self.case!r}")
+        for name in ("dt", "duration", "r_max"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.mode == "coop-robots":
             self.case = 2  # robot-to-robot sightings carry bearing + range
 
@@ -109,48 +115,6 @@ def align_procrustes(est: np.ndarray, true: np.ndarray
     t = ct - R @ ce
     resid = (est @ R.T + t) - true
     return R, t, float(np.sqrt(np.mean(np.sum(resid**2, axis=1))))
-
-
-def ingest_log(path: str, format: str = "csv"):
-    """Recorded observation log -> time-ordered flat records.
-
-    Returns a list of dicts {t, robot, landmark, kind, value, sigma}.
-    Raises ValueError with the line number on malformed or out-of-order rows.
-    """
-    records = []
-    last_t: dict[int, float] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or (format == "csv" and lineno == 1 and line.startswith("t,")):
-                continue
-            try:
-                if format == "csv":
-                    t_s, robot_s, lm_s, kind, value_s, sigma_s = line.split(",")
-                    rows = [{"t": float(t_s), "robot": int(robot_s),
-                             "landmark": int(lm_s), "kind": kind,
-                             "value": float(value_s), "sigma": float(sigma_s)}]
-                elif format == "jsonl":
-                    d = json.loads(line)
-                    rows = [{"t": float(d["t"]), "robot": int(d["robot"]),
-                             "landmark": int(d["landmark"]), "kind": k,
-                             "value": float(v), "sigma": float(d["sigmas"][k])}
-                            for k, v in d["values"].items() if v is not None]
-                else:
-                    raise ConfigError(f"unknown log format {format!r}")
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ValueError(f"{path}:{lineno}: malformed record ({exc})") from exc
-            for row in rows:
-                prev = last_t.get(row["robot"])
-                if prev is not None and row["t"] < prev - 1e-12:
-                    raise ValueError(
-                        f"{path}:{lineno}: timestamps out of order for robot "
-                        f"{row['robot']} ({row['t']} < {prev})")
-                last_t[row["robot"]] = row["t"]
-                records.append(row)
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +235,10 @@ def _coop_mode(cfg_mode: str) -> str:
 
 def make_coop_maps(scenario, cfg: RunConfig) -> dict[int, coop_mod.RobotMap]:
     """Each robot starts its map in its own frame (vehicle prior at the origin)."""
+    dt = scenario.dt if cfg.dt is None else cfg.dt
     maps = {}
     for vid, _spec in scenario.vehicles:
-        net = DunkNetwork(case=cfg.case, cfg=FilterConfig(dt=cfg.dt or scenario.dt),
+        net = DunkNetwork(case=cfg.case, cfg=FilterConfig(dt=dt),
                           r_max=cfg.r_max, gamma_beta=cfg.gamma_beta,
                           beta_hat=0.0,
                           vehicle_prior_x=np.zeros(2),
@@ -331,8 +296,11 @@ def run(cfg: RunConfig) -> Metrics:
     if cfg.mode == "coop-robots" and len(scenario.vehicles) < 2:
         raise ConfigError(f"mode 'coop-robots' needs two or more robots; "
                           f"{scenario.name!r} has {len(scenario.vehicles)}")
-    dt = cfg.dt or scenario.dt
-    n_steps = int(round((cfg.duration or scenario.duration) / dt))
+    dt = scenario.dt if cfg.dt is None else cfg.dt
+    duration = scenario.duration if cfg.duration is None else cfg.duration
+    n_steps = int(round(duration / dt))
+    if n_steps < 1:
+        raise ConfigError(f"duration {duration!r} s is under one {dt!r} s step")
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
     stream = sim_mod.ticks(scenario, rng, dt, n_steps,
                            robots_only=cfg.mode == "coop-robots")
@@ -344,7 +312,7 @@ def run(cfg: RunConfig) -> Metrics:
     try:
         t0 = time.perf_counter()
         runners[cfg.mode](scenario, cfg, dt, stream, trace, metrics)
-        metrics.wall_time_per_step = (time.perf_counter() - t0) / max(n_steps, 1)
+        metrics.wall_time_per_step = (time.perf_counter() - t0) / n_steps
     except DivergenceError as exc:
         metrics.divergence = str(exc)
         raise

@@ -3,8 +3,8 @@
 Builds ground-truth trajectories, derives every observable analytically
 from the relative kinematics, adds Gaussian sensor noise, and packages
 the result as a per-tick stream of robot inputs and sensor bundles
-(:func:`ticks`) plus flat observation records for logging.  All
-randomness flows from the scenario seed, so reruns are byte-identical.
+(:func:`ticks`).  All randomness flows from the scenario seed, so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -89,18 +89,6 @@ def circle_trajectory(center, radius: float, omega_m: float, x0, beta0: float = 
     return pose
 
 
-@dataclass(frozen=True)
-class ObsRecord:
-    """Flat log row bundle: one landmark sighting with truth attached."""
-
-    t: float
-    robot: int
-    landmark: int
-    values: dict           # noisy observables by name
-    truth: dict            # noise-free observables by name
-    sigmas: dict
-
-
 @dataclass
 class Scenario:
     """A complete synthetic world, JSON-serializable."""
@@ -171,8 +159,11 @@ def is_visible(scenario: Scenario, vehicle_spec: CircleSpec, pose: Pose,
 
 def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,
           rng: np.random.Generator, robot: int = 0
-          ) -> tuple[SensorBundle, ObsRecord]:
-    """All observables of one landmark from one pose, noised per the declared sigmas."""
+          ) -> tuple[SensorBundle, vmeas.TrueObservation]:
+    """One landmark's readings from one pose, noised per the sigmas, and their truth.
+
+    ``robot`` is unused; callers outside the package still pass it.
+    """
     x_body = body_from_global(pose.beta) @ (landmark.position - pose.position)
     inputs = RobotInputs(u=np.array([0.0, pose.u]), omega=skew(pose.omega))
     true = vmeas.observe_true(x_body, inputs, diameter=landmark.diameter)
@@ -197,41 +188,7 @@ def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,
             sigma_alpha=noise.sigma_alpha),
         doppler=vmeas.DopplerObs(r=r, r_dot=r_dot, sigma_r=noise.sigma_r,
                                  sigma_r_dot=noise.sigma_r_dot))
-    def _floats(d):
-        return {k: None if v is None else float(v) for k, v in d.items()}
-
-    record = ObsRecord(
-        t=pose.t, robot=robot, landmark=landmark.id,
-        values=_floats({"theta": theta, "r": r, "theta_dot": theta_dot,
-                        "r_dot": r_dot, "alpha": alpha, "tau": tau}),
-        truth=_floats({"theta": true.theta, "r": true.r,
-                       "theta_dot": true.theta_dot, "r_dot": true.r_dot,
-                       "alpha": true.alpha, "tau": true.tau}),
-        sigmas={"theta": noise.sigma_theta, "r": noise.sigma_r,
-                "theta_dot": noise.sigma_theta_dot, "r_dot": noise.sigma_r_dot,
-                "alpha": noise.sigma_alpha, "tau": 0.0})
-    return bundle, record
-
-
-def write_obs_csv(records: list[ObsRecord], path: str) -> None:
-    """Long-format CSV stream: t, robot, landmark, kind, value, sigma."""
-    with open(path, "w") as f:
-        f.write("t,robot,landmark,kind,value,sigma\n")
-        for rec in records:
-            for kind, value in rec.values.items():
-                if value is None:
-                    continue
-                f.write(f"{rec.t:.6f},{rec.robot},{rec.landmark},"
-                        f"{kind},{value!r},{rec.sigmas[kind]!r}\n")
-
-
-def write_obs_jsonl(records: list[ObsRecord], path: str) -> None:
-    with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps({"t": rec.t, "robot": rec.robot,
-                                "landmark": rec.landmark,
-                                "values": rec.values,
-                                "sigmas": rec.sigmas}) + "\n")
+    return bundle, true
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +272,7 @@ def observe_robots(poses: dict[int, Pose], noise: NoiseSpec,
             if j == i:
                 continue
             lm = Landmark(j, pj.position, diameter=1.0)
-            bundle, _ = sense(pi, lm, noise, rng, robot=i)
-            bundles[j] = bundle
+            bundles[j] = sense(pi, lm, noise, rng)[0]
             diffs[j] = wrap_angle(pj.beta - pi.beta
                                   + rng.normal(0.0, noise.sigma_theta))
             speeds[j] = pj.u
@@ -346,7 +302,7 @@ def ticks(scenario: Scenario, rng: np.random.Generator, dt: float,
             continue
         out = {}
         for vid, pose in poses.items():
-            obs = {lm.id: sense(pose, lm, scenario.noise, rng, robot=vid)[0]
+            obs = {lm.id: sense(pose, lm, scenario.noise, rng)[0]
                    for lm in scenario.landmarks
                    if is_visible(scenario, specs[vid], pose, lm)}
             out[vid] = RobotTick(u=pose.u, omega_m=pose.omega,

@@ -162,17 +162,21 @@ def init_global(x_v0: np.ndarray, P_v0: np.ndarray | None = None,
                        dim=d)
 
 
+def first_sighting_offset(bundle: SensorBundle, beta_hat: float,
+                          r_max: float, d: int) -> np.ndarray:
+    """Global-frame offset of a first sighting: range (else r_max/2) along the bearing."""
+    if bundle.bearing is None:
+        return np.zeros(d)
+    r0 = bundle.range.r if bundle.range is not None else 0.5 * r_max
+    _, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
+    return rotation2d(beta_hat).apply(r0 * h_star.ravel())
+
+
 def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle,
                      r_max: float) -> GlobalState:
     """Grow the state by one landmark with a wide prior at the back-projected obs."""
     d = gs.dim
-    if bundle.bearing is not None:
-        r0 = bundle.range.r if bundle.range is not None else 0.5 * r_max
-        _, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
-        offset = rotation2d(gs.beta_hat).apply(r0 * h_star.ravel())
-    else:
-        offset = np.zeros(d)
-    x_new = gs.vehicle + offset
+    x_new = gs.vehicle + first_sighting_offset(bundle, gs.beta_hat, r_max, d)
     nv = gs.n_landmarks
     insert = d * nv  # new landmark goes just before the vehicle block
     x = np.concatenate([gs.state.x[:insert], x_new, gs.state.x[insert:]])

@@ -140,12 +140,7 @@ def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement 
         return parts[0]
     y = np.concatenate([vm.y for vm in parts])
     H = np.vstack([vm.H for vm in parts])
-    n = sum(vm.rows for vm in parts)
-    R = np.zeros((n, n))
-    k = 0
-    for vm in parts:
-        R[k:k + vm.rows, k:k + vm.rows] = vm.R
-        k += vm.rows
+    R = noisecal.block_diag_R(*[vm.R for vm in parts])
     return VirtualMeasurement(y=y, H=H, R=R)
 
 

@@ -1,4 +1,4 @@
-"""Scenario execution, log ingestion, alignment, and the CLI."""
+"""Scenario execution, alignment, and the CLI."""
 
 import json
 import math
@@ -11,12 +11,9 @@ from ltvslam import runner as runner_mod
 from ltvslam.cli import main as cli_main
 from ltvslam.core import rotation2d
 from ltvslam.kalman import DivergenceError
-from ltvslam.noisecal import NoiseSpec
 from ltvslam.runner import (BUILTIN_SCENARIOS, ConfigError, Metrics,
-                            RunConfig, align_procrustes, ingest_log,
-                            load_scenario, run)
-from ltvslam.sim import (Landmark, Pose, scenario_single_vehicle_2d, sense,
-                         write_obs_csv, write_obs_jsonl)
+                            RunConfig, align_procrustes, load_scenario, run)
+from ltvslam.sim import scenario_single_vehicle_2d
 
 
 def test_run_config_validation():
@@ -25,6 +22,13 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(case=6)
     assert RunConfig(mode="coop-robots", case=4).case == 2
+    for bad in (dict(dt=0.0), dict(dt=-0.01), dict(duration=0.0),
+                dict(duration=-5.0), dict(r_max=0.0), dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
+    # shorter than one step: nothing would run
+    with pytest.raises(ConfigError, match="under one"):
+        run(RunConfig(duration=0.001))
 
 
 def test_load_scenario_builtin_file_and_missing(tmp_path):
@@ -48,56 +52,6 @@ def test_align_procrustes_recovers_rigid_transform(rng):
     assert rms < 1e-10
     with pytest.raises(ValueError):
         align_procrustes(est[:1], pts[:1])
-
-
-def make_records(n=5):
-    recs = []
-    rng = np.random.default_rng(0)
-    for i in range(n):
-        pose = Pose(t=0.01 * i, position=np.zeros(2), beta=0.0, u=1.0,
-                    omega=0.1)
-        _, rec = sense(pose, Landmark(1, (2.0, 3.0)),
-                       NoiseSpec(sigma_theta=0.02), rng)
-        recs.append(rec)
-    return recs
-
-
-def test_ingest_log_csv_and_jsonl(tmp_path):
-    recs = make_records()
-    csv_path, jsonl_path = tmp_path / "o.csv", tmp_path / "o.jsonl"
-    write_obs_csv(recs, str(csv_path))
-    write_obs_jsonl(recs, str(jsonl_path))
-    rows_csv = ingest_log(str(csv_path), format="csv")
-    rows_jsonl = ingest_log(str(jsonl_path), format="jsonl")
-    assert len(rows_csv) == len(rows_jsonl) == 5 * 6
-    a = sorted(rows_csv, key=lambda r: (r["t"], r["kind"]))
-    b = sorted(rows_jsonl, key=lambda r: (r["t"], r["kind"]))
-    for ra, rb in zip(a, b):
-        assert ra["kind"] == rb["kind"]
-        assert ra["value"] == pytest.approx(rb["value"], abs=1e-12)
-
-
-def test_ingest_log_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,robot,landmark,kind,value,sigma\n"
-                    "0.0,0,1,theta,0.1,0.02\n"
-                    "0.01,0,1,theta,not-a-number,0.02\n")
-    with pytest.raises(ValueError, match=r"bad\.csv:3"):
-        ingest_log(str(path), format="csv")
-
-
-def test_ingest_log_rejects_out_of_order_per_robot(tmp_path):
-    path = tmp_path / "ooo.csv"
-    path.write_text("t,robot,landmark,kind,value,sigma\n"
-                    "0.02,0,1,theta,0.1,0.02\n"
-                    "0.01,0,1,theta,0.1,0.02\n")
-    with pytest.raises(ValueError, match="out of order"):
-        ingest_log(str(path), format="csv")
-    # a second robot keeps its own clock
-    path.write_text("t,robot,landmark,kind,value,sigma\n"
-                    "0.02,0,1,theta,0.1,0.02\n"
-                    "0.01,1,1,theta,0.1,0.02\n")
-    assert len(ingest_log(str(path), format="csv")) == 2
 
 
 def test_run_local_is_deterministic_and_writes_outputs(tmp_path):
@@ -158,6 +112,13 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert missing.exit_code == 2
     log = runner.invoke(cli_main, ["run", "--log", "x.csv"])
     assert log.exit_code == 2
+    for flags in (["--dt", "0"], ["--dt", "-0.01"], ["--duration", "0"],
+                  ["--duration", "-5"], ["--duration", "0.001"],
+                  ["--r-max", "0"], ["--seed", "-1"]):
+        bad_number = runner.invoke(cli_main, ["run", "--mode", "local",
+                                              "--duration", "0.5", *flags])
+        assert bad_number.exit_code == 2, (flags, bad_number.output)
+        assert "config error" in bad_number.output
     for mode in ("local", "global", "dunk"):
         multi = runner.invoke(cli_main, ["run", "--mode", mode,
                                          "--scenario", "coop-full"])

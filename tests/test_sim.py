@@ -1,7 +1,5 @@
 """Synthetic worlds: trajectories, sensing, serialization."""
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -13,7 +11,7 @@ from ltvslam.noisecal import NoiseSpec
 from ltvslam.sim import (COOP_RADIUS, CircleSpec, Landmark, Scenario,
                          circle_trajectory, is_visible, observe_robots,
                          scenario_coop, scenario_single_vehicle_2d,
-                         sense, ticks, write_obs_csv, write_obs_jsonl)
+                         sense, ticks)
 
 
 def test_circle_trajectory_kinematic_consistency():
@@ -76,10 +74,16 @@ def test_sense_noise_free_matches_truth():
     pose = Pose(t=0.0, position=np.array([1.0, 1.0]), beta=0.3, u=2.0,
                 omega=0.5)
     lm = Landmark(4, (4.0, 5.0))
-    bundle, rec = sense(pose, lm, NoiseSpec(), np.random.default_rng(0))
-    for kind in ("theta", "r", "theta_dot", "r_dot", "alpha", "tau"):
-        assert rec.values[kind] == pytest.approx(rec.truth[kind], abs=1e-12)
-    assert bundle.range.r == pytest.approx(5.0)
+    bundle, true = sense(pose, lm, NoiseSpec(), np.random.default_rng(0))
+    assert true.tau is not None      # the landmark is closing in
+    readings = {"theta": bundle.bearing.theta, "r": bundle.range.r,
+                "theta_dot": bundle.rate.theta_dot,
+                "r_dot": bundle.doppler.r_dot, "alpha": bundle.ttc.alpha,
+                "tau": bundle.ttc.tau}
+    for kind, value in readings.items():
+        assert value == pytest.approx(getattr(true, kind), abs=1e-12), kind
+    assert bundle.doppler.r == bundle.range.r == pytest.approx(5.0)
+    assert bundle.ttc.d == lm.diameter
 
 
 def test_sense_is_seed_deterministic():
@@ -88,39 +92,12 @@ def test_sense_is_seed_deterministic():
     lm = Landmark(1, (2.0, 3.0))
     noise = NoiseSpec(sigma_theta=0.05, sigma_r=0.5, sigma_theta_dot=0.05,
                       sigma_r_dot=0.1, sigma_alpha=0.01)
-    a, ra = sense(pose, lm, noise, np.random.default_rng(42))
-    b, rb = sense(pose, lm, noise, np.random.default_rng(42))
-    assert ra.values == rb.values
-    c, rc = sense(pose, lm, noise, np.random.default_rng(43))
-    assert ra.values != rc.values
-
-
-def test_obs_csv_round_trips_values(tmp_path):
-    from ltvslam.sim import Pose
-    pose = Pose(t=0.25, position=np.zeros(2), beta=0.0, u=1.0, omega=0.2)
-    _, rec = sense(pose, Landmark(3, (1.0, 4.0)), NoiseSpec(sigma_theta=0.02),
-                   np.random.default_rng(1), robot=2)
-    path = tmp_path / "obs.csv"
-    write_obs_csv([rec], str(path))
-    rows = list(csv.DictReader(path.open()))
-    assert {r["kind"] for r in rows} == set(rec.values)
-    by_kind = {r["kind"]: r for r in rows}
-    assert float(by_kind["theta"]["value"]) == rec.values["theta"]
-    assert by_kind["r"]["robot"] == "2" and by_kind["r"]["landmark"] == "3"
-
-
-def test_obs_jsonl_round_trips_values(tmp_path):
-    from ltvslam.sim import Pose
-    pose = Pose(t=0.5, position=np.zeros(2), beta=0.1, u=1.0, omega=0.0)
-    _, rec = sense(pose, Landmark(1, (0.0, 6.0)), NoiseSpec(),
-                   np.random.default_rng(5))
-    path = tmp_path / "obs.jsonl"
-    write_obs_jsonl([rec], str(path))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    row = json.loads(lines[0])
-    assert row["t"] == 0.5 and row["landmark"] == 1
-    assert row["values"]["r"] == rec.values["r"]
+    a, _ = sense(pose, lm, noise, np.random.default_rng(42))
+    b, _ = sense(pose, lm, noise, np.random.default_rng(42))
+    assert a == b
+    c, _ = sense(pose, lm, noise, np.random.default_rng(43))
+    for field in ("bearing", "range", "rate", "ttc", "doppler"):
+        assert getattr(a, field) != getattr(c, field), field
 
 
 def test_coop_scenarios():
