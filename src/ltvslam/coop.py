@@ -20,6 +20,7 @@ robots) and hands it to the shared pair tick.  Three modes:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -180,39 +181,21 @@ def heading_errors(pos: dict, x_ic: dict, feats: dict,
     compares nearest-neighbor features only between robots agreeing on
     the neighbor, since the features are undefined otherwise.
     """
-    ids = sorted(pos)
-    e_c = 0.0
-    if mode == "partial":
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                for k in set(pos[i]) & set(pos[j]):
-                    e_c += float(np.sum((pos[i][k] - pos[j][k]) ** 2))
-    else:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                if i in x_ic and j in x_ic:
-                    e_c += float(np.sum((x_ic[i] - x_ic[j]) ** 2))
-    e_h = 0.0
-    if mode == "partial":
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                for k in set(feats[i]) & set(feats[j]):
-                    fi, fj = feats[i][k], feats[j][k]
-                    if fi.neighbor == fj.neighbor:
-                        e_h += float(np.sum((fi.a - fj.a) ** 2))
-    else:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                if i not in x_ic or j not in x_ic:
-                    continue
-                for k in set(pos[i]) & set(pos[j]):
-                    di = pos[i][k] - x_ic[i]
-                    dj = pos[j][k] - x_ic[j]
-                    e_h += float(np.sum((di - dj) ** 2))
+    e_c = e_h = 0.0
+    for i, j in itertools.combinations(sorted(pos), 2):
+        if mode == "partial":
+            for k in set(pos[i]) & set(pos[j]):
+                e_c += float(np.sum((pos[i][k] - pos[j][k]) ** 2))
+            for k in set(feats[i]) & set(feats[j]):
+                fi, fj = feats[i][k], feats[j][k]
+                if fi.neighbor == fj.neighbor:
+                    e_h += float(np.sum((fi.a - fj.a) ** 2))
+        elif i in x_ic and j in x_ic:
+            e_c += float(np.sum((x_ic[i] - x_ic[j]) ** 2))
+            for k in set(pos[i]) & set(pos[j]):
+                di = pos[i][k] - x_ic[i]
+                dj = pos[j][k] - x_ic[j]
+                e_h += float(np.sum((di - dj) ** 2))
     return e_c, e_h
 
 

@@ -13,7 +13,7 @@ single-vehicle :func:`dunk_step` calls it with no drift; each robot of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import chi2
@@ -38,7 +38,6 @@ class LandmarkPairState:
 
     landmark_id: int
     state: FilterState  # x = [x_i; x_vi]
-    last_seen: float = float("-inf")
 
     def __post_init__(self):
         if self.state.dim % 2:
@@ -235,15 +234,10 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
     fb = feedback_measurement(net.last_consensus)
 
     # heading residue uses offsets at the sample instant, before the updates
-    visible = [(lid, b) for lid, b in observations.items()
-               if b.bearing is not None and lid in net.pairs]
-    if visible:
-        offsets = np.array([net.pairs[lid].x_landmark - net.pairs[lid].x_vehicle
-                            for lid, _ in visible])
-        thetas = np.array([b.bearing.theta for _, b in visible])
-        beta_d = beta_d_closed_form_2d(offsets, np.zeros(2), thetas, net.beta_hat)
-    else:
-        beta_d = net.beta_hat
+    visible = [(lid, b) for lid, b in observations.items() if b.bearing is not None]
+    beta_d = beta_d_closed_form_2d(
+        [net.pairs[lid].x_landmark - net.pairs[lid].x_vehicle for lid, _ in visible],
+        np.zeros(2), [b.bearing.theta for _, b in visible], net.beta_hat)
 
     own_v = u_speed * heading_forward(net.beta_hat)
     d = own_v.size
@@ -271,9 +265,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         elif lid in targets:
             b[:d] += targets[lid]
         new_state = ode_step(pair.state, A, b, vm, None, net.cfg)
-        net.pairs[lid] = replace(
-            pair, state=new_state,
-            last_seen=new_state.t if bundle is not None else pair.last_seen)
+        net.pairs[lid] = LandmarkPairState(lid, new_state)
     net.t += net.cfg.dt
 
     observed = set(observations)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noisecal, vmeas
+from . import vmeas
 from .core import (FilterState, RobotInputs, angle_diff, body_from_global,
                    heading_forward, rotation2d, skew, wrap_angle)
 from .kalman import FilterConfig, ode_step
@@ -72,11 +72,11 @@ def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
     Solves d/d(beta) sum_i (h(theta_i) T(beta) (x_i - x_v))^2 = 0 in
     closed form.  The stationarity condition fixes 2*beta, leaving four
     candidates a quarter turn apart; the one with the smallest residue is
-    returned.  Falls back to ``current_beta`` when every landmark offset
-    is negligible.
+    returned.  Falls back to ``current_beta`` when there are no landmarks
+    or every landmark offset is negligible.
     """
-    lm = np.atleast_2d(np.asarray(landmark_estimates, dtype=float))
     xv = np.asarray(vehicle_estimate, dtype=float).ravel()
+    lm = np.asarray(landmark_estimates, dtype=float).reshape(-1, xv.size)
     thetas = np.atleast_1d(np.asarray(bearings, dtype=float))
     if lm.shape[0] != thetas.size:
         raise ValueError("one bearing per landmark estimate is required")
@@ -206,65 +206,32 @@ def _lift_rows(gs: GlobalState, index: int, vm: vmeas.VirtualMeasurement
 
 
 def _second_order_rows(gs: GlobalState, index: int, case: int,
-                       bundle: SensorBundle, omega: float, r_max: float
-                       ) -> vmeas.VirtualMeasurement | None:
-    """Cases I-IV with the vehicle velocity as a sub-state instead of an input.
+                       bundle: SensorBundle, inputs: RobotInputs, r_max: float
+                       ) -> vmeas.VirtualMeasurement:
+    """Case I-IV rows with the vehicle velocity as a sub-state instead of an input.
 
-    The velocity-dependent terms move from y into H columns acting on the
-    velocity block; Case V stays nonlinear in this mode and is rejected.
+    ``inputs.u`` is the body-frame velocity estimate T v.  The case
+    builders give the rows and R; the velocity-dependent term of the last
+    row moves from y into H columns c acting on the velocity block, where
+    y = -c v.  Case V stays nonlinear in this mode and is rejected.
     """
     if case == 5:
         raise ValueError("Case V is unsupported with second-order dynamics")
-    d = gs.dim
-    T = body_from_global(gs.beta_hat)
-    bearing = bundle.bearing
-    h, h_star = vmeas.bearing_vectors_2d(bearing.theta)
-    vel = gs.vehicle_velocity
-    n = gs.state.dim
-    i_blk, v_blk = gs._block(index), gs._block(gs.n_landmarks)
-    vel_blk = gs._block(gs.n_landmarks + 1)
-
-    def row(M, y_val, var):
-        r = np.zeros((1, n))
-        r[:, i_blk], r[:, v_blk] = M @ T, -(M @ T)
-        return r, y_val, var
-
-    rstar = noisecal.r_star(
-        bundle.range.r if (case == 2 and bundle.range) else None,
-        bundle.range.sigma_r if (case == 2 and bundle.range) else 0.0, r_max)
-    rows, ys, variances = [], [], []
-    Rt = noisecal.tangential_R(bearing, rstar)
-    r1, y1, v1 = row(h, 0.0, Rt[0, 0])
-    rows.append(r1); ys.append(y1); variances.append(v1)
-    if case == 2:
-        r2, y2, v2 = row(h_star, bundle.range.r,
-                         noisecal.range_row_R(bundle.range)[0, 0])
-        rows.append(r2); ys.append(y2); variances.append(v2)
-    elif case == 3:
-        # (theta_dot h* + h Omega) T (x_i - x_v) + h T v = 0
-        M = bundle.rate.theta_dot * h_star + h @ skew(omega).matrix
-        r3 = np.zeros((1, n))
-        r3[:, i_blk] = M @ T
-        r3[:, v_blk] = -(M @ T)
-        r3[:, vel_blk] = h @ T
-        inputs = RobotInputs(u=T @ vel, omega=skew(omega))
-        var3 = noisecal.rate_row_R(bearing, bundle.rate, inputs, rstar)[0, 0]
-        rows.append(r3); ys.append(0.0); variances.append(var3)
-    elif case == 4:
-        radial_speed = float(h_star @ (T @ vel))
-        if abs(radial_speed) >= vmeas.EPS_U:
-            # h* T (x_i - x_v) - s tau h* T v = 0, s chosen so the range
-            # surrogate s tau h* T v is positive at the current estimate
-            s = math.copysign(1.0, radial_speed)
-            r4 = np.zeros((1, n))
-            r4[:, i_blk] = h_star @ T
-            r4[:, v_blk] = -(h_star @ T)
-            r4[:, vel_blk] = -s * bundle.ttc.tau * (h_star @ T)
-            var4 = noisecal.ttc_row_R(bundle.ttc, radial_speed)[0, 0]
-            rows.append(r4); ys.append(0.0); variances.append(var4)
-    H = np.vstack(rows)
-    return vmeas.VirtualMeasurement(y=np.array(ys), H=H,
-                                    R=np.diag(variances))
+    vm = _lift_rows(gs, index, build_measurement(case, bundle, inputs, r_max))
+    h, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
+    if case == 3:
+        # y = -h u
+        c = h
+    elif case == 4 and vm.rows > h.shape[0]:
+        # y = s tau h* u, s chosen so the range surrogate is positive at
+        # the current estimate; the Case I fallback has no such row
+        c = -math.copysign(bundle.ttc.tau, float((h_star @ inputs.u)[0])) * h_star
+    else:
+        return vm
+    H, y = vm.H.copy(), vm.y.copy()
+    H[-1:, gs._block(gs.n_landmarks + 1)] = c @ body_from_global(gs.beta_hat)
+    y[-1] = 0.0
+    return vmeas.VirtualMeasurement(y=y, H=H, R=vm.R)
 
 
 def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
@@ -274,7 +241,7 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
                 r_max: float = vmeas.DEFAULT_R_MAX) -> GlobalState:
     """One tick of the full-state filter.
 
-    ``u`` is the forward speed (first-order mode) or the body-frame
+    ``u`` is the forward speed (first-order mode) or the global-frame
     acceleration vector (second-order mode); ``omega`` is the yaw rate.
     New landmark ids in ``observations`` are appended before the update.
     """
@@ -286,28 +253,26 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
     # the tracker advances it to t+dt for the next tick afterwards.
     beta_hat = gs.beta_hat
     seen = [(lid, b) for lid, b in observations.items() if b.bearing is not None]
-    if seen:
-        lm = np.array([gs.landmark(lid) for lid, _ in seen])
-        thetas = np.array([b.bearing.theta for _, b in seen])
-        beta_d = beta_d_closed_form_2d(lm, gs.vehicle, thetas, beta_hat)
+    beta_d = beta_d_closed_form_2d([gs.landmark(lid) for lid, _ in seen],
+                                   gs.vehicle,
+                                   [b.bearing.theta for _, b in seen], beta_hat)
+    # body-frame velocity for the velocity-dependent cases
+    if gs.second_order:
+        fwd_body = body_from_global(beta_hat) @ gs.vehicle_velocity
     else:
-        beta_d = beta_hat
-    T = body_from_global(beta_hat)
+        fwd_body = np.array([0.0, float(u)])
+    inputs = RobotInputs(u=fwd_body, omega=skew(omega))
     parts = []
     for lid, bundle in observations.items():
         index = gs.landmark_ids.index(lid)
         if gs.second_order:
-            vm = _second_order_rows(gs, index, case, bundle, omega, r_max)
+            vm = _second_order_rows(gs, index, case, bundle, inputs, r_max)
         else:
-            # body-frame velocity for the velocity-dependent cases
-            fwd_body = np.array([0.0, float(u)]) if np.isscalar(u) else T @ np.asarray(u)
-            inputs = RobotInputs(u=fwd_body, omega=skew(omega))
             r_hint = float(np.linalg.norm(gs.landmark(lid) - gs.vehicle)) or None
             body_vm = build_measurement(case, bundle, inputs, r_max, r_hint)
             vm = None if body_vm is None else _lift_rows(gs, index, body_vm)
-        if vm is not None:
-            parts.append(vm)
-    vm_all = vmeas.stack_measurements(*parts) if parts else None
+        parts.append(vm)
+    vm_all = vmeas.stack_measurements(*parts)
 
     n = gs.state.dim
     d = gs.dim

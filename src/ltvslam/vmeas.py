@@ -308,14 +308,9 @@ def sfm_constraint(obs: PinholeObs, heading, *, r_max: float = DEFAULT_R_MAX
     The pinhole rows act on T (x_feature - x_camera) with T the
     global-to-camera rotation, giving the block row [+HT, -HT].
     """
-    T = _heading_matrix_3d(heading)
-    base = np.array([
-        [obs.f, 0.0, obs.y1],
-        [0.0, obs.f, obs.y2],
-    ]) @ T
-    H = np.hstack([base, -base])
-    var = max(obs.sigma_img**2, noisecal.VAR_FLOOR) * r_max**2
-    return VirtualMeasurement(y=np.zeros(2), H=H, R=var * np.eye(2))
+    vm = pinhole(obs, r_max=r_max)
+    base = vm.H @ _heading_matrix_3d(heading)
+    return VirtualMeasurement(y=vm.y, H=np.hstack([base, -base]), R=vm.R)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,8 @@ def test_beta_d_degenerate_offsets_fall_back():
     est = beta_d_closed_form_2d(np.zeros((2, 2)), np.zeros(2),
                                 np.array([0.1, 0.2]), current_beta=0.7)
     assert est == pytest.approx(0.7)
+    assert beta_d_closed_form_2d([], np.zeros(2), [], current_beta=0.7) \
+        == pytest.approx(0.7)
 
 
 def test_beta_d_input_validation():
@@ -128,25 +130,32 @@ def test_global_one_loop_noise_free_converges():
         assert np.linalg.norm(gs.landmark(lid) - lm) < 0.05
 
 
-def test_second_order_mode_velocity_substate():
-    # constant-velocity straight line, case 2, acceleration input zero
+@pytest.mark.parametrize("case, acc", [
+    (1, (0.0, 0.0)), (2, (0.0, 0.0)), (3, (0.0, 0.0)), (4, (0.0, 0.0)),
+    (2, (0.3, -0.2)),
+], ids=["case1", "case2", "case3", "case4", "case2-accelerating"])
+def test_second_order_mode_velocity_substate(case, acc):
+    # straight line at beta = pi/4; u is the global-frame acceleration
     dt = 0.01
     landmarks = {1: np.array([3.0, 6.0]), 2: np.array([-4.0, 3.0]),
                  3: np.array([1.0, -5.0])}
-    v_true = np.array([-1.0, 1.0])  # global velocity; beta = pi/4 forward
+    v0 = np.array([-1.0, 1.0])  # global velocity; beta = pi/4 forward
+    a = np.array(acc)
     beta = math.pi / 4
-    gs = init_global(np.zeros(2), beta0=beta, second_order=True, v0=v_true)
+    T = body_from_global(beta)
+    gs = init_global(np.zeros(2), beta0=beta, second_order=True, v0=v0)
     cfg = FilterConfig(dt=dt)
     for i in range(800):
-        pos = v_true * (i * dt)
-        T = body_from_global(beta)
-        inputs = RobotInputs(u=T @ v_true, omega=skew(0.0))
+        t = i * dt
+        pos = v0 * t + 0.5 * a * t**2
+        inputs = RobotInputs(u=T @ (v0 + a * t), omega=skew(0.0))
         obs = {lid: exact_bundle(T @ (lm - pos), inputs)
                for lid, lm in landmarks.items()}
-        gs = step_global(gs, u=np.zeros(2), omega=0.0, observations=obs,
-                         case=2, cfg=cfg)
-    assert np.linalg.norm(gs.vehicle - v_true * gs.state.t) < 0.05
-    assert np.linalg.norm(gs.vehicle_velocity - v_true) < 0.05
+        gs = step_global(gs, u=a, omega=0.0, observations=obs,
+                         case=case, cfg=cfg)
+    t = gs.state.t
+    assert np.linalg.norm(gs.vehicle - (v0 * t + 0.5 * a * t**2)) < 0.05
+    assert np.linalg.norm(gs.vehicle_velocity - (v0 + a * t)) < 0.05
     for lid, lm in landmarks.items():
         assert np.linalg.norm(gs.landmark(lid) - lm) < 0.05
 
