@@ -21,7 +21,6 @@ robots) and hands it to the shared pair tick.  Three modes:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,9 @@ J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 MODES = ("full", "partial", "robots_only")
 
+#: Saturation of each robot's null-space rotation rate (rad/s).
+OMEGA_MAX = 2.0
+
 
 @dataclass
 class RobotMap:
@@ -43,7 +45,6 @@ class RobotMap:
     net: DunkNetwork
     gamma_v: float = 1.0
     gamma_omega: float = 4.0
-    omega_max: float = 2.0
 
     def center(self) -> np.ndarray | None:
         """Mean landmark position in this robot's frame (None if map empty)."""
@@ -139,8 +140,13 @@ def coordinate_k_star(all_feats: dict[int, dict[int, NNFeature]]) -> dict[int, i
     return k_star
 
 
-def _medium_core(x_ic: dict, positions: dict, feats: dict) -> tuple:
-    """x_cc, x_ck, k_star and c_k from per-robot centers, positions and NN features."""
+def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
+    """Recompute all medium variables from the current maps."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    x_ic = centers(maps)
+    positions = {i: m.landmark_positions() for i, m in maps.items()}
+    feats = {i: nn_features(m) for i, m in maps.items()}
     x_cc = np.mean(list(x_ic.values()), axis=0) if x_ic else None
     observers: dict[int, list] = {}
     for pos in positions.values():
@@ -154,17 +160,6 @@ def _medium_core(x_ic: dict, positions: dict, feats: dict) -> tuple:
                     if k in feats[i] and feats[i][k].neighbor == kstar]
         if agreeing:
             c_k[k] = np.mean(agreeing, axis=0)
-    return x_cc, x_ck, k_star, c_k
-
-
-def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
-    """Recompute all medium variables from the current maps."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    x_ic = centers(maps)
-    positions = {i: m.landmark_positions() for i, m in maps.items()}
-    feats = {i: nn_features(m) for i, m in maps.items()}
-    x_cc, x_ck, k_star, c_k = _medium_core(x_ic, positions, feats)
     e_c, e_h = heading_errors(positions, x_ic, feats, mode)
     return MediumState(x_ic=x_ic, x_cc=x_cc, x_ck=x_ck, c_k=c_k,
                        k_star=k_star, features=feats, e_c=e_c, e_h=e_h)
@@ -266,7 +261,7 @@ def null_drift(m: RobotMap, medium: MediumState, mode: str) -> Drift:
         if center is None:
             center = m.center()
     return Drift(v=null_translation(m, medium, mode),
-                 omega=float(np.clip(w, -m.omega_max, m.omega_max)),
+                 omega=float(np.clip(w, -OMEGA_MAX, OMEGA_MAX)),
                  center=center)
 
 
@@ -301,48 +296,3 @@ def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
             pair_tick(m.net, tick.u, tick.omega_m, tick.observations, drift)
 
     return medium_update(maps, mode)
-
-
-# ---------------------------------------------------------------------------
-# Medium message-passing interface
-# ---------------------------------------------------------------------------
-
-def _xy(v) -> list[float]:
-    return [float(v[0]), float(v[1])]
-
-
-def medium_request(m: RobotMap, tick: int) -> str:
-    """Serialize one robot's map summary for the medium (JSON line)."""
-    feats = nn_features(m)
-    center = m.center()
-    return json.dumps({
-        "robot_id": m.robot_id,
-        "tick": tick,
-        "map_summary": [[int(k), *_xy(x)]
-                        for k, x in sorted(m.landmark_positions().items())],
-        "center": None if center is None else _xy(center),
-        "nn_features": [[int(k), int(f.neighbor), _xy(f.a)]
-                        for k, f in sorted(feats.items())],
-    })
-
-
-def medium_response(requests: list[str]) -> str:
-    """Compute the medium variables from serialized map summaries (JSON)."""
-    parsed = [json.loads(r) for r in requests]
-    if len({p["robot_id"] for p in parsed}) != len(parsed):
-        raise ValueError("one request per robot_id expected")
-    x_ic = {p["robot_id"]: np.array(p["center"]) for p in parsed
-            if p["center"] is not None}
-    positions = {p["robot_id"]: {k: np.array([x, y])
-                                 for k, x, y in p["map_summary"]}
-                 for p in parsed}
-    feats = {p["robot_id"]: {k: NNFeature(k, kp, np.array(a))
-                             for k, kp, a in p["nn_features"]}
-             for p in parsed}
-    x_cc, x_ck, k_star, c_k = _medium_core(x_ic, positions, feats)
-    return json.dumps({
-        "x_cc": None if x_cc is None else _xy(x_cc),
-        "x_ck": {str(k): _xy(v) for k, v in x_ck.items()},
-        "c_k": {str(k): _xy(v) for k, v in c_k.items()},
-        "k_star": {str(k): int(v) for k, v in k_star.items()},
-    })

@@ -57,9 +57,6 @@ class Rotation2D:
         c, s = math.cos(self.beta), math.sin(self.beta)
         return np.array([[c, -s], [s, c]])
 
-    def inverse(self) -> "Rotation2D":
-        return Rotation2D(-self.beta)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float)
 

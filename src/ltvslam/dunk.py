@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import vmeas
 from .core import FilterState, RobotInputs, heading_forward, skew
@@ -66,7 +65,6 @@ class Consensus:
 
     x_vc: np.ndarray
     information: np.ndarray   # sum of Sigma_vi^-1 over the observed set
-    observed: frozenset
 
     @property
     def covariance(self) -> np.ndarray:
@@ -91,8 +89,7 @@ def consensus(pairs: dict[int, LandmarkPairState],
         w = _info(p.sigma_vehicle)
         info += w
         weighted += w @ p.x_vehicle
-    return Consensus(x_vc=np.linalg.solve(info, weighted),
-                     information=info, observed=observed)
+    return Consensus(x_vc=np.linalg.solve(info, weighted), information=info)
 
 
 def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None:
@@ -135,27 +132,6 @@ def init_pair(landmark_id: int, bundle: SensorBundle,
     P[:d, :d] = 100.0 * np.eye(d)
     P[d:, d:] = P_v0
     return LandmarkPairState(landmark_id, FilterState(x, P, t))
-
-
-def associate(case: int, bundle: SensorBundle, beta_hat: float,
-              inputs: RobotInputs, pairs: dict[int, LandmarkPairState],
-              gate_p: float = 0.95, r_max: float = vmeas.DEFAULT_R_MAX
-              ) -> int | None:
-    """Nearest pair by Mahalanobis distance of the case residual, or None if new."""
-    vm = pair_measurement(case, bundle, beta_hat, inputs, r_max)
-    if vm is None or not pairs:
-        return None
-    best_id, best_d2 = None, np.inf
-    for lid in sorted(pairs):
-        p = pairs[lid]
-        z = vm.residual(p.state.x)
-        S = vm.H @ p.state.P @ vm.H.T + vm.R
-        d2 = float(z @ np.linalg.solve(S, z))
-        if d2 < best_d2:
-            best_id, best_d2 = lid, d2
-    if best_d2 > chi2.ppf(gate_p, df=vm.rows):
-        return None
-    return best_id
 
 
 @dataclass

@@ -24,6 +24,9 @@ SIGMA_THETA_FLOOR = 2e-3   # rad
 SIGMA_RANGE_FLOOR = 5e-2   # m
 SIGMA_RATE_FLOOR = 2e-3    # rad/s
 
+#: Speed std assumed by the time-to-contact row (m/s).
+SIGMA_SPEED = 0.01
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -298,7 +301,7 @@ def rate_row_R(bearing, rate, inputs, rstar: float) -> np.ndarray:
     return np.diag([max(v, VAR_FLOOR) for v in var])
 
 
-def ttc_row_R(ttc, radial_speed: float, sigma_u: float = 0.01) -> np.ndarray:
+def ttc_row_R(ttc, radial_speed: float) -> np.ndarray:
     """Conservative variance for the time-to-contact radial row.
 
     Propagates the visual-angle noise through tau = alpha/alphadot and the
@@ -309,5 +312,5 @@ def ttc_row_R(ttc, radial_speed: float, sigma_u: float = 0.01) -> np.ndarray:
         rel_tau = _floored(ttc.sigma_alpha, SIGMA_THETA_FLOOR) / ttc.alpha
     else:
         rel_tau = 0.05
-    var = (rel_tau * y)**2 + (ttc.tau * sigma_u)**2
+    var = (rel_tau * y)**2 + (ttc.tau * SIGMA_SPEED)**2
     return np.array([[max(var, SIGMA_RANGE_FLOOR**2)]])

@@ -7,6 +7,7 @@ error after map convergence.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -268,14 +269,11 @@ def _run_coop(scenario, cfg: RunConfig, dt: float, stream, trace: list,
 
 def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
     """Largest inter-robot disagreement on any commonly mapped landmark."""
-    ids = sorted(maps)
+    pos = {i: m.landmark_positions() for i, m in maps.items()}
     worst = 0.0
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            pa = maps[ids[a]].landmark_positions()
-            pb = maps[ids[b]].landmark_positions()
-            for k in set(pa) & set(pb):
-                worst = max(worst, float(np.linalg.norm(pa[k] - pb[k])))
+    for a, b in itertools.combinations(sorted(pos), 2):
+        for k in set(pos[a]) & set(pos[b]):
+            worst = max(worst, float(np.linalg.norm(pos[a][k] - pos[b][k])))
     return worst
 
 

@@ -61,7 +61,6 @@ class LocalLandmarkFilter:
     landmark_id: int
     state: FilterState
     case: int
-    last_seen: float = float("-inf")
 
     def __post_init__(self):
         if self.case not in (1, 2, 3, 4, 5):
@@ -70,34 +69,25 @@ class LocalLandmarkFilter:
 
 def init_landmark(landmark_id: int, case: int,
                   bundle: SensorBundle | None = None,
-                  r0: float | None = None,
-                  P0: np.ndarray | None = None,
                   r_max: float = vmeas.DEFAULT_R_MAX,
                   dim: int = 2, t: float = 0.0) -> LocalLandmarkFilter:
     """Prior for a newly seen landmark.
 
-    Bearing cases start at r0 along the measured bearing direction with
-    r0 defaulting to half the max range; Case V (no bearing) starts at
-    the origin with a wide prior.
+    Bearing cases start along the measured bearing direction, at the
+    measured range in Case II and at half the max range otherwise; Case V
+    (no bearing) starts at the origin with a wide prior.
     """
     if case == 5 or bundle is None or bundle.bearing is None:
-        x0 = np.zeros(dim)
-        P = 100.0 * np.eye(dim) if P0 is None else P0
-        return LocalLandmarkFilter(landmark_id, FilterState(x0, P, t), case)
+        return LocalLandmarkFilter(
+            landmark_id, FilterState(np.zeros(dim), 100.0 * np.eye(dim), t), case)
     bearing = bundle.bearing
     dim = bearing.dim
-    if r0 is None:
-        if case in (2, 5) and bundle.range is not None:
-            r0 = bundle.range.r
-        else:
-            r0 = 0.5 * r_max
-    _, h_star = (vmeas.bearing_vectors_2d(bearing.theta) if dim == 2
-                 else vmeas.bearing_vectors_3d(bearing.theta, bearing.phi))
+    r0 = bundle.range.r if case == 2 and bundle.range is not None else 0.5 * r_max
+    _, h_star = vmeas._bearing_rows(bearing)
     x0 = r0 * h_star.ravel()
-    if P0 is None:
-        sigma0 = bundle.range.sigma_r if (case == 2 and bundle.range is not None
-                                          and bundle.range.sigma_r > 0) else 0.5 * r_max
-        P0 = max(sigma0, 0.1) ** 2 * np.eye(dim)
+    sigma0 = bundle.range.sigma_r if (case == 2 and bundle.range is not None
+                                      and bundle.range.sigma_r > 0) else 0.5 * r_max
+    P0 = max(sigma0, 0.1) ** 2 * np.eye(dim)
     return LocalLandmarkFilter(landmark_id, FilterState(x0, P0, t), case)
 
 
@@ -109,9 +99,7 @@ def update_landmark(f: LocalLandmarkFilter, inputs: RobotInputs,
     r_hint = float(np.linalg.norm(f.state.x)) or None
     vm = (None if bundle is None
           else build_measurement(f.case, bundle, inputs, r_max, r_hint))
-    new_state = step(f.state, inputs, vm, cfg)
-    last_seen = new_state.t if bundle is not None else f.last_seen
-    return replace(f, state=new_state, last_seen=last_seen)
+    return replace(f, state=step(f.state, inputs, vm, cfg))
 
 
 class LocalMap:

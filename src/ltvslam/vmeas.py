@@ -185,13 +185,11 @@ def _bearing_rows(bearing: BearingObs) -> tuple[np.ndarray, np.ndarray]:
 # Case builders
 # ---------------------------------------------------------------------------
 
-def case1(bearing: BearingObs, *, r_max: float = DEFAULT_R_MAX,
-          r_star: float | None = None) -> VirtualMeasurement:
+def case1(bearing: BearingObs, *, r_max: float = DEFAULT_R_MAX
+          ) -> VirtualMeasurement:
     """Bearing only: the angular error becomes a tangential position error."""
     h, _ = _bearing_rows(bearing)
-    if r_star is None:
-        r_star = noisecal.r_star(None, 0.0, r_max)
-    R = noisecal.tangential_R(bearing, r_star)
+    R = noisecal.tangential_R(bearing, noisecal.r_star(None, 0.0, r_max))
     return VirtualMeasurement(y=np.zeros(h.shape[0]), H=h, R=R)
 
 

@@ -1,7 +1,6 @@
 """Cooperative multi-robot mapping through a shared medium."""
 
 import copy
-import json
 import math
 
 import numpy as np
@@ -9,9 +8,8 @@ import pytest
 
 from ltvslam import dunk, sim
 from ltvslam.coop import (NNFeature, RobotMap, RobotTick, centers, coop_step,
-                          coordinate_k_star, medium_request, medium_response,
-                          medium_update, nn_features, null_rotation_full,
-                          null_translation)
+                          coordinate_k_star, medium_update, nn_features,
+                          null_rotation_full, null_translation)
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
 from ltvslam.dunk import DunkNetwork, LandmarkPairState, dunk_step
 from ltvslam.kalman import FilterConfig
@@ -221,29 +219,3 @@ def test_two_robots_converge_to_a_common_frame(mode):
     gaps = [np.linalg.norm(pos1[k] - pos2[k]) for k in shared]
     assert max(gaps) < 0.3
     assert med.e_h < 0.1
-
-
-def test_medium_request_response_round_trip():
-    maps = {1: seeded_map(1, {1: (0.0, 0.0), 2: (2.0, 0.0), 3: (0.0, 5.0)}),
-            2: seeded_map(2, {1: (0.5, 0.5), 2: (2.5, 0.5), 3: (0.5, 5.5)})}
-    reply = json.loads(medium_response(
-        [medium_request(m, tick=3) for m in maps.values()]))
-    med = medium_update(maps, "partial")
-    assert np.allclose(reply["x_cc"], med.x_cc)
-    for k in med.x_ck:
-        assert np.allclose(reply["x_ck"][str(k)], med.x_ck[k])
-    for k in med.k_star:
-        assert reply["k_star"][str(k)] == med.k_star[k]
-    for k in med.c_k:
-        assert np.allclose(reply["c_k"][str(k)], med.c_k[k])
-    with pytest.raises(ValueError):
-        medium_response([medium_request(maps[1], tick=3)] * 2)
-
-
-def test_medium_request_is_one_json_line():
-    m = seeded_map(4, {1: (1.0, 2.0)})
-    line = medium_request(m, tick=0)
-    assert "\n" not in line
-    msg = json.loads(line)
-    assert msg["robot_id"] == 4 and msg["tick"] == 0
-    assert msg["map_summary"] == [[1, 1.0, 2.0]]

@@ -27,8 +27,6 @@ def test_rotation2d_is_ccw_and_orthogonal():
     R = rotation2d(math.pi / 2).matrix
     assert np.allclose(R @ [1.0, 0.0], [0.0, 1.0])
     assert np.allclose(R @ R.T, np.eye(2), atol=1e-15)
-    assert np.allclose(rotation2d(0.3).inverse().matrix,
-                       rotation2d(0.3).matrix.T)
 
 
 def test_heading_forward_matches_rotation_of_body_axis():

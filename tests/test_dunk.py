@@ -7,9 +7,9 @@ import pytest
 
 from ltvslam import vmeas
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
-from ltvslam.dunk import (Consensus, DunkNetwork, LandmarkPairState, associate,
-                          consensus, dunk_step, feedback_measurement,
-                          init_pair, pair_measurement)
+from ltvslam.dunk import (Consensus, DunkNetwork, LandmarkPairState, consensus,
+                          dunk_step, feedback_measurement, init_pair,
+                          pair_measurement)
 from ltvslam.kalman import FilterConfig
 from ltvslam.slam_local import SensorBundle
 
@@ -80,8 +80,7 @@ def test_consensus_permutation_invariant():
 
 
 def test_feedback_measurement_rows():
-    c = Consensus(x_vc=np.array([1.0, 2.0]), information=np.eye(2),
-                  observed=frozenset({1}))
+    c = Consensus(x_vc=np.array([1.0, 2.0]), information=np.eye(2))
     vm = feedback_measurement(c)
     assert np.allclose(vm.H, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert np.allclose(vm.residual(np.array([9.0, 9.0, 1.0, 2.0])), 0.0)
@@ -127,21 +126,6 @@ def test_init_pair_first_ever_uses_prior():
                   vehicle_prior=(np.array([1.0, 1.0]), np.eye(2)))
     assert np.allclose(p.x_vehicle, [1.0, 1.0])
     assert np.allclose(p.x_landmark, [1.0, 6.0])
-
-
-def test_associate_picks_nearest_and_gates():
-    inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
-    pairs = {1: make_pair(1, np.array([0.0, 4.0]), np.zeros(2), sigma_v=0.01),
-             2: make_pair(2, np.array([4.0, 0.0]), np.zeros(2), sigma_v=0.01)}
-    obs_near_1 = SensorBundle(
-        bearing=vmeas.BearingObs(theta=0.02, sigma_theta=0.02),
-        range=vmeas.RangeObs(r=4.0, sigma_r=0.2))
-    assert associate(2, obs_near_1, 0.0, inputs, pairs) == 1
-    obs_far = SensorBundle(
-        bearing=vmeas.BearingObs(theta=math.pi, sigma_theta=0.02),
-        range=vmeas.RangeObs(r=40.0, sigma_r=0.2))
-    assert associate(2, obs_far, 0.0, inputs, pairs) is None
-    assert associate(2, obs_near_1, 0.0, inputs, {}) is None
 
 
 def test_identical_pairs_stay_identical():

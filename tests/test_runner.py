@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ltvslam
 from ltvslam import runner as runner_mod
 from ltvslam.cli import main as cli_main
 from ltvslam.core import rotation2d
@@ -166,3 +170,14 @@ def test_cli_noise_report():
     assert out.exit_code == 0
     assert "analytic radial bias" in out.output
     assert "monte carlo mean" in out.output
+
+
+def test_package_import_skips_scipy_stats():
+    # scipy.stats costs most of a run's import time and no run path uses it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ltvslam.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import ltvslam.cli, ltvslam.runner; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

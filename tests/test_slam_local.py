@@ -107,7 +107,6 @@ def test_unobserved_landmark_gets_prediction_only():
                             case=2)
     f2 = update_landmark(f, inputs, None, FilterConfig(dt=0.01))
     assert np.allclose(f2.state.x, [0.0, 4.99])       # drifts by -u dt
-    assert f2.last_seen == f.last_seen                # not marked as seen
 
 
 def test_build_measurement_rejects_unknown_case():
