@@ -14,7 +14,7 @@ import numpy as np
 from . import noisecal
 from .core import RobotInputs, skew
 from .kalman import DivergenceError
-from .runner import BUILTIN_SCENARIOS, ConfigError, RunConfig, run
+from .runner import BUILTIN_SCENARIOS, MODES, ConfigError, RunConfig, run
 
 
 @click.group()
@@ -23,9 +23,7 @@ def main():
 
 
 @main.command("run")
-@click.option("--mode", default="local",
-              type=click.Choice(["local", "global", "dunk", "coop-full",
-                                 "coop-partial", "coop-robots"]))
+@click.option("--mode", default="local", type=click.Choice(MODES))
 @click.option("--case", default=2, type=int, help="Sensor case 1-5.")
 @click.option("--scenario", default="single-vehicle-2d",
               help="Builtin scenario name or JSON file path.")
@@ -37,16 +35,10 @@ def main():
 @click.option("--gamma-omega", default=4.0, type=float)
 @click.option("--r-max", default=100.0, type=float)
 @click.option("--duration", default=None, type=float)
-def run_cmd(mode, case, scenario, dt, seed, out_dir, gamma_beta,
-            gamma_v, gamma_omega, r_max, duration):
+def run_cmd(**options):
     """Run one scenario and write traces + metrics."""
     try:
-        cfg = RunConfig(mode=mode, case=case, scenario=scenario,
-                        dt=dt, seed=seed, out_dir=out_dir,
-                        gamma_beta=gamma_beta, gamma_v=gamma_v,
-                        gamma_omega=gamma_omega, r_max=r_max,
-                        duration=duration)
-        metrics = run(cfg)
+        metrics = run(RunConfig(**options))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -57,9 +49,8 @@ def run_cmd(mode, case, scenario, dt, seed, out_dir, gamma_beta,
         click.echo(f"landmark {lid}: final error {err:.4f} m")
     if metrics.vehicle_ate is not None:
         click.echo(f"vehicle ATE: {metrics.vehicle_ate:.4f} m")
-    if metrics.discrepancy:
-        click.echo(f"final inter-map discrepancy: "
-                   f"{metrics.discrepancy[-1][1]:.4f} m")
+    if metrics.discrepancy is not None:
+        click.echo(f"final inter-map discrepancy: {metrics.discrepancy:.4f} m")
     click.echo(f"wall time per step: {metrics.wall_time_per_step * 1e3:.3f} ms")
 
 

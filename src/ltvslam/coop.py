@@ -96,12 +96,7 @@ class RobotTick:
 
 def centers(maps: dict[int, RobotMap]) -> dict[int, np.ndarray]:
     """Per-map landmark centers x_ic of the non-empty maps."""
-    x_ic = {}
-    for i, m in maps.items():
-        c = m.center()
-        if c is not None:
-            x_ic[i] = c
-    return x_ic
+    return {i: m.center() for i, m in maps.items() if m.net.pairs}
 
 
 def nn_features(m: RobotMap) -> dict[int, NNFeature]:
@@ -211,6 +206,15 @@ def null_translation(m: RobotMap, medium: MediumState, mode: str) -> np.ndarray:
     return m.gamma_v * v
 
 
+def _descent_rate(gamma: float, pairs) -> float:
+    """gamma * Sum a^T J c / Sum ||a|| ||c|| over the (a, c) pairs; 0 without them."""
+    w, moment = 0.0, 0.0
+    for a, c in pairs:
+        w += float(a @ J @ c)
+        moment += float(np.linalg.norm(a) * np.linalg.norm(c))
+    return gamma * w / moment if moment > 0.0 else 0.0
+
+
 def null_rotation_full(m: RobotMap, medium: MediumState) -> float:
     """Heading-error descent omega_i ~ Sum_k (x_ik - x_ic)^T J x_ck.
 
@@ -222,15 +226,9 @@ def null_rotation_full(m: RobotMap, medium: MediumState) -> float:
     if m.robot_id not in medium.x_ic:
         return 0.0
     x_ic = medium.x_ic[m.robot_id]
-    w, moment = 0.0, 0.0
-    for k, x_ik in m.landmark_positions().items():
-        if k in medium.x_ck:
-            w += float((x_ik - x_ic) @ J @ medium.x_ck[k])
-            moment += float(np.linalg.norm(x_ik - x_ic)
-                            * np.linalg.norm(medium.x_ck[k]))
-    if moment <= 0.0:
-        return 0.0
-    return m.gamma_omega * w / moment
+    return _descent_rate(m.gamma_omega, [
+        (x_ik - x_ic, medium.x_ck[k])
+        for k, x_ik in m.landmark_positions().items() if k in medium.x_ck])
 
 
 def null_rotation_partial(m: RobotMap, medium: MediumState) -> float:
@@ -240,14 +238,10 @@ def null_rotation_partial(m: RobotMap, medium: MediumState) -> float:
     Sum ||a_ik|| ||c_k|| for the same scale-free angular rate as
     :func:`null_rotation_full`.
     """
-    w, moment = 0.0, 0.0
-    for k, f in medium.features.get(m.robot_id, {}).items():
-        if medium.k_star.get(k) == f.neighbor and k in medium.c_k:
-            w += float(f.a @ J @ medium.c_k[k])
-            moment += float(np.linalg.norm(f.a) * np.linalg.norm(medium.c_k[k]))
-    if moment <= 0.0:
-        return 0.0
-    return m.gamma_omega * w / moment
+    return _descent_rate(m.gamma_omega, [
+        (f.a, medium.c_k[k])
+        for k, f in medium.features.get(m.robot_id, {}).items()
+        if medium.k_star.get(k) == f.neighbor and k in medium.c_k])
 
 
 def null_drift(m: RobotMap, medium: MediumState, mode: str) -> Drift:

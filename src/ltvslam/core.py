@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +141,21 @@ class FilterState:
     @property
     def dim(self) -> int:
         return self.x.size
+
+
+class Estimates(NamedTuple):
+    """An estimator's read-out at its time t, in its own frame."""
+
+    t: float
+    ids: list
+    X: np.ndarray                 # (N, d) landmark positions
+    P: np.ndarray                 # (N, d, d) their covariance blocks
+    vehicle: tuple | None = None  # (x, P) of the vehicle, where there is one
+
+    @classmethod
+    def stack(cls, t, ids, xs, Ps, d: int, vehicle=None) -> "Estimates":
+        return cls(float(t), list(ids), np.reshape(xs, (-1, d)),
+                   np.reshape(Ps, (-1, d, d)), vehicle)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vmeas
-from .core import FilterState, RobotInputs, heading_forward, skew
+from .core import Estimates, FilterState, RobotInputs, heading_forward, skew
 from .kalman import FilterConfig, ode_step
 from .slam_global import (beta_d_closed_form_2d, body_from_global,
                           first_sighting_offset, track_heading)
@@ -148,6 +148,15 @@ class DunkNetwork:
     pairs: dict[int, LandmarkPairState] = field(default_factory=dict)
     last_consensus: Consensus | None = None
     t: float = 0.0
+
+    def estimates(self) -> Estimates:
+        """Landmark blocks of every pair; the vehicle is the last consensus."""
+        pairs = self.pairs.values()
+        c = self.last_consensus
+        return Estimates.stack(
+            self.t, self.pairs, [p.x_landmark for p in pairs],
+            [p.state.P[:p.dim, :p.dim] for p in pairs], len(self.vehicle_prior_x),
+            vehicle=None if c is None else (c.x_vc, c.covariance))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Scenario execution, metrics, and trace emission.
 
-Runs any estimator mode over a scenario, writes a plot-ready trace CSV
-plus a metrics JSON, and provides the rigid alignment used for trajectory
-error after map convergence.
+Runs any estimator mode over a scenario through one loop, writes a
+long-format trace CSV plus a metrics JSON, and provides the rigid
+alignment used for trajectory error.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
 import itertools
 import json
 import os
@@ -24,14 +26,19 @@ from .slam_global import init_global, step_global
 from .slam_local import LocalMap
 
 MODES = ("local", "global", "dunk", "coop-full", "coop-partial", "coop-robots")
-SINGLE_VEHICLE_MODES = ("local", "global", "dunk")
+COOP_MODES = {"coop-full": "full", "coop-partial": "partial",
+              "coop-robots": "robots_only"}
 
 BUILTIN_SCENARIOS = {
     "single-vehicle-2d": sim_mod.scenario_single_vehicle_2d,
-    "coop-full": lambda: sim_mod.scenario_coop("full"),
-    "coop-partial": lambda: sim_mod.scenario_coop("partial"),
-    "coop-robots": lambda: sim_mod.scenario_coop("robots_only"),
+    **{name: functools.partial(sim_mod.scenario_coop, mode)
+       for name, mode in COOP_MODES.items()},
 }
+
+#: One trace row per tick, robot, entity ("landmark" or "vehicle") and
+#: coordinate; ``var`` is that coordinate's variance, ``true`` is empty
+#: where the estimator's frame has no ground truth (the coop maps).
+TRACE_HEADER = ("t", "robot", "entity", "id", "component", "est", "true", "var")
 
 
 class ConfigError(ValueError):
@@ -63,8 +70,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be > 0, got {value!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.mode == "coop-robots":
-            self.case = 2  # robot-to-robot sightings carry bearing + range
+        if self.mode == "coop-robots" and self.case != 2:
+            raise ConfigError("mode 'coop-robots' runs case 2 only: robot "
+                              f"sightings carry bearing + range, got {self.case}")
 
 
 @dataclass
@@ -73,15 +81,12 @@ class Metrics:
     vehicle_ate: float | None = None
     contraction_rate: float | None = None
     contraction_r2: float | None = None
-    e_c: list = field(default_factory=list)
-    e_h: list = field(default_factory=list)
-    discrepancy: list = field(default_factory=list)       # [(t, max inter-map gap)]
+    e_c: float | None = None          # coop medium errors at the end of the run
+    e_h: float | None = None
+    discrepancy: float | None = None  # coop: largest inter-map gap at the end
     wall_time_per_step: float = 0.0
+    stage_seconds: dict = field(default_factory=dict)  # loop stage -> total s
     divergence: str | None = None   # the DivergenceError message, if any
-
-    @property
-    def diverged(self) -> bool:
-        return self.divergence is not None
 
     def final_errors(self) -> dict:
         return {lid: series[-1][1] for lid, series in self.landmark_errors.items()
@@ -89,12 +94,15 @@ class Metrics:
 
 
 def load_scenario(name_or_path: str) -> sim_mod.Scenario:
+    """A builtin scenario by name, else a JSON scenario file; ConfigError if neither."""
     if name_or_path in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[name_or_path]()
-    if not os.path.exists(name_or_path):
-        raise ConfigError(f"scenario {name_or_path!r} is neither builtin nor a file")
-    with open(name_or_path) as f:
-        return sim_mod.Scenario.from_json(f.read())
+    try:
+        with open(name_or_path) as f:
+            return sim_mod.Scenario.from_json(f.read())
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"scenario {name_or_path!r} is neither builtin nor a "
+                          f"valid scenario file: {type(exc).__name__}: {exc}") from exc
 
 
 def align_procrustes(est: np.ndarray, true: np.ndarray
@@ -119,173 +127,134 @@ def align_procrustes(est: np.ndarray, true: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Mode runners
+# Per-mode set-up and the one run loop
 # ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _trace_row(t, kind, ident, est, true, P) -> str:
-    est = list(np.asarray(est, float).ravel())
-    true = (["", ""] if true is None else list(np.asarray(true, float).ravel()))
-    cov = []
-    if P is not None:
-        P = np.asarray(P, float)
-        cov = [P[i, j] for i in range(P.shape[0]) for j in range(i, P.shape[1])]
-    cells = ([f"{t:.6f}", kind, str(ident)]
-             + [_fmt(v) for v in est]
-             + [v if v == "" else _fmt(v) for v in true]
-             + [_fmt(v) for v in cov])
-    return ",".join(cells)
-
-
-def _run_local(scenario, cfg: RunConfig, dt: float, stream, trace: list,
-               metrics: Metrics) -> None:
-    (vid, _), = scenario.vehicles
-    pose_fn = scenario.pose_fns()[vid]
-    lmap = LocalMap(case=cfg.case, cfg=FilterConfig(dt=dt), r_max=cfg.r_max)
-    for _, ticks in stream:
-        tick = ticks[vid]
-        inputs = RobotInputs(u=np.array([0.0, tick.u]), omega=skew(tick.omega_m))
-        lmap.step(inputs, tick.observations)
-        pose_now = pose_fn(lmap.t)  # estimates live at the post-step instant
-        T = body_from_global(pose_now.beta)
-        for lm in scenario.landmarks:
-            f = lmap.filters.get(lm.id)
-            if f is None:
-                continue
-            x_true = T @ (lm.position - pose_now.position)
-            err = float(np.linalg.norm(f.state.x - x_true))
-            metrics.landmark_errors.setdefault(lm.id, []).append((lmap.t, err))
-            trace.append(_trace_row(lmap.t, "landmark", lm.id, f.state.x,
-                                    x_true, f.state.P))
-    _fit_contraction(metrics)
-
-
-def _fit_contraction(metrics: Metrics) -> None:
-    series = []
-    for s in metrics.landmark_errors.values():
-        if len(s) > len(series):
-            series = s
-    if len(series) < 20:
-        return
-    tail = series[len(series) // 5:]
-    tail = [(t, e) for t, e in tail if e > 1e-12]
-    if len(tail) >= 10:
-        diag = fit_contraction_rate(tail)
-        metrics.contraction_rate = diag.rate
-        metrics.contraction_r2 = diag.r_squared
-
-
-def _run_global(scenario, cfg: RunConfig, dt: float, stream, trace: list,
-                metrics: Metrics) -> None:
-    (vid, _), = scenario.vehicles
-    pose_fn = scenario.pose_fns()[vid]
-    fcfg = FilterConfig(dt=dt)
-    pose0 = pose_fn(0.0)
-    gs = init_global(pose0.position, beta0=pose0.beta)
-    est_path, true_path = [], []
-    for _, ticks in stream:
-        tick = ticks[vid]
-        gs = step_global(gs, tick.u, tick.omega_m, tick.observations,
-                         case=cfg.case, cfg=fcfg, gamma_beta=cfg.gamma_beta,
-                         r_max=cfg.r_max)
-        for lm in scenario.landmarks:
-            if lm.id in gs.landmark_ids:
-                err = float(np.linalg.norm(gs.landmark(lm.id) - lm.position))
-                metrics.landmark_errors.setdefault(lm.id, []).append(
-                    (gs.state.t, err))
-        true_now = pose_fn(gs.state.t).position
-        est_path.append(gs.vehicle.copy())
-        true_path.append(true_now)
-        trace.append(_trace_row(gs.state.t, "vehicle", vid, gs.vehicle,
-                                true_now, None))
-    if len(est_path) >= 2:
-        _, _, metrics.vehicle_ate = align_procrustes(np.array(est_path),
-                                                     np.array(true_path))
-    _fit_contraction(metrics)
-
-
-def _run_dunk(scenario, cfg: RunConfig, dt: float, stream, trace: list,
-              metrics: Metrics) -> None:
-    (vid, _), = scenario.vehicles
-    pose0 = scenario.pose_fns()[vid](0.0)
-    # the start pose anchors the translation gauge (otherwise unobservable)
-    net = DunkNetwork(case=cfg.case, cfg=FilterConfig(dt=dt), r_max=cfg.r_max,
-                      gamma_beta=cfg.gamma_beta, beta_hat=pose0.beta,
-                      vehicle_prior_x=pose0.position.copy(),
-                      vehicle_prior_P=1e-2 * np.eye(2))
-    for _, ticks in stream:
-        tick = ticks[vid]
-        dunk_step(net, tick.u, tick.omega_m, tick.observations)
-        for lm in scenario.landmarks:
-            pair = net.pairs.get(lm.id)
-            if pair is not None:
-                err = float(np.linalg.norm(pair.x_landmark - lm.position))
-                metrics.landmark_errors.setdefault(lm.id, []).append((net.t, err))
-                trace.append(_trace_row(net.t, "landmark", lm.id,
-                                        pair.x_landmark, lm.position, None))
-    _fit_contraction(metrics)
-
-
-def _coop_mode(cfg_mode: str) -> str:
-    return {"coop-full": "full", "coop-partial": "partial",
-            "coop-robots": "robots_only"}[cfg_mode]
-
 
 def make_coop_maps(scenario, cfg: RunConfig) -> dict[int, coop_mod.RobotMap]:
     """Each robot starts its map in its own frame (vehicle prior at the origin)."""
-    dt = scenario.dt if cfg.dt is None else cfg.dt
-    maps = {}
-    for vid, _spec in scenario.vehicles:
-        net = DunkNetwork(case=cfg.case, cfg=FilterConfig(dt=dt),
-                          r_max=cfg.r_max, gamma_beta=cfg.gamma_beta,
-                          beta_hat=0.0,
-                          vehicle_prior_x=np.zeros(2),
-                          vehicle_prior_P=100.0 * np.eye(2))
-        maps[vid] = coop_mod.RobotMap(robot_id=vid, net=net,
-                                      gamma_v=cfg.gamma_v,
-                                      gamma_omega=cfg.gamma_omega)
-    return maps
-
-
-def _run_coop(scenario, cfg: RunConfig, dt: float, stream, trace: list,
-              metrics: Metrics) -> None:
-    mode = _coop_mode(cfg.mode)
-    maps = make_coop_maps(scenario, cfg)
-    medium = None
-    for step_i, (_, ticks) in enumerate(stream):
-        medium = coop_mod.coop_step(maps, ticks, mode, medium)
-        tick_t = (step_i + 1) * dt
-        metrics.e_c.append((tick_t, medium.e_c))
-        metrics.e_h.append((tick_t, medium.e_h))
-        metrics.discrepancy.append((tick_t, map_discrepancy(maps)))
-        if step_i % 10 == 0:
-            for vid, m in maps.items():
-                for k, x in m.landmark_positions().items():
-                    trace.append(_trace_row(tick_t, f"map{vid}", k, x, None, None))
+    fcfg = FilterConfig(dt=scenario.dt if cfg.dt is None else cfg.dt)
+    return {vid: coop_mod.RobotMap(
+                robot_id=vid, gamma_v=cfg.gamma_v, gamma_omega=cfg.gamma_omega,
+                net=DunkNetwork(case=cfg.case, cfg=fcfg, r_max=cfg.r_max,
+                                gamma_beta=cfg.gamma_beta))
+            for vid, _ in scenario.vehicles}
 
 
 def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
     """Largest inter-robot disagreement on any commonly mapped landmark."""
     pos = {i: m.landmark_positions() for i, m in maps.items()}
-    worst = 0.0
-    for a, b in itertools.combinations(sorted(pos), 2):
-        for k in set(pos[a]) & set(pos[b]):
-            worst = max(worst, float(np.linalg.norm(pos[a][k] - pos[b][k])))
-    return worst
+    return max((float(np.linalg.norm(pos[a][k] - pos[b][k]))
+                for a, b in itertools.combinations(sorted(pos), 2)
+                for k in set(pos[a]) & set(pos[b])), default=0.0)
+
+
+def _setup(scenario, cfg: RunConfig, dt: float):
+    """Build the mode's estimator; return ``(step, read, truth, finish)``.
+
+    ``step(ticks)`` advances it one tick; ``read()`` gives ``{robot id:
+    Estimates}``; ``truth(t)`` gives ``({id: x}, vehicle x)`` in the
+    estimator's frame: the robot body frame for ``local``, the world for
+    ``global`` and ``dunk``.  The coop maps have frames of their own and
+    no truth; ``finish(metrics)`` stores their end-of-run results.
+    """
+    if cfg.mode in COOP_MODES:
+        maps = make_coop_maps(scenario, cfg)
+        medium = None
+
+        def step(ticks):
+            nonlocal medium
+            medium = coop_mod.coop_step(maps, ticks, COOP_MODES[cfg.mode], medium)
+
+        def finish(metrics):
+            if medium is not None:
+                metrics.e_c, metrics.e_h = medium.e_c, medium.e_h
+            metrics.discrepancy = map_discrepancy(maps)
+
+        return (step, lambda: {i: m.net.estimates() for i, m in maps.items()},
+                None, finish)
+
+    (vid, _), = scenario.vehicles
+    pose_fn = scenario.pose_fns()[vid]
+    pose0 = pose_fn(0.0)
+    world = {lm.id: lm.position for lm in scenario.landmarks}
+    fcfg = FilterConfig(dt=dt)
+
+    def truth(t):
+        pose = pose_fn(t)
+        if cfg.mode != "local":
+            return world, pose.position
+        T = body_from_global(pose.beta)
+        return {k: T @ (x - pose.position) for k, x in world.items()}, None
+
+    if cfg.mode == "local":
+        est = LocalMap(case=cfg.case, cfg=fcfg, r_max=cfg.r_max)
+    elif cfg.mode == "global":
+        est = init_global(pose0.position, beta0=pose0.beta)
+    else:   # the start pose anchors the translation gauge (otherwise unobservable)
+        est = DunkNetwork(case=cfg.case, cfg=fcfg, r_max=cfg.r_max,
+                          gamma_beta=cfg.gamma_beta, beta_hat=pose0.beta,
+                          vehicle_prior_x=pose0.position.copy(),
+                          vehicle_prior_P=1e-2 * np.eye(2))
+
+    def step(ticks):
+        nonlocal est
+        tick = ticks[vid]
+        if cfg.mode == "local":
+            est.step(RobotInputs(u=np.array([0.0, tick.u]),
+                                 omega=skew(tick.omega_m)), tick.observations)
+        elif cfg.mode == "global":
+            est = step_global(est, tick.u, tick.omega_m, tick.observations,
+                              case=cfg.case, cfg=fcfg, gamma_beta=cfg.gamma_beta,
+                              r_max=cfg.r_max)
+        else:
+            dunk_step(est, tick.u, tick.omega_m, tick.observations)
+
+    return step, lambda: {vid: est.estimates()}, truth, lambda metrics: None
+
+
+def _record(reads: dict, truth, metrics: Metrics, path: list, rows) -> None:
+    """Errors and the vehicle path against truth; rows to the trace writer, if any."""
+    for robot, e in reads.items():
+        true_x, true_v = truth(e.t) if truth else ({}, None)
+        for k, x in zip(e.ids, e.X):
+            if k in true_x:
+                metrics.landmark_errors.setdefault(k, []).append(
+                    (e.t, float(np.linalg.norm(x - true_x[k]))))
+        if e.vehicle is not None and true_v is not None:
+            path.append((e.vehicle[0], true_v))
+        if rows is not None:
+            entities = [("landmark", k, x, P, true_x.get(k))
+                        for k, x, P in zip(e.ids, e.X, e.P)]
+            if e.vehicle is not None:
+                entities.append(("vehicle", robot, *e.vehicle, true_v))
+            rows.writerows((e.t, robot, kind, ident, c, float(x[c]),
+                            None if xt is None else float(xt[c]), float(P[c, c]))
+                           for kind, ident, x, P, xt in entities for c in range(x.size))
+
+
+def _summarize(metrics: Metrics, path: list) -> None:
+    """Vehicle ATE and the contraction rate of the longest error series."""
+    if len(path) >= 2:
+        est_path, true_path = zip(*path)
+        _, _, metrics.vehicle_ate = align_procrustes(np.array(est_path),
+                                                     np.array(true_path))
+    series = max(metrics.landmark_errors.values(), key=len, default=[])
+    tail = [(t, e) for t, e in series[len(series) // 5:] if e > 1e-12]
+    if len(series) >= 20 and len(tail) >= 10:
+        fit = fit_contraction_rate(tail)
+        metrics.contraction_rate, metrics.contraction_r2 = fit.rate, fit.r_squared
 
 
 def run(cfg: RunConfig) -> Metrics:
     """Execute a configured run; write traces + metrics if an out dir is set.
 
-    Every mode consumes the same :func:`sim.ticks` stream.  Both files are
-    written on every exit path; a diverged run records the divergence in
-    ``metrics.json`` and re-raises.
+    Every mode consumes the same :func:`sim.ticks` stream in one loop:
+    sense, step the estimator, record (trace rows are written as each
+    tick is recorded).  Both files are written on every exit path; a
+    diverged run records the divergence in ``metrics.json`` and re-raises.
     """
     scenario = load_scenario(cfg.scenario)
-    if cfg.mode in SINGLE_VEHICLE_MODES and len(scenario.vehicles) != 1:
+    if cfg.mode not in COOP_MODES and len(scenario.vehicles) != 1:
         raise ConfigError(f"mode {cfg.mode!r} needs a single-vehicle scenario; "
                           f"{scenario.name!r} has {len(scenario.vehicles)} vehicles")
     if cfg.mode in ("coop-full", "coop-partial") and not scenario.landmarks:
@@ -302,43 +271,55 @@ def run(cfg: RunConfig) -> Metrics:
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
     stream = sim_mod.ticks(scenario, rng, dt, n_steps,
                            robots_only=cfg.mode == "coop-robots")
-    trace: list[str] = []
-    metrics = Metrics()
-    runners = {"local": _run_local, "global": _run_global, "dunk": _run_dunk,
-               "coop-full": _run_coop, "coop-partial": _run_coop,
-               "coop-robots": _run_coop}
+    step, read, truth, finish = _setup(scenario, cfg, dt)
+    metrics = Metrics(stage_seconds={"sense": 0.0, "step": 0.0, "record": 0.0})
+    stages = metrics.stage_seconds
+    path: list = []
+    trace = rows = None
+    if cfg.out_dir:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        trace = open(os.path.join(cfg.out_dir, "trace.csv"), "w", newline="")
+        rows = csv.writer(trace, lineterminator="\n")
+        rows.writerow(TRACE_HEADER)
     try:
-        t0 = time.perf_counter()
-        runners[cfg.mode](scenario, cfg, dt, stream, trace, metrics)
-        metrics.wall_time_per_step = (time.perf_counter() - t0) / n_steps
+        start = time.perf_counter()
+        for _ in range(n_steps):
+            t0 = time.perf_counter()
+            _, ticks = next(stream)
+            t1 = time.perf_counter()
+            stages["sense"] += t1 - t0
+            step(ticks)
+            t2 = time.perf_counter()
+            stages["step"] += t2 - t1
+            _record(read(), truth, metrics, path, rows)
+            stages["record"] += time.perf_counter() - t2
+        metrics.wall_time_per_step = (time.perf_counter() - start) / n_steps
     except DivergenceError as exc:
         metrics.divergence = str(exc)
         raise
     finally:
+        if trace is not None:
+            trace.close()
+        _summarize(metrics, path)
+        finish(metrics)
         if cfg.out_dir:
-            _write_outputs(cfg, scenario.name, trace, metrics)
+            _write_metrics(cfg, scenario.name, metrics)
     return metrics
 
 
-def _write_outputs(cfg: RunConfig, scenario_name: str, trace: list[str],
-                   metrics: Metrics) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "trace.csv"), "w") as f:
-        f.write("t,entity_kind,id,est...,true...,cov_upper...\n")
-        f.write("\n".join(trace))
-        f.write("\n")
+def _write_metrics(cfg: RunConfig, scenario_name: str, metrics: Metrics) -> None:
     payload = {
         "mode": cfg.mode, "case": cfg.case, "scenario": scenario_name,
         "final_errors_m": metrics.final_errors(),
         "vehicle_ate_m": metrics.vehicle_ate,
         "contraction_rate": metrics.contraction_rate,
         "contraction_r2": metrics.contraction_r2,
-        "final_e_c": metrics.e_c[-1][1] if metrics.e_c else None,
-        "final_e_h": metrics.e_h[-1][1] if metrics.e_h else None,
-        "final_discrepancy_m": (metrics.discrepancy[-1][1]
-                                if metrics.discrepancy else None),
+        "final_e_c": metrics.e_c,
+        "final_e_h": metrics.e_h,
+        "final_discrepancy_m": metrics.discrepancy,
         "wall_time_per_step_s": metrics.wall_time_per_step,
-        "diverged": metrics.diverged,
+        "stage_seconds": metrics.stage_seconds,
+        "diverged": metrics.divergence is not None,
         "divergence": metrics.divergence,
     }
     with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as f:

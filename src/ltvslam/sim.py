@@ -41,8 +41,10 @@ class Landmark:
     diameter: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position",
-                           np.asarray(self.position, dtype=float))
+        position = np.asarray(self.position, dtype=float)
+        if position.shape != (2,):
+            raise ValueError(f"landmark {self.id} position must be a 2-vector")
+        object.__setattr__(self, "position", position)
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,9 @@ def circle_trajectory(center, radius: float, omega_m: float, x0, beta0: float = 
 
 @dataclass
 class Scenario:
-    """A complete synthetic world, JSON-serializable."""
+    """A complete synthetic, planar world, JSON-serializable."""
 
     name: str
-    dimension: int = 2
     landmarks: list = field(default_factory=list)      # of Landmark
     vehicles: list = field(default_factory=list)       # of (id, CircleSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
@@ -107,6 +108,8 @@ class Scenario:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
+        if self.visibility not in ("unlimited", "quadrant", "range"):
+            raise ValueError(f"unknown visibility rule {self.visibility!r}")
 
     def pose_fns(self) -> dict:
         return {vid: circle_trajectory(spec.center, spec.radius, spec.omega,
@@ -116,7 +119,6 @@ class Scenario:
     def to_json(self) -> str:
         return json.dumps({
             "name": self.name,
-            "dimension": self.dimension,
             "landmarks": [{"id": lm.id, "position_m": list(map(float, lm.position)),
                            "diameter_m": lm.diameter} for lm in self.landmarks],
             "vehicles": [{"id": vid, **asdict(spec)} for vid, spec in self.vehicles],
@@ -131,8 +133,10 @@ class Scenario:
     @staticmethod
     def from_json(text: str) -> "Scenario":
         d = json.loads(text)
+        if d.get("dimension", 2) != 2:
+            raise ValueError(f"only 2D worlds exist, got dimension {d['dimension']!r}")
         return Scenario(
-            name=d["name"], dimension=d["dimension"],
+            name=d["name"],
             landmarks=[Landmark(lm["id"], lm["position_m"], lm["diameter_m"])
                        for lm in d["landmarks"]],
             vehicles=[(v["id"], CircleSpec(tuple(v["center"]), v["radius"],
@@ -151,10 +155,8 @@ def is_visible(scenario: Scenario, vehicle_spec: CircleSpec, pose: Pose,
     if scenario.visibility == "range":
         return float(np.linalg.norm(landmark.position - pose.position)) \
             <= scenario.r_visible
-    if scenario.visibility == "quadrant":
-        center = np.asarray(vehicle_spec.center, dtype=float)
-        return bool(np.all(landmark.position * center >= 0.0))
-    raise ValueError(f"unknown visibility rule {scenario.visibility!r}")
+    center = np.asarray(vehicle_spec.center, dtype=float)   # "quadrant"
+    return bool(np.all(landmark.position * center >= 0.0))
 
 
 def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vmeas
-from .core import (FilterState, RobotInputs, angle_diff, body_from_global,
-                   heading_forward, rotation2d, skew, wrap_angle)
+from .core import (Estimates, FilterState, RobotInputs, angle_diff,
+                   body_from_global, heading_forward, rotation2d, skew,
+                   wrap_angle)
 from .kalman import FilterConfig, ode_step
 from .slam_local import SensorBundle, build_measurement
 
@@ -48,19 +49,16 @@ def bicycle_omega(k: VehicleKinematics) -> float:
 # Heading estimation
 # ---------------------------------------------------------------------------
 
+def _bearing_parts(beta: float, offsets: np.ndarray, thetas: np.ndarray):
+    """h(theta_i) T(beta) d_i and h*(theta_i) T(beta) d_i: tangential, radial."""
+    T = body_from_global(beta)
+    c, s = np.cos(thetas), np.sin(thetas)
+    body = offsets @ T.T
+    return c * body[:, 0] - s * body[:, 1], s * body[:, 0] + c * body[:, 1]
+
+
 def _heading_residue(beta: float, offsets: np.ndarray, thetas: np.ndarray) -> float:
-    T = body_from_global(beta)
-    c, s = np.cos(thetas), np.sin(thetas)
-    body = offsets @ T.T
-    return float(np.sum((c * body[:, 0] - s * body[:, 1]) ** 2))
-
-
-def _range_positivity(beta: float, offsets: np.ndarray, thetas: np.ndarray) -> float:
-    """Sum of projected ranges h*(theta_i) T(beta) d_i; positive at the true heading."""
-    T = body_from_global(beta)
-    c, s = np.cos(thetas), np.sin(thetas)
-    body = offsets @ T.T
-    return float(np.sum(s * body[:, 0] + c * body[:, 1]))
+    return float(np.sum(_bearing_parts(beta, offsets, thetas)[0] ** 2))
 
 
 def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
@@ -94,13 +92,14 @@ def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
     residues = [_heading_residue(b, offsets, thetas) for b in candidates]
     # The residue is pi-periodic, so the minimizer and its antipode tie.
     # Keep all near-minimal candidates and break the tie by requiring the
-    # landmarks to sit at positive projected range, then by closeness to
-    # the current heading.
+    # landmarks to sit at positive projected range h* T(beta) d_i (true at
+    # the true heading), then by closeness to the current heading.
     scale = float(np.sum(offsets ** 2))
     best = min(residues)
     tied = [b for b, r in zip(candidates, residues)
             if r <= best + 1e-9 * scale]
-    positive = [b for b in tied if _range_positivity(b, offsets, thetas) > 0.0]
+    positive = [b for b in tied
+                if np.sum(_bearing_parts(b, offsets, thetas)[1]) > 0.0]
     pool = positive or tied
     return min(pool, key=lambda b: abs(angle_diff(b, current_beta)))
 
@@ -138,6 +137,14 @@ class GlobalState:
     @property
     def vehicle(self) -> np.ndarray:
         return self.state.x[self._block(self.n_landmarks)]
+
+    def estimates(self) -> Estimates:
+        """Landmark and vehicle positions with their diagonal covariance blocks."""
+        n, P = self.n_landmarks, self.state.P
+        blocks = [P[self._block(i), self._block(i)] for i in range(n + 1)]
+        return Estimates.stack(self.state.t, self.landmark_ids,
+                               self.state.x[:self.dim * n], blocks[:n], self.dim,
+                               vehicle=(self.vehicle, blocks[n]))
 
     @property
     def vehicle_velocity(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import vmeas
-from .core import FilterState, RobotInputs
+from .core import Estimates, FilterState, RobotInputs
 from .kalman import FilterConfig, step
 
 
@@ -61,10 +61,6 @@ class LocalLandmarkFilter:
     landmark_id: int
     state: FilterState
     case: int
-
-    def __post_init__(self):
-        if self.case not in (1, 2, 3, 4, 5):
-            raise ValueError(f"unknown case {self.case}")
 
 
 def init_landmark(landmark_id: int, case: int,
@@ -127,5 +123,8 @@ class LocalMap:
                 f, inputs, observations.get(lid), self.cfg, self.r_max)
         self.t += self.cfg.dt
 
-    def estimates(self) -> dict[int, np.ndarray]:
-        return {lid: f.state.x for lid, f in self.filters.items()}
+    def estimates(self) -> Estimates:
+        """Landmark positions and covariances in the robot frame."""
+        states = [f.state for f in self.filters.values()]
+        return Estimates.stack(self.t, self.filters, [s.x for s in states],
+                               [s.P for s in states], self.dim)

@@ -1,5 +1,6 @@
 """Scenario execution, alignment, and the CLI."""
 
+import csv
 import json
 import math
 import os
@@ -25,7 +26,9 @@ def test_run_config_validation():
         RunConfig(mode="batch")
     with pytest.raises(ConfigError):
         RunConfig(case=6)
-    assert RunConfig(mode="coop-robots", case=4).case == 2
+    assert RunConfig(mode="coop-robots").case == 2
+    with pytest.raises(ConfigError, match="case 2"):
+        RunConfig(mode="coop-robots", case=4)   # robot sightings: bearing + range
     for bad in (dict(dt=0.0), dict(dt=-0.01), dict(duration=0.0),
                 dict(duration=-5.0), dict(r_max=0.0), dict(seed=-1)):
         with pytest.raises(ConfigError):
@@ -71,6 +74,55 @@ def test_run_local_is_deterministic_and_writes_outputs(tmp_path):
     assert metrics["diverged"] is False and metrics["divergence"] is None
 
 
+#: metrics.json of each mode's 1 s run, as written before the run loop was
+#: unified (timings left out).  Dunk's vehicle ATE did not exist then.
+PINNED_METRICS = {
+    "local": {
+        "mode": "local", "case": 2, "scenario": "single-vehicle-2d",
+        "final_errors_m": {"1": 0.18978123358877283, "2": 0.10000558744476691,
+                           "3": 0.3231076815215489},
+        "vehicle_ate_m": None, "contraction_rate": 0.8272735088322869,
+        "contraction_r2": 0.8551910768943913, "final_e_c": None,
+        "final_e_h": None, "final_discrepancy_m": None,
+        "diverged": False, "divergence": None},
+    "global": {
+        "mode": "global", "case": 2, "scenario": "single-vehicle-2d",
+        "final_errors_m": {"1": 0.0707715159853453, "2": 0.0485407171815456,
+                           "3": 0.06617797682423125},
+        "vehicle_ate_m": 0.0003029467097896813,
+        "contraction_rate": 2.392854118858198,
+        "contraction_r2": 0.5667958696919101, "final_e_c": None,
+        "final_e_h": None, "final_discrepancy_m": None,
+        "diverged": False, "divergence": None},
+    "dunk": {
+        "mode": "dunk", "case": 2, "scenario": "single-vehicle-2d",
+        "final_errors_m": {"1": 0.07081007934254285, "2": 0.04857115155402308,
+                           "3": 0.06618718690250792},
+        "contraction_rate": 2.391125890512336,
+        "contraction_r2": 0.5665997462985346, "final_e_c": None,
+        "final_e_h": None, "final_discrepancy_m": None,
+        "diverged": False, "divergence": None},
+    "coop-full": {
+        "mode": "coop-full", "case": 2, "scenario": "coop-full",
+        "final_errors_m": {}, "vehicle_ate_m": None, "contraction_rate": None,
+        "contraction_r2": None, "final_e_c": 940.7761729725235,
+        "final_e_h": 3161.311765991754, "final_discrepancy_m": 25.30893168296547,
+        "diverged": False, "divergence": None},
+    "coop-partial": {
+        "mode": "coop-partial", "case": 2, "scenario": "coop-partial",
+        "final_errors_m": {}, "vehicle_ate_m": None, "contraction_rate": None,
+        "contraction_r2": None, "final_e_c": 5812.99703200801,
+        "final_e_h": 1383.3419368889472, "final_discrepancy_m": 35.9402474496406,
+        "diverged": False, "divergence": None},
+    "coop-robots": {
+        "mode": "coop-robots", "case": 2, "scenario": "coop-robots_only",
+        "final_errors_m": {}, "vehicle_ate_m": None, "contraction_rate": None,
+        "contraction_r2": None, "final_e_c": 869.3317830692114,
+        "final_e_h": 519.6225912736625, "final_discrepancy_m": 21.63296794437137,
+        "diverged": False, "divergence": None},
+}
+
+
 @pytest.mark.parametrize("mode,scenario,fields", [
     ("local", "single-vehicle-2d", ["contraction_rate"]),
     ("global", "single-vehicle-2d", ["vehicle_ate_m"]),
@@ -88,7 +140,26 @@ def test_run_every_mode_writes_its_metrics(tmp_path, mode, scenario, fields):
     assert metrics["wall_time_per_step_s"] > 0.0
     for name in fields:
         assert isinstance(metrics[name], float) and math.isfinite(metrics[name])
-    assert len((tmp_path / "trace.csv").read_text().splitlines()) > 1
+    assert set(metrics["stage_seconds"]) == {"sense", "step", "record"}
+    if mode == "dunk":   # from the consensus vehicle
+        assert math.isfinite(metrics["vehicle_ate_m"])
+    pinned = PINNED_METRICS[mode]
+    assert set(metrics) - set(pinned) <= {"wall_time_per_step_s",
+                                          "stage_seconds", "vehicle_ate_m"}
+    for key, want in pinned.items():
+        assert metrics[key] == pytest.approx(want, rel=1e-9), key
+
+    with open(tmp_path / "trace.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert header == ["t", "robot", "entity", "id", "component", "est",
+                      "true", "var"]
+    assert rows
+    coop = mode.startswith("coop")
+    for t, robot, entity, ident, comp, est, true, var in rows:
+        assert entity in ("landmark", "vehicle") and comp in ("0", "1")
+        float(t), float(est), int(robot), int(ident)   # numbers parse
+        assert float(var) >= 0.0
+        assert (true == "") == coop
 
 
 def test_run_seed_override_changes_noise(tmp_path):
@@ -135,6 +206,36 @@ def test_cli_run_and_exit_codes(tmp_path):
     one_robot = runner.invoke(cli_main, ["run", "--mode", "coop-robots"])
     assert one_robot.exit_code == 2, one_robot.output
     assert "two or more robots" in one_robot.output
+
+
+#: Each edit turns the builtin single-vehicle scenario file into a bad one.
+BAD_SCENARIO_EDITS = {
+    "dimension-3": lambda d: d.update(dimension=3),
+    "3d-landmark": lambda d: d["landmarks"][0].update(position_m=[1.0, 2.0, 3.0]),
+    "no-noise": lambda d: d.pop("noise"),
+    "negative-radius": lambda d: d["vehicles"][0].update(radius=-5.0),
+    "negative-sigma": lambda d: d["noise"].update(sigma_r=-1.0),
+    "zero-dt": lambda d: d.update(dt_s=0),
+    "unknown-visibility": lambda d: d.update(visibility="cone"),
+    "broken-json": None,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SCENARIO_EDITS))
+def test_cli_rejects_bad_scenario_file(tmp_path, bad):
+    text = scenario_single_vehicle_2d().to_json()
+    if BAD_SCENARIO_EDITS[bad] is None:
+        text = text[:len(text) // 2]
+    else:
+        world = json.loads(text)
+        BAD_SCENARIO_EDITS[bad](world)
+        text = json.dumps(world)
+    path = tmp_path / f"{bad}.json"
+    path.write_text(text)
+    out = CliRunner().invoke(cli_main, ["run", "--scenario", str(path),
+                                        "--duration", "0.05"])
+    assert out.exit_code == 2, out.output
+    assert "config error" in out.output and str(path) in out.output
 
 
 def test_diverged_run_still_writes_metrics(tmp_path, monkeypatch):

@@ -64,9 +64,8 @@ def test_visibility_rules():
     assert is_visible(sc_q, spec, pose, Landmark(3, (2.0, 1.0)))
     assert is_visible(sc_q, spec, pose, Landmark(4, (0.0, 1.0)))  # closed edge
     assert not is_visible(sc_q, spec, pose, Landmark(5, (-2.0, 1.0)))
-    sc_bad = Scenario(name="t", visibility="cone")
-    with pytest.raises(ValueError):
-        is_visible(sc_bad, spec, pose, near)
+    with pytest.raises(ValueError):   # rejected when the world is built
+        Scenario(name="t", visibility="cone")
 
 
 def test_sense_noise_free_matches_truth():

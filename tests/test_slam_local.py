@@ -121,4 +121,5 @@ def test_local_map_creates_filters_on_first_sight():
     lmap.step(inputs, {4: SensorBundle(bearing=vmeas.BearingObs(theta=0.1))})
     assert set(lmap.filters) == {4}
     lmap.step(inputs, {})
-    assert set(lmap.estimates()) == {4}
+    est = lmap.estimates()
+    assert est.ids == [4] and est.X.shape == (1, 2) and est.P.shape == (1, 2, 2)
