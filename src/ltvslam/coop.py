@@ -46,12 +46,6 @@ class RobotMap:
     gamma_v: float = 1.0
     gamma_omega: float = 4.0
 
-    def center(self) -> np.ndarray | None:
-        """Mean landmark position in this robot's frame (None if map empty)."""
-        if not self.net.pairs:
-            return None
-        return np.mean([p.x_landmark for p in self.net.pairs.values()], axis=0)
-
     def landmark_positions(self) -> dict[int, np.ndarray]:
         return {k: p.x_landmark for k, p in self.net.pairs.items()}
 
@@ -96,25 +90,22 @@ class RobotTick:
 
 def centers(maps: dict[int, RobotMap]) -> dict[int, np.ndarray]:
     """Per-map landmark centers x_ic of the non-empty maps."""
-    return {i: m.center() for i, m in maps.items() if m.net.pairs}
+    return {i: np.mean([p.x_landmark for p in m.net.pairs.values()], axis=0)
+            for i, m in maps.items() if m.net.pairs}
 
 
 def nn_features(m: RobotMap) -> dict[int, NNFeature]:
     """Per observed landmark, the vector to its nearest observed neighbor."""
     pos = m.landmark_positions()
-    feats = {}
     if len(pos) < 2:
-        return feats
-    for k, xk in pos.items():
-        best, best_d = None, np.inf
-        for kp in sorted(pos):
-            if kp == k:
-                continue
-            d = float(np.linalg.norm(xk - pos[kp]))
-            if d < best_d:
-                best, best_d = kp, d
-        feats[k] = NNFeature(landmark=k, neighbor=best, a=xk - pos[best])
-    return feats
+        return {}
+    ids = sorted(pos)   # ties go to the lowest id
+    X = np.array([pos[k] for k in ids])
+    dist = np.linalg.norm(X[:, None] - X[None], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    nearest = dict(zip(ids, np.argmin(dist, axis=1)))
+    return {k: NNFeature(landmark=k, neighbor=ids[nearest[k]], a=x - X[nearest[k]])
+            for k, x in pos.items()}
 
 
 def coordinate_k_star(all_feats: dict[int, dict[int, NNFeature]]) -> dict[int, int]:
@@ -141,20 +132,21 @@ def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
         raise ValueError(f"unknown mode {mode!r}")
     x_ic = centers(maps)
     positions = {i: m.landmark_positions() for i, m in maps.items()}
-    feats = {i: nn_features(m) for i, m in maps.items()}
     x_cc = np.mean(list(x_ic.values()), axis=0) if x_ic else None
     observers: dict[int, list] = {}
     for pos in positions.values():
         for k, x in pos.items():
             observers.setdefault(k, []).append(x)
     x_ck = {k: np.mean(xs, axis=0) for k, xs in observers.items()}
-    k_star = coordinate_k_star(feats)
-    c_k: dict[int, np.ndarray] = {}
-    for k, kstar in k_star.items():
-        agreeing = [feats[i][k].a for i in sorted(feats)
-                    if k in feats[i] and feats[i][k].neighbor == kstar]
-        if agreeing:
-            c_k[k] = np.mean(agreeing, axis=0)
+    feats, k_star, c_k = {}, {}, {}   # read by the partial mode only
+    if mode == "partial":
+        feats = {i: nn_features(m) for i, m in maps.items()}
+        k_star = coordinate_k_star(feats)
+        for k, kstar in k_star.items():
+            agreeing = [feats[i][k].a for i in sorted(feats)
+                        if k in feats[i] and feats[i][k].neighbor == kstar]
+            if agreeing:
+                c_k[k] = np.mean(agreeing, axis=0)
     e_c, e_h = heading_errors(positions, x_ic, feats, mode)
     return MediumState(x_ic=x_ic, x_cc=x_cc, x_ck=x_ck, c_k=c_k,
                        k_star=k_star, features=feats, e_c=e_c, e_h=e_h)
@@ -252,8 +244,6 @@ def null_drift(m: RobotMap, medium: MediumState, mode: str) -> Drift:
     else:
         w = null_rotation_full(m, medium)
         center = medium.x_ic.get(m.robot_id)
-        if center is None:
-            center = m.center()
     return Drift(v=null_translation(m, medium, mode),
                  omega=float(np.clip(w, -OMEGA_MAX, OMEGA_MAX)),
                  center=center)

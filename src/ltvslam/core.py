@@ -109,22 +109,13 @@ def skew(*omega: float) -> AngularVelocityMatrix:
     return AngularVelocityMatrix(np.array(omega, dtype=float))
 
 
-def _check_covariance(P: np.ndarray, label: str = "P") -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"{label} must be square, got shape {P.shape}")
-    scale = max(np.abs(P).max(), 1.0)
-    if np.abs(P - P.T).max() > 1e-9 * scale:
-        raise ValueError(f"{label} is not symmetric within tolerance")
-    eig = np.linalg.eigvalsh(0.5 * (P + P.T))
-    if eig.min() < -1e-9 * max(np.trace(P), 1.0):
-        raise ValueError(f"{label} is not positive semidefinite (min eig {eig.min():g})")
-    return 0.5 * (P + P.T)
-
-
 @dataclass(frozen=True)
 class FilterState:
-    """Estimate vector with covariance at time t."""
+    """Estimate vector with covariance at time t.
+
+    The constructor checks that P is symmetric PSD and sized to x; the
+    states a filter derives from checked ones come from :meth:`_derived`.
+    """
 
     x: np.ndarray
     P: np.ndarray
@@ -132,11 +123,26 @@ class FilterState:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).ravel()
-        P = _check_covariance(self.P)
-        if P.shape[0] != x.size:
+        P = np.asarray(self.P, dtype=float)
+        if P.shape != (x.size, x.size):
             raise ValueError(f"covariance shape {P.shape} does not match state size {x.size}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", P)
+        if np.abs(P - P.T).max() > 1e-9 * max(np.abs(P).max(), 1.0):
+            raise ValueError("P is not symmetric within tolerance")
+        eig = np.linalg.eigvalsh(0.5 * (P + P.T))
+        if eig.min() < -1e-9 * max(np.trace(P), 1.0):
+            raise ValueError(f"P is not positive semidefinite (min eig {eig.min():g})")
+        self._fill(x, P, self.t)
+
+    @classmethod
+    def _derived(cls, x, P, t: float) -> "FilterState":
+        """Unchecked: P is PSD by construction (Joseph correction, Phi P Phi^T)."""
+        return object.__new__(cls)._fill(x, P, t)
+
+    def _fill(self, x, P, t: float) -> "FilterState":
+        P = np.asarray(P, dtype=float)
+        self.__dict__.update(x=np.asarray(x, dtype=float).ravel(),
+                             P=0.5 * (P + P.T), t=t)
+        return self
 
     @property
     def dim(self) -> int:

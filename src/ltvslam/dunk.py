@@ -71,10 +71,6 @@ class Consensus:
         return np.linalg.inv(self.information)
 
 
-def _info(sigma: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(sigma + REG * np.eye(sigma.shape[0]))
-
-
 def consensus(pairs: dict[int, LandmarkPairState],
               observed) -> Consensus | None:
     """x_vc = (sum Sigma_vi^-1)^-1 sum Sigma_vi^-1 x_vi over the observed set."""
@@ -86,7 +82,7 @@ def consensus(pairs: dict[int, LandmarkPairState],
     weighted = np.zeros(d)
     for lid in sorted(observed):
         p = pairs[lid]
-        w = _info(p.sigma_vehicle)
+        w = np.linalg.inv(p.sigma_vehicle + REG * np.eye(d))
         info += w
         weighted += w @ p.x_vehicle
     return Consensus(x_vc=np.linalg.solve(info, weighted), information=info)
@@ -98,7 +94,7 @@ def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None
         return None
     d = c.x_vc.size
     H = np.hstack([np.zeros((d, d)), np.eye(d)])
-    return vmeas.VirtualMeasurement(y=c.x_vc, H=H, R=c.covariance)
+    return vmeas.VirtualMeasurement._derived(c.x_vc, H, c.covariance)
 
 
 def pair_measurement(case: int, bundle: SensorBundle, beta_hat: float,
@@ -109,9 +105,8 @@ def pair_measurement(case: int, bundle: SensorBundle, beta_hat: float,
     body_vm = build_measurement(case, bundle, inputs, r_max, r_hint)
     if body_vm is None:
         return None
-    M = body_vm.H @ body_from_global(beta_hat)
-    return vmeas.VirtualMeasurement(y=body_vm.y, H=np.hstack([M, -M]),
-                                    R=body_vm.R)
+    T = body_from_global(beta_hat)
+    return vmeas._lift(body_vm, T, 2 * T.shape[1], 0, 1)
 
 
 def init_pair(landmark_id: int, bundle: SensorBundle,
@@ -184,8 +179,8 @@ def _self_pair(net: DunkNetwork, robot_id: int) -> LandmarkPairState:
 def _self_tie_measurement(dim: int) -> vmeas.VirtualMeasurement:
     """Identity rows forcing a robot's self pair onto its vehicle estimate."""
     H = np.hstack([np.eye(dim), -np.eye(dim)])
-    return vmeas.VirtualMeasurement(y=np.zeros(dim), H=H,
-                                    R=SELF_TIE_SIGMA**2 * np.eye(dim))
+    return vmeas.VirtualMeasurement._derived(np.zeros(dim), H,
+                                             SELF_TIE_SIGMA**2 * np.eye(dim))
 
 
 def pair_tick(net: DunkNetwork, u_speed: float, omega: float,

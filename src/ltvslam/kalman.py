@@ -115,7 +115,7 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
 
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
         raise DivergenceError(f"filter diverged at t={state.t + cfg.dt:g}")
-    return FilterState(x=x, P=P, t=state.t + cfg.dt)
+    return FilterState._derived(x, P, state.t + cfg.dt)
 
 
 def step(state: FilterState, inputs: RobotInputs,

@@ -208,22 +208,16 @@ def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
 # R assembly
 # ---------------------------------------------------------------------------
 
-def _floored(sigma: float, floor: float) -> float:
-    return max(sigma, floor)
-
-
 def tangential_R(bearing, rstar: float) -> np.ndarray:
-    """Diagonal R block for the tangential rows: bounded by sigma^2 r*^2."""
-    st = _floored(bearing.sigma_theta, SIGMA_THETA_FLOOR)
-    if bearing.dim == 2:
-        return np.array([[st**2 * rstar**2]])
-    sp = _floored(bearing.sigma_phi, SIGMA_THETA_FLOOR)
-    return np.diag([st**2 * rstar**2, sp**2 * rstar**2])
+    """Diagonal R for the tangential rows (theta; phi in 3D): sigma^2 r*^2 >= VAR_FLOOR."""
+    sigmas = [bearing.sigma_theta, bearing.sigma_phi][:bearing.dim - 1]
+    return np.diag([max(max(s, SIGMA_THETA_FLOOR)**2 * rstar**2, VAR_FLOOR)
+                    for s in sigmas])
 
 
 def range_row_R(range_obs) -> np.ndarray:
     """Case II range row h* x = r: the (floored) sensor variance itself."""
-    var = _floored(range_obs.sigma_r, SIGMA_RANGE_FLOOR)**2
+    var = max(range_obs.sigma_r, SIGMA_RANGE_FLOOR)**2
     return np.array([[max(var, VAR_FLOOR)]])
 
 
@@ -286,10 +280,10 @@ def rate_row_R(bearing, rate, inputs, rstar: float) -> np.ndarray:
     cached on a coarse bucket of the geometry so repeated calls in a
     simulation are cheap and deterministic.
     """
-    st = _floored(bearing.sigma_theta, SIGMA_THETA_FLOOR)
-    std = _floored(rate.sigma_theta_dot, SIGMA_RATE_FLOOR)
-    sp = _floored(bearing.sigma_phi, SIGMA_THETA_FLOOR)
-    spd = _floored(rate.sigma_phi_dot, SIGMA_RATE_FLOOR)
+    st = max(bearing.sigma_theta, SIGMA_THETA_FLOOR)
+    std = max(rate.sigma_theta_dot, SIGMA_RATE_FLOOR)
+    sp = max(bearing.sigma_phi, SIGMA_THETA_FLOOR)
+    spd = max(rate.sigma_phi_dot, SIGMA_RATE_FLOOR)
     q = lambda v, step: round(float(v) / step) * step
     var = _rate_row_var_cached(
         bearing.dim,
@@ -309,7 +303,7 @@ def ttc_row_R(ttc, radial_speed: float) -> np.ndarray:
     """
     y = abs(ttc.tau * radial_speed)
     if ttc.alpha and ttc.alpha > 0:
-        rel_tau = _floored(ttc.sigma_alpha, SIGMA_THETA_FLOOR) / ttc.alpha
+        rel_tau = max(ttc.sigma_alpha, SIGMA_THETA_FLOOR) / ttc.alpha
     else:
         rel_tau = 0.05
     var = (rel_tau * y)**2 + (ttc.tau * SIGMA_SPEED)**2

@@ -281,9 +281,10 @@ def run(cfg: RunConfig) -> Metrics:
         trace = open(os.path.join(cfg.out_dir, "trace.csv"), "w", newline="")
         rows = csv.writer(trace, lineterminator="\n")
         rows.writerow(TRACE_HEADER)
+    ran = 0
+    start = time.perf_counter()
     try:
-        start = time.perf_counter()
-        for _ in range(n_steps):
+        for ran in range(1, n_steps + 1):
             t0 = time.perf_counter()
             _, ticks = next(stream)
             t1 = time.perf_counter()
@@ -293,11 +294,11 @@ def run(cfg: RunConfig) -> Metrics:
             stages["step"] += t2 - t1
             _record(read(), truth, metrics, path, rows)
             stages["record"] += time.perf_counter() - t2
-        metrics.wall_time_per_step = (time.perf_counter() - start) / n_steps
     except DivergenceError as exc:
         metrics.divergence = str(exc)
         raise
     finally:
+        metrics.wall_time_per_step = (time.perf_counter() - start) / max(ran, 1)
         if trace is not None:
             trace.close()
         _summarize(metrics, path)

@@ -184,32 +184,14 @@ def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle,
     """Grow the state by one landmark with a wide prior at the back-projected obs."""
     d = gs.dim
     x_new = gs.vehicle + first_sighting_offset(bundle, gs.beta_hat, r_max, d)
-    nv = gs.n_landmarks
-    insert = d * nv  # new landmark goes just before the vehicle block
-    x = np.concatenate([gs.state.x[:insert], x_new, gs.state.x[insert:]])
-    old = gs.state.P
-    P = np.zeros((x.size, x.size))
-    P[:insert, :insert] = old[:insert, :insert]
-    P[:insert, insert + d:] = old[:insert, insert:]
-    P[insert + d:, :insert] = old[insert:, :insert]
-    P[insert + d:, insert + d:] = old[insert:, insert:]
-    P[insert:insert + d, insert:insert + d] = 100.0 * np.eye(d)
+    k = d * gs.n_landmarks  # new landmark goes just before the vehicle block
+    x = np.insert(gs.state.x, [k] * d, x_new)
+    P = np.insert(np.insert(gs.state.P, [k] * d, 0.0, axis=0), [k] * d, 0.0, axis=1)
+    P[k:k + d, k:k + d] = 100.0 * np.eye(d)
     return GlobalState(landmark_ids=gs.landmark_ids + [lid],
                        state=FilterState(x, P, gs.state.t),
                        beta_hat=gs.beta_hat, second_order=gs.second_order,
                        dim=d)
-
-
-def _lift_rows(gs: GlobalState, index: int, vm: vmeas.VirtualMeasurement
-               ) -> vmeas.VirtualMeasurement:
-    """Place body-frame case rows into the stacked global state: [MT, -MT]."""
-    T = body_from_global(gs.beta_hat)
-    M = vm.H @ T
-    rows = vm.rows
-    H = np.zeros((rows, gs.state.dim))
-    H[:, gs._block(index)] = M
-    H[:, gs._block(gs.n_landmarks)] = -M
-    return vmeas.VirtualMeasurement(y=vm.y, H=H, R=vm.R)
 
 
 def _second_order_rows(gs: GlobalState, index: int, case: int,
@@ -224,7 +206,9 @@ def _second_order_rows(gs: GlobalState, index: int, case: int,
     """
     if case == 5:
         raise ValueError("Case V is unsupported with second-order dynamics")
-    vm = _lift_rows(gs, index, build_measurement(case, bundle, inputs, r_max))
+    T = body_from_global(gs.beta_hat)
+    vm = vmeas._lift(build_measurement(case, bundle, inputs, r_max), T,
+                     gs.state.dim, index, gs.n_landmarks)
     h, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
     if case == 3:
         # y = -h u
@@ -236,9 +220,9 @@ def _second_order_rows(gs: GlobalState, index: int, case: int,
     else:
         return vm
     H, y = vm.H.copy(), vm.y.copy()
-    H[-1:, gs._block(gs.n_landmarks + 1)] = c @ body_from_global(gs.beta_hat)
+    H[-1:, gs._block(gs.n_landmarks + 1)] = c @ T
     y[-1] = 0.0
-    return vmeas.VirtualMeasurement(y=y, H=H, R=vm.R)
+    return vmeas.VirtualMeasurement._derived(y, H, vm.R)
 
 
 def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
@@ -263,9 +247,10 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
     beta_d = beta_d_closed_form_2d([gs.landmark(lid) for lid, _ in seen],
                                    gs.vehicle,
                                    [b.bearing.theta for _, b in seen], beta_hat)
+    T = body_from_global(beta_hat)
     # body-frame velocity for the velocity-dependent cases
     if gs.second_order:
-        fwd_body = body_from_global(beta_hat) @ gs.vehicle_velocity
+        fwd_body = T @ gs.vehicle_velocity
     else:
         fwd_body = np.array([0.0, float(u)])
     inputs = RobotInputs(u=fwd_body, omega=skew(omega))
@@ -277,7 +262,8 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
         else:
             r_hint = float(np.linalg.norm(gs.landmark(lid) - gs.vehicle)) or None
             body_vm = build_measurement(case, bundle, inputs, r_max, r_hint)
-            vm = None if body_vm is None else _lift_rows(gs, index, body_vm)
+            vm = None if body_vm is None else vmeas._lift(
+                body_vm, T, gs.state.dim, index, gs.n_landmarks)
         parts.append(vm)
     vm_all = vmeas.stack_measurements(*parts)
 

@@ -103,7 +103,11 @@ class PinholeObs:
 
 @dataclass(frozen=True)
 class VirtualMeasurement:
-    """One instant's linear constraint set y = H x + v, Cov(v) = R."""
+    """One instant's linear constraint set y = H x + v, Cov(v) = R.
+
+    The constructor checks the row counts and that R is symmetric positive
+    definite; the package's own rows come from :meth:`_derived`.
+    """
 
     y: np.ndarray
     H: np.ndarray
@@ -120,9 +124,19 @@ class VirtualMeasurement:
             raise ValueError("R must be symmetric")
         if np.linalg.eigvalsh(R).min() <= 0:
             raise ValueError("R must be positive definite")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "R", 0.5 * (R + R.T))
+        self._fill(y, H, R)
+
+    @classmethod
+    def _derived(cls, y, H, R) -> "VirtualMeasurement":
+        """Unchecked: every R the package builds is PD (its variances are floored)."""
+        return object.__new__(cls)._fill(y, H, R)
+
+    def _fill(self, y, H, R) -> "VirtualMeasurement":
+        R = np.atleast_2d(np.asarray(R, dtype=float))
+        self.__dict__.update(y=np.asarray(y, dtype=float).ravel(),
+                             H=np.atleast_2d(np.asarray(H, dtype=float)),
+                             R=0.5 * (R + R.T))
+        return self
 
     @property
     def rows(self) -> int:
@@ -141,7 +155,7 @@ def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement 
     y = np.concatenate([vm.y for vm in parts])
     H = np.vstack([vm.H for vm in parts])
     R = noisecal.block_diag_R(*[vm.R for vm in parts])
-    return VirtualMeasurement(y=y, H=H, R=R)
+    return VirtualMeasurement._derived(y, H, R)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +204,7 @@ def case1(bearing: BearingObs, *, r_max: float = DEFAULT_R_MAX
     """Bearing only: the angular error becomes a tangential position error."""
     h, _ = _bearing_rows(bearing)
     R = noisecal.tangential_R(bearing, noisecal.r_star(None, 0.0, r_max))
-    return VirtualMeasurement(y=np.zeros(h.shape[0]), H=h, R=R)
+    return VirtualMeasurement._derived(np.zeros(h.shape[0]), h, R)
 
 
 def case2(bearing: BearingObs, rng: RangeObs, *, r_max: float = DEFAULT_R_MAX
@@ -202,7 +216,7 @@ def case2(bearing: BearingObs, rng: RangeObs, *, r_max: float = DEFAULT_R_MAX
     y = np.concatenate([np.zeros(h.shape[0]), [rng.r]])
     R = noisecal.block_diag_R(noisecal.tangential_R(bearing, rstar),
                               noisecal.range_row_R(rng))
-    return VirtualMeasurement(y=y, H=H, R=R)
+    return VirtualMeasurement._derived(y, H, R)
 
 
 def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
@@ -236,7 +250,7 @@ def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
         noisecal.tangential_R(bearing, rstar),
         noisecal.rate_row_R(bearing, rate, inputs, rate_rstar),
     )
-    return VirtualMeasurement(y=y, H=H, R=R)
+    return VirtualMeasurement._derived(y, H, R)
 
 
 def case4(bearing: BearingObs, ttc: TimeToContactObs, inputs: RobotInputs,
@@ -258,7 +272,7 @@ def case4(bearing: BearingObs, ttc: TimeToContactObs, inputs: RobotInputs,
         noisecal.tangential_R(bearing, rstar),
         noisecal.ttc_row_R(ttc, radial_speed),
     )
-    return VirtualMeasurement(y=y, H=H, R=R)
+    return VirtualMeasurement._derived(y, H, R)
 
 
 def case5(doppler: DopplerObs, inputs: RobotInputs) -> VirtualMeasurement | None:
@@ -275,7 +289,7 @@ def case5(doppler: DopplerObs, inputs: RobotInputs) -> VirtualMeasurement | None
         + (doppler.r * doppler.sigma_r_dot)**2 \
         + (doppler.sigma_r * doppler.sigma_r_dot)**2
     R = np.array([[max(var, noisecal.VAR_FLOOR)]])
-    return VirtualMeasurement(y=y, H=H, R=R)
+    return VirtualMeasurement._derived(y, H, R)
 
 
 def pinhole(obs: PinholeObs, *, r_max: float = DEFAULT_R_MAX) -> VirtualMeasurement:
@@ -285,7 +299,7 @@ def pinhole(obs: PinholeObs, *, r_max: float = DEFAULT_R_MAX) -> VirtualMeasurem
         [0.0, obs.f, obs.y2],
     ])
     var = max(obs.sigma_img**2, noisecal.VAR_FLOOR) * r_max**2
-    return VirtualMeasurement(y=np.zeros(2), H=H, R=var * np.eye(2))
+    return VirtualMeasurement._derived(np.zeros(2), H, var * np.eye(2))
 
 
 def _heading_matrix_3d(heading) -> np.ndarray:
@@ -306,9 +320,22 @@ def sfm_constraint(obs: PinholeObs, heading, *, r_max: float = DEFAULT_R_MAX
     The pinhole rows act on T (x_feature - x_camera) with T the
     global-to-camera rotation, giving the block row [+HT, -HT].
     """
-    vm = pinhole(obs, r_max=r_max)
-    base = vm.H @ _heading_matrix_3d(heading)
-    return VirtualMeasurement(y=vm.y, H=np.hstack([base, -base]), R=vm.R)
+    return _lift(pinhole(obs, r_max=r_max), _heading_matrix_3d(heading), 6, 0, 1)
+
+
+def _lift(vm: VirtualMeasurement, T: np.ndarray, n: int, landmark: int,
+          vehicle: int) -> VirtualMeasurement:
+    """Rows on T (x_landmark - x_vehicle), placed in an n-column state.
+
+    M = H T fills the columns of block ``landmark`` and -M those of block
+    ``vehicle``; each block is as wide as T.
+    """
+    M = vm.H @ T
+    d = M.shape[1]
+    H = np.zeros((vm.rows, n))
+    H[:, d * landmark:d * landmark + d] = M
+    H[:, d * vehicle:d * vehicle + d] = -M
+    return VirtualMeasurement._derived(vm.y, H, vm.R)
 
 
 # ---------------------------------------------------------------------------

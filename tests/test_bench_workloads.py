@@ -1,0 +1,40 @@
+"""Smoke test of the benchmark workloads against the package.
+
+The workloads in ``bench/workloads.py`` read estimator internals (pair
+states, local filters, the global state, ``RobotMap.landmark_positions``,
+the medium's ``x_ck``) and call ``sim.sense(..., robot=)``.  A short run
+of each catches a package change that breaks those reads, or makes an
+estimate or an error non-finite, before a bench run reports it.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["coop-full", "local-case3", "global-dense"])
+def test_workload_ticks_give_finite_estimates_and_errors(workloads, name,
+                                                         monkeypatch):
+    w = workloads[name]
+    monkeypatch.setattr(w, "n_ticks", 20)
+    inputs = w.generate(1)
+    assert len(inputs.ticks) == 20
+    est = w.build(inputs)
+    for i, tick_inputs in enumerate(inputs.ticks):
+        w.tick(est, tick_inputs)
+        assert w.finite(est)
+        assert np.all(np.isfinite(w.errors(est, inputs, i)))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam import dunk, sim
+from ltvslam import coop, dunk, sim
 from ltvslam.coop import (NNFeature, RobotMap, RobotTick, centers, coop_step,
                           coordinate_k_star, medium_update, nn_features,
                           null_rotation_full, null_translation)
@@ -45,6 +45,21 @@ def test_nn_features():
     assert feats[3].neighbor == 2
     assert np.allclose(feats[3].a, [4.0, 0.0])
     assert nn_features(seeded_map(2, {1: (0.0, 0.0)})) == {}
+
+
+def test_nn_features_match_the_pairwise_loop(rng):
+    # the reference: a norm per pair, neighbors scanned in id order
+    pos = {k: rng.uniform(-10.0, 10.0, size=2) for k in (5, 2, 9, 1, 7, 3)}
+    # an exact tie, far from the rest: 20's neighbor is the lower id, 21
+    pos.update({22: np.array([99.0, 100.0]), 20: np.array([100.0, 100.0]),
+                21: np.array([101.0, 100.0])})
+    feats = nn_features(seeded_map(1, pos))
+    assert list(feats) == list(pos)
+    for k, xk in pos.items():
+        best = min((kp for kp in sorted(pos) if kp != k),
+                   key=lambda kp: float(np.linalg.norm(xk - pos[kp])))
+        assert feats[k].landmark == k and feats[k].neighbor == best
+        assert np.array_equal(feats[k].a, xk - pos[best])
 
 
 def test_coordinate_k_star_shortest_claim_wins_then_lowest_robot():
@@ -176,6 +191,18 @@ def test_robots_only_self_pair_starts_correlated_and_stays_tied(monkeypatch):
             corr = P[0, 2] / math.sqrt(P[0, 0] * P[2, 2])
             assert corr > 0.999
     assert maps[1].net.pairs[1].state.P[0, 0] < 1.0   # the tie has converged
+
+
+def test_full_mode_builds_no_nn_features(monkeypatch):
+    sc = sim.scenario_coop("full")
+    maps = make_coop_maps(sc, RunConfig(mode="coop-full"))
+    calls = []
+    monkeypatch.setattr(coop, "nn_features", lambda m: calls.append(m) or {})
+    _, ticks = next(sim.ticks(sc, np.random.default_rng(0), sc.dt, 1))
+    medium = coop_step(maps, ticks, "full")
+    assert calls == []
+    # the null-space inputs and the errors still read x_ck for every landmark
+    assert sorted(medium.x_ck) == sorted(lm.id for lm in sc.landmarks)
 
 
 def test_coop_step_rejects_unknown_mode():

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam import vmeas
+from ltvslam import coop, sim, vmeas
 from ltvslam.core import FilterState, RobotInputs, rotation2d, skew
 from ltvslam.kalman import DivergenceError, FilterConfig, ode_step, step
+from ltvslam.runner import RunConfig, make_coop_maps
+from ltvslam.slam_global import init_global, step_global
+from ltvslam.slam_local import LocalMap
 
 
 def scalar_vm(y=0.0, r=1.0):
@@ -114,6 +117,38 @@ def test_shape_validation():
     bad_vm = vmeas.VirtualMeasurement(y=[0.0], H=[[1.0, 0.0, 0.0]], R=[[1.0]])
     with pytest.raises(ValueError):
         ode_step(st, np.zeros((2, 2)), np.zeros(2), bad_vm, None)
+
+
+def test_ticks_after_first_sighting_check_no_r_or_p(monkeypatch):
+    # R and P are checked where they enter: the rows and states the filters
+    # derive on a tick are PD/PSD by construction and skip the eigvalsh
+    def first_ticks(sc):
+        _, ticks = next(sim.ticks(sc, np.random.default_rng(0), sc.dt, 1))
+        return ticks
+
+    coop_sc = sim.scenario_coop("full")
+    maps = make_coop_maps(coop_sc, RunConfig(mode="coop-full"))
+    coop_ticks = first_ticks(coop_sc)
+    medium = coop.coop_step(maps, coop_ticks, "full")
+
+    sc = sim.scenario_single_vehicle_2d()
+    (vid, _), = sc.vehicles
+    tick = first_ticks(sc)[vid]
+    inputs = RobotInputs(u=np.array([0.0, tick.u]), omega=skew(tick.omega_m))
+    cfg = FilterConfig(dt=sc.dt)
+    local = LocalMap(case=3, cfg=cfg)
+    local.step(inputs, tick.observations)
+    pose0 = sc.pose_fns()[vid](0.0)
+    gs = step_global(init_global(pose0.position, beta0=pose0.beta), tick.u,
+                     tick.omega_m, tick.observations, case=2, cfg=cfg)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a derived R or P")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    coop.coop_step(maps, coop_ticks, "full", medium)
+    local.step(inputs, tick.observations)
+    step_global(gs, tick.u, tick.omega_m, tick.observations, case=2, cfg=cfg)
 
 
 def test_config_validation():

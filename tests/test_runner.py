@@ -256,6 +256,7 @@ def test_diverged_run_still_writes_metrics(tmp_path, monkeypatch):
     assert metrics["diverged"] is True
     assert metrics["divergence"] == "filter diverged at t=0.49"
     assert metrics["final_errors_m"]   # the ticks before the divergence count
+    assert metrics["wall_time_per_step_s"] > 0
     assert (tmp_path / "trace.csv").exists()
 
 

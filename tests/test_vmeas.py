@@ -103,6 +103,12 @@ def test_virtual_measurement_validation():
                                  R=np.array([[0.0]]))
 
 
+def test_case_rows_r_is_positive_definite_at_zero_range():
+    # r* = 0 makes sigma^2 r*^2 exactly 0; the variance floor keeps R PD
+    vm = vmeas.case2(vmeas.BearingObs(0.3), vmeas.RangeObs(0.0, 0.0))
+    assert np.linalg.eigvalsh(vm.R).min() > 0.0
+
+
 def test_stack_measurements_blocks():
     a = vmeas.VirtualMeasurement(y=[1.0], H=[[1.0, 0.0]], R=[[2.0]])
     b = vmeas.VirtualMeasurement(y=[2.0, 3.0], H=np.eye(2), R=np.diag([1.0, 4.0]))
