@@ -11,7 +11,7 @@ import sys
 import click
 import numpy as np
 
-from . import noisecal
+from . import noisecal, vmeas
 from .core import RobotInputs, skew
 from .kalman import DivergenceError
 from .runner import BUILTIN_SCENARIOS, MODES, ConfigError, RunConfig, run
@@ -75,7 +75,8 @@ def noise_report(sigma_theta, r_m, theta, samples, seed):
     click.echo(f"monte carlo mean: {np.array2string(ported.mean, precision=6)}")
     click.echo(f"monte carlo variance: "
                f"{np.array2string(ported.variance, precision=6)}")
-    bounds = noisecal.variance_bounds(sig, noisecal.r_star(r_m, 0.0, 100.0))
+    bounds = noisecal.variance_bounds(
+        sig, noisecal.r_star(r_m, 0.0, vmeas.DEFAULT_R_MAX))
     click.echo(f"variance bounds: tangential {bounds['tangential']:.6f}, "
                f"radial {bounds['radial']:.6f}")
 

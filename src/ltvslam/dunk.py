@@ -22,7 +22,7 @@ from .core import Estimates, FilterState, RobotInputs, heading_forward, skew
 from .kalman import FilterConfig, ode_step
 from .slam_global import (beta_d_closed_form_2d, body_from_global,
                           first_sighting_offset, track_heading)
-from .slam_local import SensorBundle, build_measurement
+from .vmeas import SensorBundle, build_measurement
 
 #: Tikhonov term added before inverting a virtual-vehicle covariance.
 REG = 1e-9

@@ -9,7 +9,7 @@ assembly policy shared by all builders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,19 +52,14 @@ class PortedNoise:
 
     mean: np.ndarray
     variance: np.ndarray
-    covariance: np.ndarray = field(default=None)  # full cross-covariance
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         var = np.atleast_1d(np.asarray(self.variance, dtype=float))
         if np.any(var < 0):
             raise ValueError("variances must be >= 0")
-        cov = self.covariance
-        if cov is None:
-            cov = np.diag(var)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", var)
-        object.__setattr__(self, "covariance", np.asarray(cov, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -140,68 +135,30 @@ def r_star(r_measured: float | None, sigma_r: float, r_max: float) -> float:
 # ---------------------------------------------------------------------------
 
 def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
-                     n: int = 10_000, seed: int = 0,
-                     diameter: float = 2.0, r_max: float = 100.0) -> PortedNoise:
+                     n: int = 10_000, seed: int = 0) -> PortedNoise:
     """Empirical mean/variance of y - H x_true for one case under sensor noise.
 
-    Samples the raw sensor readings around their exact values, builds the
-    virtual measurement for each sample, and ports the statistics of the
-    residual at the true state.  Deterministic for a fixed seed.
+    Draws each sample's readings with the simulator's sampler
+    (:func:`vmeas.noisy_bundle`, a 2 m landmark), builds the case's
+    virtual measurement, and ports the statistics of the residual at the
+    true state.  Deterministic for a fixed seed.
     """
     from . import vmeas
 
     if n < 100:
         raise ValueError("need at least 100 samples")
     x_true = np.asarray(x_true, dtype=float).ravel()
-    true = vmeas.observe_true(x_true, inputs, diameter=diameter)
+    true = vmeas.observe_true(x_true, inputs, diameter=2.0)
     rng = np.random.default_rng(seed)
-    is3d = x_true.size == 3
     residuals = []
     for _ in range(n):
-        theta = true.theta + rng.normal(0.0, noise.sigma_theta)
-        phi = None
-        if is3d:
-            phi = true.phi + rng.normal(0.0, noise.sigma_phi)
-        bearing = vmeas.BearingObs(theta=theta, phi=phi,
-                                   sigma_theta=noise.sigma_theta,
-                                   sigma_phi=noise.sigma_phi)
-        if case == 1:
-            vm = vmeas.case1(bearing, r_max=r_max)
-        elif case == 2:
-            r = true.r + rng.normal(0.0, noise.sigma_r)
-            vm = vmeas.case2(bearing, vmeas.RangeObs(max(r, 0.0), noise.sigma_r),
-                             r_max=r_max)
-        elif case == 3:
-            rate = vmeas.BearingRateObs(
-                theta_dot=true.theta_dot + rng.normal(0.0, noise.sigma_theta_dot),
-                phi_dot=None if not is3d
-                else true.phi_dot + rng.normal(0.0, noise.sigma_phi_dot),
-                sigma_theta_dot=noise.sigma_theta_dot,
-                sigma_phi_dot=noise.sigma_phi_dot)
-            vm = vmeas.case3(bearing, rate, inputs, r_max=r_max)
-        elif case == 4:
-            alpha = true.alpha + rng.normal(0.0, noise.sigma_alpha)
-            tau = true.tau * max(alpha / true.alpha, 1e-9)
-            vm = vmeas.case4(bearing,
-                             vmeas.TimeToContactObs(tau=max(tau, 1e-9),
-                                                    alpha=alpha, d=diameter,
-                                                    sigma_alpha=noise.sigma_alpha),
-                             inputs, r_max=r_max)
-        elif case == 5:
-            dop = vmeas.DopplerObs(
-                r=max(true.r + rng.normal(0.0, noise.sigma_r), 0.0),
-                r_dot=true.r_dot + rng.normal(0.0, noise.sigma_r_dot),
-                sigma_r=noise.sigma_r, sigma_r_dot=noise.sigma_r_dot)
-            vm = vmeas.case5(dop, inputs)
-            if vm is None:
-                raise ValueError("Case V undefined for a stationary robot")
-        else:
-            raise ValueError(f"unknown case {case}")
+        vm = vmeas.build_measurement(
+            case, vmeas.noisy_bundle(true, noise, rng, 2.0), inputs)
+        if vm is None:
+            raise ValueError("Case V undefined for a stationary robot")
         residuals.append(vm.residual(x_true))
     res = np.asarray(residuals)
-    return PortedNoise(mean=res.mean(axis=0), variance=res.var(axis=0),
-                       covariance=np.cov(res.T) if res.shape[1] > 1
-                       else np.array([[res.var()]]))
+    return PortedNoise(mean=res.mean(axis=0), variance=res.var(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,11 @@ def _setup(scenario, cfg: RunConfig, dt: float):
     Estimates}``; ``truth(t)`` gives ``({id: x}, vehicle x)`` in the
     estimator's frame: the robot body frame for ``local``, the world for
     ``global`` and ``dunk``.  The coop maps have frames of their own and
-    no truth; ``finish(metrics)`` stores their end-of-run results.
+    no truth; ``finish(metrics)`` stores their end-of-run results, with
+    each landmark's error taken from the medium's consensus ``x_ck`` after
+    the rigid alignment to the world (:func:`align_procrustes`).
     """
+    world = {lm.id: lm.position for lm in scenario.landmarks}
     if cfg.mode in COOP_MODES:
         maps = make_coop_maps(scenario, cfg)
         medium = None
@@ -166,9 +169,19 @@ def _setup(scenario, cfg: RunConfig, dt: float):
             medium = coop_mod.coop_step(maps, ticks, COOP_MODES[cfg.mode], medium)
 
         def finish(metrics):
-            if medium is not None:
-                metrics.e_c, metrics.e_h = medium.e_c, medium.e_h
             metrics.discrepancy = map_discrepancy(maps)
+            if medium is None:
+                return
+            metrics.e_c, metrics.e_h = medium.e_c, medium.e_h
+            ids = [k for k in sorted(medium.x_ck) if k in world]
+            if cfg.mode == "coop-robots" or len(ids) < 2:
+                return   # robots-only x_ck holds moving robots, not landmarks
+            est = np.array([medium.x_ck[k] for k in ids])
+            true = np.array([world[k] for k in ids])
+            R, t, _ = align_procrustes(est, true)
+            t_end = next(iter(maps.values())).net.t
+            for k, err in zip(ids, np.linalg.norm(est @ R.T + t - true, axis=1)):
+                metrics.landmark_errors[k] = [(t_end, float(err))]
 
         return (step, lambda: {i: m.net.estimates() for i, m in maps.items()},
                 None, finish)
@@ -176,7 +189,6 @@ def _setup(scenario, cfg: RunConfig, dt: float):
     (vid, _), = scenario.vehicles
     pose_fn = scenario.pose_fns()[vid]
     pose0 = pose_fn(0.0)
-    world = {lm.id: lm.position for lm in scenario.landmarks}
     fcfg = FilterConfig(dt=dt)
 
     def truth(t):

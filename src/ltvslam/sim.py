@@ -16,11 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import vmeas
+from . import coop, vmeas
 from .coop import RobotTick
 from .core import RobotInputs, body_from_global, skew, wrap_angle
 from .noisecal import NoiseSpec
-from .slam_local import SensorBundle
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def is_visible(scenario: Scenario, vehicle_spec: CircleSpec, pose: Pose,
 
 def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,
           rng: np.random.Generator, robot: int = 0
-          ) -> tuple[SensorBundle, vmeas.TrueObservation]:
+          ) -> tuple[vmeas.SensorBundle, vmeas.TrueObservation]:
     """One landmark's readings from one pose, noised per the sigmas, and their truth.
 
     ``robot`` is unused; callers outside the package still pass it.
@@ -169,28 +168,7 @@ def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,
     x_body = body_from_global(pose.beta) @ (landmark.position - pose.position)
     inputs = RobotInputs(u=np.array([0.0, pose.u]), omega=skew(pose.omega))
     true = vmeas.observe_true(x_body, inputs, diameter=landmark.diameter)
-
-    theta = true.theta + rng.normal(0.0, noise.sigma_theta)
-    r = max(true.r + rng.normal(0.0, noise.sigma_r), 0.0)
-    theta_dot = true.theta_dot + rng.normal(0.0, noise.sigma_theta_dot)
-    r_dot = true.r_dot + rng.normal(0.0, noise.sigma_r_dot)
-    alpha = true.alpha + rng.normal(0.0, noise.sigma_alpha)
-    # the visual-angle error enters tau multiplicatively (tau ~ alpha/alphadot)
-    tau = None
-    if true.tau is not None and true.alpha and true.alpha > 0:
-        tau = true.tau * max(alpha / true.alpha, 1e-9)
-
-    bundle = SensorBundle(
-        bearing=vmeas.BearingObs(theta=theta, sigma_theta=noise.sigma_theta),
-        range=vmeas.RangeObs(r=r, sigma_r=noise.sigma_r),
-        rate=vmeas.BearingRateObs(theta_dot=theta_dot,
-                                  sigma_theta_dot=noise.sigma_theta_dot),
-        ttc=None if tau is None else vmeas.TimeToContactObs(
-            tau=max(tau, 1e-9), alpha=alpha, d=landmark.diameter,
-            sigma_alpha=noise.sigma_alpha),
-        doppler=vmeas.DopplerObs(r=r, r_dot=r_dot, sigma_r=noise.sigma_r,
-                                 sigma_r_dot=noise.sigma_r_dot))
-    return bundle, true
+    return vmeas.noisy_bundle(true, noise, rng, landmark.diameter), true
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +223,7 @@ def scenario_coop(mode: str = "full") -> Scenario:
     printed (measured from +x1); the trajectory generator derives the
     internal heading from the circle geometry.
     """
-    if mode not in ("full", "partial", "robots_only"):
+    if mode not in coop.MODES:
         raise ValueError(f"unknown coop mode {mode!r}")
     landmarks = ([] if mode == "robots_only" else
                  [Landmark(k + 1, pos) for k, pos in enumerate(COOP_LANDMARKS)])

@@ -19,7 +19,7 @@ from .core import (Estimates, FilterState, RobotInputs, angle_diff,
                    body_from_global, heading_forward, rotation2d, skew,
                    wrap_angle)
 from .kalman import FilterConfig, ode_step
-from .slam_local import SensorBundle, build_measurement
+from .vmeas import SensorBundle, build_measurement
 
 #: Offsets below this are ignored when estimating the heading.
 EPS_OFFSET = 1e-9
@@ -187,9 +187,9 @@ def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle,
     k = d * gs.n_landmarks  # new landmark goes just before the vehicle block
     x = np.insert(gs.state.x, [k] * d, x_new)
     P = np.insert(np.insert(gs.state.P, [k] * d, 0.0, axis=0), [k] * d, 0.0, axis=1)
-    P[k:k + d, k:k + d] = 100.0 * np.eye(d)
+    P[k:k + d, k:k + d] = 100.0 * np.eye(d)   # PSD P plus a PD block: no check
     return GlobalState(landmark_ids=gs.landmark_ids + [lid],
-                       state=FilterState(x, P, gs.state.t),
+                       state=FilterState._derived(x, P, gs.state.t),
                        beta_hat=gs.beta_hat, second_order=gs.second_order,
                        dim=d)
 

@@ -14,44 +14,7 @@ import numpy as np
 from . import vmeas
 from .core import Estimates, FilterState, RobotInputs
 from .kalman import FilterConfig, step
-
-
-@dataclass(frozen=True)
-class SensorBundle:
-    """One landmark's raw readings for a single instant.
-
-    Which fields are set determines nothing by itself; the consumer picks
-    the rows for its configured case.
-    """
-
-    bearing: vmeas.BearingObs | None = None
-    range: vmeas.RangeObs | None = None
-    rate: vmeas.BearingRateObs | None = None
-    ttc: vmeas.TimeToContactObs | None = None
-    doppler: vmeas.DopplerObs | None = None
-
-
-def build_measurement(case: int, bundle: SensorBundle, inputs: RobotInputs,
-                      r_max: float = vmeas.DEFAULT_R_MAX,
-                      r_hint: float | None = None
-                      ) -> vmeas.VirtualMeasurement | None:
-    """Virtual measurement for the given sensor case, or None if unusable.
-
-    ``r_hint`` is an optional current range estimate used to sharpen
-    noise calibration in the range-free cases.
-    """
-    if case == 1:
-        return vmeas.case1(bundle.bearing, r_max=r_max)
-    if case == 2:
-        return vmeas.case2(bundle.bearing, bundle.range, r_max=r_max)
-    if case == 3:
-        return vmeas.case3(bundle.bearing, bundle.rate, inputs, r_max=r_max,
-                           r_hint=r_hint)
-    if case == 4:
-        return vmeas.case4(bundle.bearing, bundle.ttc, inputs, r_max=r_max)
-    if case == 5:
-        return vmeas.case5(bundle.doppler, inputs)
-    raise ValueError(f"unknown case {case}")
+from .vmeas import SensorBundle, build_measurement
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,21 @@ class PinholeObs:
 
 
 @dataclass(frozen=True)
+class SensorBundle:
+    """One landmark's raw readings for a single instant.
+
+    Which fields are set determines nothing by itself; the consumer picks
+    the rows for its configured case.
+    """
+
+    bearing: BearingObs | None = None
+    range: RangeObs | None = None
+    rate: BearingRateObs | None = None
+    ttc: TimeToContactObs | None = None
+    doppler: DopplerObs | None = None
+
+
+@dataclass(frozen=True)
 class VirtualMeasurement:
     """One instant's linear constraint set y = H x + v, Cov(v) = R.
 
@@ -292,6 +307,28 @@ def case5(doppler: DopplerObs, inputs: RobotInputs) -> VirtualMeasurement | None
     return VirtualMeasurement._derived(y, H, R)
 
 
+def build_measurement(case: int, bundle: SensorBundle, inputs: RobotInputs,
+                      r_max: float = DEFAULT_R_MAX, r_hint: float | None = None
+                      ) -> VirtualMeasurement | None:
+    """Virtual measurement for the given sensor case, or None if unusable.
+
+    ``r_hint`` is an optional current range estimate used to sharpen
+    noise calibration in the range-free cases.
+    """
+    if case == 1:
+        return case1(bundle.bearing, r_max=r_max)
+    if case == 2:
+        return case2(bundle.bearing, bundle.range, r_max=r_max)
+    if case == 3:
+        return case3(bundle.bearing, bundle.rate, inputs, r_max=r_max,
+                     r_hint=r_hint)
+    if case == 4:
+        return case4(bundle.bearing, bundle.ttc, inputs, r_max=r_max)
+    if case == 5:
+        return case5(bundle.doppler, inputs)
+    raise ValueError(f"unknown case {case}")
+
+
 def pinhole(obs: PinholeObs, *, r_max: float = DEFAULT_R_MAX) -> VirtualMeasurement:
     """Pinhole projection (y1, y2) = -f/x3 (x1, x2) as two linear rows."""
     H = np.array([
@@ -339,8 +376,8 @@ def _lift(vm: VirtualMeasurement, T: np.ndarray, n: int, landmark: int,
 
 
 # ---------------------------------------------------------------------------
-# Noise-free observation synthesis (shared by the simulator and the
-# Monte Carlo noise calibration)
+# Observation synthesis (shared by the simulator and the Monte Carlo noise
+# porting)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -385,3 +422,38 @@ def observe_true(x: np.ndarray, inputs: RobotInputs,
             tau = abs(r / r_dot)
     return TrueObservation(theta=theta, r=r, theta_dot=theta_dot, r_dot=r_dot,
                            phi=phi, phi_dot=phi_dot, alpha=alpha, tau=tau)
+
+
+def noisy_bundle(true: TrueObservation, noise, rng: np.random.Generator,
+                 diameter: float) -> SensorBundle:
+    """Every reading of one sighting, drawn around ``true`` per ``noise``'s sigmas.
+
+    One normal each, in this order: theta, phi (3D only), r, theta_dot,
+    phi_dot (3D only), r_dot, alpha; the simulator's streams depend on it.
+    ``true`` must come from :func:`observe_true` with this ``diameter``.
+    The range is clipped at 0, and the visual-angle error enters tau
+    multiplicatively (tau ~ alpha/alphadot).
+    """
+    is3d = true.phi is not None
+    theta = true.theta + rng.normal(0.0, noise.sigma_theta)
+    phi = true.phi + rng.normal(0.0, noise.sigma_phi) if is3d else None
+    r = max(true.r + rng.normal(0.0, noise.sigma_r), 0.0)
+    theta_dot = true.theta_dot + rng.normal(0.0, noise.sigma_theta_dot)
+    phi_dot = true.phi_dot + rng.normal(0.0, noise.sigma_phi_dot) if is3d else None
+    r_dot = true.r_dot + rng.normal(0.0, noise.sigma_r_dot)
+    alpha = true.alpha + rng.normal(0.0, noise.sigma_alpha)
+    tau = None
+    if true.tau is not None and true.alpha and true.alpha > 0:
+        tau = true.tau * max(alpha / true.alpha, 1e-9)
+    return SensorBundle(
+        bearing=BearingObs(theta=theta, phi=phi, sigma_theta=noise.sigma_theta,
+                           sigma_phi=noise.sigma_phi),
+        range=RangeObs(r=r, sigma_r=noise.sigma_r),
+        rate=BearingRateObs(theta_dot=theta_dot, phi_dot=phi_dot,
+                            sigma_theta_dot=noise.sigma_theta_dot,
+                            sigma_phi_dot=noise.sigma_phi_dot),
+        ttc=None if tau is None else TimeToContactObs(
+            tau=max(tau, 1e-9), alpha=alpha, d=diameter,
+            sigma_alpha=noise.sigma_alpha),
+        doppler=DopplerObs(r=r, r_dot=r_dot, sigma_r=noise.sigma_r,
+                           sigma_r_dot=noise.sigma_r_dot))

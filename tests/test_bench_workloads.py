@@ -7,6 +7,7 @@ of each catches a package change that breaks those reads, or makes an
 estimate or an error non-finite, before a bench run reports it.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -16,14 +17,33 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+#: ``ltvslam.coop`` bindings the tracer still lists; the calls arrive
+#: through the ``ltvslam.dunk`` bindings of the same names.
+STALE_WRAPS = {("ltvslam.coop", name) for name in (
+    "ode_step", "beta_d_closed_form_2d", "pair_measurement", "consensus",
+    "init_pair")}
+
+
+def _bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
-    return workloads.WORKLOADS
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _bench_module("workloads").WORKLOADS
+
+
+def test_every_traced_binding_resolves():
+    # a binding that moves without its WRAPS entry would drop a span silently
+    tracer = _bench_module("tracer")
+    missing = [f"{target}.{attr}" for _, target, attr in tracer.WRAPS
+               if not hasattr(tracer._resolve(target), attr)
+               and (target, attr) not in STALE_WRAPS]
+    assert not missing
 
 
 @pytest.mark.parametrize("name", ["coop-full", "local-case3", "global-dense"])

@@ -78,6 +78,27 @@ def test_monte_carlo_port_deterministic():
     assert np.array_equal(a.variance, b.variance)
 
 
+def test_monte_carlo_port_3d_matches_analytic_radial_bias():
+    # samples phi through the simulator's sampler; bias_3d's phi-noise terms
+    r, th, ph = 6.0, 0.4, 0.5
+    x = r * np.array([math.cos(ph) * math.sin(th), math.cos(ph) * math.cos(th),
+                      math.sin(ph)])
+    inputs = RobotInputs(u=np.zeros(3), omega=skew(0.0, 0.0, 0.0))
+    ported = noisecal.monte_carlo_port(
+        2, x, inputs, noisecal.NoiseSpec(sigma_theta=0.05, sigma_phi=0.08),
+        n=20_000, seed=1)
+    assert ported.mean.shape == (3,)
+    assert ported.mean[2] == pytest.approx(
+        noisecal.bias_3d(2, 0.05, 0.08, r, ph)[2], abs=1e-3)
+
+
+def test_monte_carlo_port_case5_needs_a_moving_robot():
+    inputs = RobotInputs(u=np.zeros(2), omega=skew(0.3))
+    with pytest.raises(ValueError, match="stationary"):
+        noisecal.monte_carlo_port(5, np.array([1.0, 3.0]), inputs,
+                                  noisecal.NoiseSpec(sigma_r=0.1), n=100)
+
+
 def test_noise_spec_rejects_negative():
     with pytest.raises(ValueError):
         noisecal.NoiseSpec(sigma_theta=-0.1)

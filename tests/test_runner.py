@@ -75,7 +75,8 @@ def test_run_local_is_deterministic_and_writes_outputs(tmp_path):
 
 
 #: metrics.json of each mode's 1 s run, as written before the run loop was
-#: unified (timings left out).  Dunk's vehicle ATE did not exist then.
+#: unified (timings left out).  Dunk's vehicle ATE did not exist then; the
+#: coop-full and coop-partial errors of the aligned consensus came later.
 PINNED_METRICS = {
     "local": {
         "mode": "local", "case": 2, "scenario": "single-vehicle-2d",
@@ -104,13 +105,29 @@ PINNED_METRICS = {
         "diverged": False, "divergence": None},
     "coop-full": {
         "mode": "coop-full", "case": 2, "scenario": "coop-full",
-        "final_errors_m": {}, "vehicle_ate_m": None, "contraction_rate": None,
+        "final_errors_m": {
+            "1": 0.35414593058963867, "2": 0.25204202270695636,
+            "3": 0.35814478448640774, "4": 0.25054269015310987,
+            "5": 0.002624768513412708, "6": 0.2567914896960288,
+            "7": 0.3523996635051871, "8": 0.2557000251424378,
+            "9": 0.35789233574544177, "10": 0.08516965275595818,
+            "11": 0.08535118484084134, "12": 0.17286789413757056,
+            "13": 0.17057278766982278},
+        "vehicle_ate_m": None, "contraction_rate": None,
         "contraction_r2": None, "final_e_c": 940.7761729725235,
         "final_e_h": 3161.311765991754, "final_discrepancy_m": 25.30893168296547,
         "diverged": False, "divergence": None},
     "coop-partial": {
         "mode": "coop-partial", "case": 2, "scenario": "coop-partial",
-        "final_errors_m": {}, "vehicle_ate_m": None, "contraction_rate": None,
+        "final_errors_m": {
+            "1": 33.29631306397691, "2": 20.166308431522456,
+            "3": 28.9879434794373, "4": 5.332430739509162,
+            "5": 13.45224080707144, "6": 29.301799163156343,
+            "7": 25.531830812471792, "8": 21.258079525397456,
+            "9": 36.381079704977836, "10": 11.118391237642543,
+            "11": 4.979796545953444, "12": 3.464701291829805,
+            "13": 24.484786592684138},
+        "vehicle_ate_m": None, "contraction_rate": None,
         "contraction_r2": None, "final_e_c": 5812.99703200801,
         "final_e_h": 1383.3419368889472, "final_discrepancy_m": 35.9402474496406,
         "diverged": False, "divergence": None},

@@ -99,6 +99,31 @@ def test_sense_is_seed_deterministic():
         assert getattr(a, field) != getattr(c, field), field
 
 
+def test_sense_draws_theta_r_theta_dot_r_dot_alpha_in_order():
+    # the order every run's noise stream (and so every trace) depends on
+    from ltvslam.sim import Pose
+    pose = Pose(t=0.0, position=np.array([1.0, 1.0]), beta=0.3, u=2.0,
+                omega=0.5)
+    lm = Landmark(4, (4.0, 5.0))
+    noise = NoiseSpec(sigma_theta=0.05, sigma_r=0.5, sigma_theta_dot=0.05,
+                      sigma_r_dot=0.1, sigma_alpha=0.01)
+    rng = np.random.default_rng(7)
+    bundle, true = sense(pose, lm, noise, rng)
+    by_hand = np.random.default_rng(7)
+    theta = true.theta + by_hand.normal(0.0, noise.sigma_theta)
+    r = max(true.r + by_hand.normal(0.0, noise.sigma_r), 0.0)
+    theta_dot = true.theta_dot + by_hand.normal(0.0, noise.sigma_theta_dot)
+    r_dot = true.r_dot + by_hand.normal(0.0, noise.sigma_r_dot)
+    alpha = true.alpha + by_hand.normal(0.0, noise.sigma_alpha)
+    assert bundle.bearing.theta == theta and bundle.bearing.phi is None
+    assert bundle.range.r == bundle.doppler.r == r
+    assert bundle.rate.theta_dot == theta_dot and bundle.rate.phi_dot is None
+    assert bundle.doppler.r_dot == r_dot
+    assert bundle.ttc.alpha == alpha
+    assert bundle.ttc.tau == true.tau * (alpha / true.alpha)
+    assert rng.random() == by_hand.random()   # and nothing else was drawn
+
+
 def test_coop_scenarios():
     full = scenario_coop("full")
     assert len(full.landmarks) == 13 and len(full.vehicles) == 4

@@ -100,6 +100,22 @@ def test_init_global_and_landmark_append():
     assert np.linalg.norm(gs.landmark(9) - expected) < 0.5
 
 
+def test_new_landmarks_grow_p_without_an_eigvalsh(monkeypatch):
+    # the caller's prior is checked once; the grown P is that P plus 100 I
+    gs = init_global(np.array([1.0, 2.0]), beta0=0.3)
+    inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
+    obs = {k: exact_bundle(x, inputs) for k, x in
+           {1: np.array([0.0, 4.0]), 2: np.array([3.0, 1.0]),
+            3: np.array([-2.0, 5.0])}.items()}
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a grown P")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    gs = step_global(gs, u=0.0, omega=0.0, observations=obs, case=2)
+    assert gs.landmark_ids == [1, 2, 3]
+
+
 def test_global_one_loop_noise_free_converges():
     # a full circle with three landmarks: everything should land within
     # a few centimeters with exact measurements
