@@ -11,7 +11,7 @@ import sys
 import click
 import numpy as np
 
-from . import noisecal, vmeas
+from . import noisecal
 from .core import RobotInputs, skew
 from .kalman import DivergenceError
 from .runner import BUILTIN_SCENARIOS, MODES, ConfigError, RunConfig, run
@@ -30,10 +30,6 @@ def main():
 @click.option("--dt", default=None, type=float)
 @click.option("--seed", default=None, type=int)
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--gamma-beta", default=1.0, type=float)
-@click.option("--gamma-v", default=1.0, type=float)
-@click.option("--gamma-omega", default=4.0, type=float)
-@click.option("--r-max", default=100.0, type=float)
 @click.option("--duration", default=None, type=float)
 def run_cmd(**options):
     """Run one scenario and write traces + metrics."""
@@ -55,10 +51,12 @@ def run_cmd(**options):
 
 
 @main.command("noise-report")
-@click.option("--sigma-theta", default=5.0, type=float, help="Bearing std, deg.")
-@click.option("--r", "r_m", default=4.0, type=float, help="True range, m.")
+@click.option("--sigma-theta", default=5.0, type=click.FloatRange(min=0),
+              help="Bearing std, deg.")
+@click.option("--r", "r_m", default=4.0,
+              type=click.FloatRange(min=0, min_open=True), help="True range, m.")
 @click.option("--theta", default=45.0, type=float, help="True bearing, deg.")
-@click.option("--samples", default=10000, type=int)
+@click.option("--samples", default=10000, type=click.IntRange(min=100))
 @click.option("--seed", default=0, type=int)
 def noise_report(sigma_theta, r_m, theta, samples, seed):
     """Report analytic vs Monte Carlo noise porting for a bearing+range sighting."""
@@ -76,7 +74,7 @@ def noise_report(sigma_theta, r_m, theta, samples, seed):
     click.echo(f"monte carlo variance: "
                f"{np.array2string(ported.variance, precision=6)}")
     bounds = noisecal.variance_bounds(
-        sig, noisecal.r_star(r_m, 0.0, vmeas.DEFAULT_R_MAX))
+        sig, noisecal.r_star(r_m, 0.0))
     click.echo(f"variance bounds: tangential {bounds['tangential']:.6f}, "
                f"radial {bounds['radial']:.6f}")
 

@@ -36,15 +36,17 @@ MODES = ("full", "partial", "robots_only")
 #: Saturation of each robot's null-space rotation rate (rad/s).
 OMEGA_MAX = 2.0
 
+#: Gains of the null-space translation and rotation inputs.
+GAMMA_V = 1.0
+GAMMA_OMEGA = 4.0
+
 
 @dataclass
 class RobotMap:
-    """One robot's map and its null-space gains."""
+    """One robot's pair-filter map."""
 
     robot_id: int
     net: DunkNetwork
-    gamma_v: float = 1.0
-    gamma_omega: float = 4.0
 
     def landmark_positions(self) -> dict[int, np.ndarray]:
         return {k: p.x_landmark for k, p in self.net.pairs.items()}
@@ -190,21 +192,21 @@ def null_translation(m: RobotMap, medium: MediumState, mode: str) -> np.ndarray:
     if mode in ("full", "robots_only"):
         if medium.x_cc is None or m.robot_id not in medium.x_ic:
             return np.zeros(2)
-        return m.gamma_v * (medium.x_cc - medium.x_ic[m.robot_id])
+        return GAMMA_V * (medium.x_cc - medium.x_ic[m.robot_id])
     v = np.zeros(2)
     for k, x_ik in m.landmark_positions().items():
         if k in medium.x_ck:
             v += medium.x_ck[k] - x_ik
-    return m.gamma_v * v
+    return GAMMA_V * v
 
 
-def _descent_rate(gamma: float, pairs) -> float:
-    """gamma * Sum a^T J c / Sum ||a|| ||c|| over the (a, c) pairs; 0 without them."""
+def _descent_rate(pairs) -> float:
+    """GAMMA_OMEGA * Sum a^T J c / Sum ||a|| ||c|| over (a, c) pairs; 0 if none."""
     w, moment = 0.0, 0.0
     for a, c in pairs:
         w += float(a @ J @ c)
         moment += float(np.linalg.norm(a) * np.linalg.norm(c))
-    return gamma * w / moment if moment > 0.0 else 0.0
+    return GAMMA_OMEGA * w / moment if moment > 0.0 else 0.0
 
 
 def null_rotation_full(m: RobotMap, medium: MediumState) -> float:
@@ -212,13 +214,14 @@ def null_rotation_full(m: RobotMap, medium: MediumState) -> float:
 
     The raw torque scales with the squared map extent, so it is
     normalized by the moment Sum ||x_ik - x_ic|| ||x_ck||: for a small
-    misalignment angle delta the result is about gamma * sin(delta), an
-    angular rate independent of map size (and stable for gamma * dt << 1).
+    misalignment angle delta the result is about GAMMA_OMEGA * sin(delta),
+    an angular rate independent of map size (and stable for
+    GAMMA_OMEGA * dt << 1).
     """
     if m.robot_id not in medium.x_ic:
         return 0.0
     x_ic = medium.x_ic[m.robot_id]
-    return _descent_rate(m.gamma_omega, [
+    return _descent_rate([
         (x_ik - x_ic, medium.x_ck[k])
         for k, x_ik in m.landmark_positions().items() if k in medium.x_ck])
 
@@ -230,7 +233,7 @@ def null_rotation_partial(m: RobotMap, medium: MediumState) -> float:
     Sum ||a_ik|| ||c_k|| for the same scale-free angular rate as
     :func:`null_rotation_full`.
     """
-    return _descent_rate(m.gamma_omega, [
+    return _descent_rate([
         (f.a, medium.c_k[k])
         for k, f in medium.features.get(m.robot_id, {}).items()
         if medium.k_star.get(k) == f.neighbor and k in medium.c_k])

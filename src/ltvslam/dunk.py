@@ -98,11 +98,10 @@ def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None
 
 
 def pair_measurement(case: int, bundle: SensorBundle, beta_hat: float,
-                     inputs: RobotInputs, r_max: float = vmeas.DEFAULT_R_MAX,
-                     r_hint: float | None = None
+                     inputs: RobotInputs, r_hint: float | None = None
                      ) -> vmeas.VirtualMeasurement | None:
     """Case rows lifted to the pair state: body rows M become [M T, -M T]."""
-    body_vm = build_measurement(case, bundle, inputs, r_max, r_hint)
+    body_vm = build_measurement(case, bundle, inputs, r_hint)
     if body_vm is None:
         return None
     T = body_from_global(beta_hat)
@@ -111,8 +110,7 @@ def pair_measurement(case: int, bundle: SensorBundle, beta_hat: float,
 
 def init_pair(landmark_id: int, bundle: SensorBundle,
               pairs: dict[int, LandmarkPairState], beta_hat: float,
-              vehicle_prior: tuple[np.ndarray, np.ndarray],
-              r_max: float = vmeas.DEFAULT_R_MAX, t: float = 0.0
+              vehicle_prior: tuple[np.ndarray, np.ndarray], t: float = 0.0
               ) -> LandmarkPairState:
     """New pair: virtual vehicle at the all-pairs consensus, landmark offset by the obs."""
     c = consensus(pairs, pairs.keys()) if pairs else None
@@ -121,7 +119,7 @@ def init_pair(landmark_id: int, bundle: SensorBundle,
     else:
         x_v0, P_v0 = np.asarray(vehicle_prior[0], float), np.asarray(vehicle_prior[1], float)
     d = x_v0.size
-    offset = first_sighting_offset(bundle, beta_hat, r_max, d)
+    offset = first_sighting_offset(bundle, beta_hat, d)
     x = np.concatenate([x_v0 + offset, x_v0])
     P = np.zeros((2 * d, 2 * d))
     P[:d, :d] = 100.0 * np.eye(d)
@@ -135,8 +133,6 @@ class DunkNetwork:
 
     case: int = 2
     cfg: FilterConfig = field(default_factory=FilterConfig)
-    r_max: float = vmeas.DEFAULT_R_MAX
-    gamma_beta: float = 1.0
     beta_hat: float = 0.0
     vehicle_prior_x: np.ndarray = field(default_factory=lambda: np.zeros(2))
     vehicle_prior_P: np.ndarray = field(default_factory=lambda: 100.0 * np.eye(2))
@@ -206,7 +202,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         if lid not in net.pairs:
             net.pairs[lid] = init_pair(
                 lid, bundle, net.pairs, net.beta_hat,
-                (net.vehicle_prior_x, net.vehicle_prior_P), net.r_max, net.t)
+                (net.vehicle_prior_x, net.vehicle_prior_P), net.t)
     if self_id is not None and self_id not in net.pairs:
         net.pairs[self_id] = _self_pair(net, self_id)
 
@@ -235,7 +231,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         elif bundle is not None:
             r_hint = float(np.linalg.norm(pair.x_landmark - pair.x_vehicle)) or None
             case_vm = pair_measurement(net.case, bundle, net.beta_hat, inputs,
-                                       net.r_max, r_hint)
+                                       r_hint)
         else:
             case_vm = None
         vm = vmeas.stack_measurements(case_vm, fb)
@@ -254,7 +250,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
     c = consensus(net.pairs, observed)
     net.last_consensus = c
     net.beta_hat = track_heading(net.beta_hat, omega + drift.omega, beta_d,
-                                 net.gamma_beta, net.cfg.dt)
+                                 net.cfg.dt)
     return c
 
 

@@ -27,6 +27,11 @@ SIGMA_RATE_FLOOR = 2e-3    # rad/s
 #: Speed std assumed by the time-to-contact row (m/s).
 SIGMA_SPEED = 0.01
 
+#: Known range bound r* of the paper (m): no sighting is farther away.
+#: Bearing-only rows use it outright; ``runner.run`` rejects scenarios
+#: whose robots could sight anything beyond it.
+R_MAX = 100.0
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -81,28 +86,15 @@ def bias_range_2d(sigma_theta: float, r: float) -> float:
 
 
 def bias_3d(case: int, sigma_theta: float, sigma_phi: float, r: float,
-            phi: float, theta_dot: float = 0.0, phi_dot: float = 0.0,
-            u3: float = 0.0, tau: float = 0.0) -> np.ndarray:
-    """Closed-form 3D noise means for Cases II, III and IV.
-
-    Rows follow the virtual-measurement row order of the case: the two
-    tangential rows first, then the range / rate rows.
-    """
+            phi: float) -> np.ndarray:
+    """Closed-form 3D Case II noise means: two tangential rows, then the range row."""
+    if case != 2:
+        raise ValueError(f"no 3D bias formula for case {case}")
     a = math.exp(-sigma_phi**2 / 2.0)
     b = math.exp(-(sigma_theta**2 + sigma_phi**2) / 2.0)
-    e_t = math.exp(-sigma_theta**2 / 2.0)
     cp, sp = math.cos(phi), math.sin(phi)
-    row2 = -r * (a - b) * cp * sp
-    if case == 2:
-        return np.array([0.0, row2, r * (1.0 - a * sp**2 - b * cp**2)])
-    if case == 3:
-        row3 = theta_dot * (e_t - a) * r * sp**2 + (e_t - b) * r * cp**2
-        row4 = (a - b) * (u3 * cp - phi_dot * r * sp**2)
-        return np.array([0.0, row2, row3, row4])
-    if case == 4:
-        row3 = (a - b) * (tau * u3 * sp - r * sp**2)
-        return np.array([0.0, row2, row3])
-    raise ValueError(f"no 3D bias formula for case {case}")
+    return np.array([0.0, -r * (a - b) * cp * sp,
+                     r * (1.0 - a * sp**2 - b * cp**2)])
 
 
 def variance_bounds(sigma_theta: float, r_star: float) -> dict[str, float]:
@@ -116,18 +108,16 @@ def variance_bounds(sigma_theta: float, r_star: float) -> dict[str, float]:
     }
 
 
-def r_star(r_measured: float | None, sigma_r: float, r_max: float) -> float:
-    """Known range bound used when filling R: min(r + 3 sigma_r, r_max).
+def r_star(r_measured: float | None, sigma_r: float) -> float:
+    """Known range bound used when filling R: min(r + 3 sigma_r, R_MAX).
 
-    Bearing-only cases pass r_measured=None and get r_max.
+    Bearing-only cases pass r_measured=None and get R_MAX.
     """
-    if r_max <= 0:
-        raise ValueError("r_max must be > 0")
     if r_measured is None:
-        return r_max
+        return R_MAX
     if r_measured < 0 or sigma_r < 0:
         raise ValueError("range inputs must be >= 0")
-    return min(r_measured + 3.0 * sigma_r, r_max)
+    return min(r_measured + 3.0 * sigma_r, R_MAX)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from . import sim as sim_mod
 from .core import RobotInputs, body_from_global, fit_contraction_rate, skew
 from .dunk import DunkNetwork, dunk_step
 from .kalman import DivergenceError, FilterConfig
+from .noisecal import R_MAX
 from .slam_global import init_global, step_global
 from .slam_local import LocalMap
 
@@ -53,10 +55,6 @@ class RunConfig:
     dt: float | None = None               # overrides the scenario dt when set
     seed: int | None = None
     out_dir: str | None = None
-    gamma_beta: float = 1.0
-    gamma_v: float = 1.0
-    gamma_omega: float = 4.0
-    r_max: float = 100.0
     duration: float | None = None
 
     def __post_init__(self):
@@ -64,7 +62,7 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.case not in (1, 2, 3, 4, 5):
             raise ConfigError(f"unknown case {self.case!r}")
-        for name in ("dt", "duration", "r_max"):
+        for name in ("dt", "duration"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value!r}")
@@ -105,6 +103,29 @@ def load_scenario(name_or_path: str) -> sim_mod.Scenario:
                           f"valid scenario file: {type(exc).__name__}: {exc}") from exc
 
 
+def _farthest_sighting(scenario, robots_only: bool) -> tuple[float, int | None]:
+    """The farthest sighting (m) any robot of the scenario could make, and whose.
+
+    A robot on its circle (centre c_i, radius rho_i) is never farther
+    than |x - c_i| + rho_i from a landmark x, or |c_i - c_j| + rho_i +
+    rho_j from robot j.  Landmarks count where the pose-free rules of
+    :func:`sim.is_visible` can admit them, capped at ``r_visible`` under
+    ``range`` visibility; robots-only runs sight the other robots instead.
+    """
+    specs = dict(scenario.vehicles)
+    poses = {vid: pose_fn(0.0) for vid, pose_fn in scenario.pose_fns().items()}
+    cap = scenario.r_visible if scenario.visibility == "range" else math.inf
+    if robots_only:
+        reach = ((math.dist(a.center, b.center) + a.radius + b.radius, i)
+                 for i, a in specs.items() for j, b in specs.items() if j != i)
+    else:
+        reach = ((min(math.dist(lm.position, a.center) + a.radius, cap), i)
+                 for i, a in specs.items() for lm in scenario.landmarks
+                 if scenario.visibility == "range"
+                 or sim_mod.is_visible(scenario, a, poses[i], lm))
+    return max(reach, default=(0.0, None))
+
+
 def align_procrustes(est: np.ndarray, true: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares rigid alignment (rotation + translation, no scale).
@@ -133,10 +154,7 @@ def align_procrustes(est: np.ndarray, true: np.ndarray
 def make_coop_maps(scenario, cfg: RunConfig) -> dict[int, coop_mod.RobotMap]:
     """Each robot starts its map in its own frame (vehicle prior at the origin)."""
     fcfg = FilterConfig(dt=scenario.dt if cfg.dt is None else cfg.dt)
-    return {vid: coop_mod.RobotMap(
-                robot_id=vid, gamma_v=cfg.gamma_v, gamma_omega=cfg.gamma_omega,
-                net=DunkNetwork(case=cfg.case, cfg=fcfg, r_max=cfg.r_max,
-                                gamma_beta=cfg.gamma_beta))
+    return {vid: coop_mod.RobotMap(vid, DunkNetwork(case=cfg.case, cfg=fcfg))
             for vid, _ in scenario.vehicles}
 
 
@@ -199,12 +217,11 @@ def _setup(scenario, cfg: RunConfig, dt: float):
         return {k: T @ (x - pose.position) for k, x in world.items()}, None
 
     if cfg.mode == "local":
-        est = LocalMap(case=cfg.case, cfg=fcfg, r_max=cfg.r_max)
+        est = LocalMap(case=cfg.case, cfg=fcfg)
     elif cfg.mode == "global":
         est = init_global(pose0.position, beta0=pose0.beta)
     else:   # the start pose anchors the translation gauge (otherwise unobservable)
-        est = DunkNetwork(case=cfg.case, cfg=fcfg, r_max=cfg.r_max,
-                          gamma_beta=cfg.gamma_beta, beta_hat=pose0.beta,
+        est = DunkNetwork(case=cfg.case, cfg=fcfg, beta_hat=pose0.beta,
                           vehicle_prior_x=pose0.position.copy(),
                           vehicle_prior_P=1e-2 * np.eye(2))
 
@@ -216,8 +233,7 @@ def _setup(scenario, cfg: RunConfig, dt: float):
                                  omega=skew(tick.omega_m)), tick.observations)
         elif cfg.mode == "global":
             est = step_global(est, tick.u, tick.omega_m, tick.observations,
-                              case=cfg.case, cfg=fcfg, gamma_beta=cfg.gamma_beta,
-                              r_max=cfg.r_max)
+                              case=cfg.case, cfg=fcfg)
         else:
             dunk_step(est, tick.u, tick.omega_m, tick.observations)
 
@@ -275,6 +291,11 @@ def run(cfg: RunConfig) -> Metrics:
     if cfg.mode == "coop-robots" and len(scenario.vehicles) < 2:
         raise ConfigError(f"mode 'coop-robots' needs two or more robots; "
                           f"{scenario.name!r} has {len(scenario.vehicles)}")
+    far, robot = _farthest_sighting(scenario, cfg.mode == "coop-robots")
+    if far > R_MAX:
+        raise ConfigError(f"robot {robot} of {cfg.scenario!r} can sight something "
+                          f"{far:.1f} m away, beyond the range bound "
+                          f"noisecal.R_MAX = {R_MAX:g} m")
     dt = scenario.dt if cfg.dt is None else cfg.dt
     duration = scenario.duration if cfg.duration is None else cfg.duration
     n_steps = int(round(duration / dt))

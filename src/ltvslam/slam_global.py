@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vmeas
+from . import noisecal, vmeas
 from .core import (Estimates, FilterState, RobotInputs, angle_diff,
                    body_from_global, heading_forward, rotation2d, skew,
                    wrap_angle)
@@ -23,6 +23,9 @@ from .vmeas import SensorBundle, build_measurement
 
 #: Offsets below this are ignored when estimating the heading.
 EPS_OFFSET = 1e-9
+
+#: Gain of the heading tracker: beta_hat' = omega + GAMMA_BETA (beta_d - beta_hat).
+GAMMA_BETA = 1.0
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,9 @@ def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
 
 
 def track_heading(beta_hat: float, omega: float, beta_d: float,
-                  gamma_beta: float = 1.0, dt: float = 0.01) -> float:
+                  dt: float = 0.01) -> float:
     """One Euler step of the heading tracker with shortest-arc error."""
-    return wrap_angle(beta_hat + dt * (omega + gamma_beta * angle_diff(beta_d, beta_hat)))
+    return wrap_angle(beta_hat + dt * (omega + GAMMA_BETA * angle_diff(beta_d, beta_hat)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +156,7 @@ class GlobalState:
         return self.state.x[self._block(self.n_landmarks + 1)]
 
 
-def init_global(x_v0: np.ndarray, P_v0: np.ndarray | None = None,
-                beta0: float = 0.0, second_order: bool = False,
+def init_global(x_v0: np.ndarray, beta0: float = 0.0, second_order: bool = False,
                 v0: np.ndarray | None = None) -> GlobalState:
     x_v0 = np.asarray(x_v0, dtype=float).ravel()
     d = x_v0.size
@@ -162,28 +164,26 @@ def init_global(x_v0: np.ndarray, P_v0: np.ndarray | None = None,
     if second_order:
         blocks.append(np.zeros(d) if v0 is None else np.asarray(v0, float))
     x = np.concatenate(blocks)
-    P = np.kron(np.eye(len(blocks)),
-                np.eye(d) * 1e-6 if P_v0 is None else P_v0)
+    P = np.kron(np.eye(len(blocks)), np.eye(d) * 1e-6)
     return GlobalState(landmark_ids=[], state=FilterState(x, P),
                        beta_hat=wrap_angle(beta0), second_order=second_order,
                        dim=d)
 
 
-def first_sighting_offset(bundle: SensorBundle, beta_hat: float,
-                          r_max: float, d: int) -> np.ndarray:
-    """Global-frame offset of a first sighting: range (else r_max/2) along the bearing."""
+def first_sighting_offset(bundle: SensorBundle, beta_hat: float, d: int
+                          ) -> np.ndarray:
+    """Global-frame offset of a first sighting: range (else R_MAX/2) along the bearing."""
     if bundle.bearing is None:
         return np.zeros(d)
-    r0 = bundle.range.r if bundle.range is not None else 0.5 * r_max
+    r0 = bundle.range.r if bundle.range is not None else 0.5 * noisecal.R_MAX
     _, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
     return rotation2d(beta_hat).apply(r0 * h_star.ravel())
 
 
-def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle,
-                     r_max: float) -> GlobalState:
+def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle) -> GlobalState:
     """Grow the state by one landmark with a wide prior at the back-projected obs."""
     d = gs.dim
-    x_new = gs.vehicle + first_sighting_offset(bundle, gs.beta_hat, r_max, d)
+    x_new = gs.vehicle + first_sighting_offset(bundle, gs.beta_hat, d)
     k = d * gs.n_landmarks  # new landmark goes just before the vehicle block
     x = np.insert(gs.state.x, [k] * d, x_new)
     P = np.insert(np.insert(gs.state.P, [k] * d, 0.0, axis=0), [k] * d, 0.0, axis=1)
@@ -195,7 +195,7 @@ def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle,
 
 
 def _second_order_rows(gs: GlobalState, index: int, case: int,
-                       bundle: SensorBundle, inputs: RobotInputs, r_max: float
+                       bundle: SensorBundle, inputs: RobotInputs
                        ) -> vmeas.VirtualMeasurement:
     """Case I-IV rows with the vehicle velocity as a sub-state instead of an input.
 
@@ -207,7 +207,7 @@ def _second_order_rows(gs: GlobalState, index: int, case: int,
     if case == 5:
         raise ValueError("Case V is unsupported with second-order dynamics")
     T = body_from_global(gs.beta_hat)
-    vm = vmeas._lift(build_measurement(case, bundle, inputs, r_max), T,
+    vm = vmeas._lift(build_measurement(case, bundle, inputs), T,
                      gs.state.dim, index, gs.n_landmarks)
     h, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
     if case == 3:
@@ -227,9 +227,7 @@ def _second_order_rows(gs: GlobalState, index: int, case: int,
 
 def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
                 observations: dict, case: int = 2,
-                cfg: FilterConfig = FilterConfig(),
-                gamma_beta: float = 1.0,
-                r_max: float = vmeas.DEFAULT_R_MAX) -> GlobalState:
+                cfg: FilterConfig = FilterConfig()) -> GlobalState:
     """One tick of the full-state filter.
 
     ``u`` is the forward speed (first-order mode) or the global-frame
@@ -238,7 +236,7 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
     """
     for lid, bundle in observations.items():
         if lid not in gs.landmark_ids:
-            gs = _append_landmark(gs, lid, bundle, r_max)
+            gs = _append_landmark(gs, lid, bundle)
 
     # The measurement and drift use the heading at the sample instant;
     # the tracker advances it to t+dt for the next tick afterwards.
@@ -258,10 +256,10 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
     for lid, bundle in observations.items():
         index = gs.landmark_ids.index(lid)
         if gs.second_order:
-            vm = _second_order_rows(gs, index, case, bundle, inputs, r_max)
+            vm = _second_order_rows(gs, index, case, bundle, inputs)
         else:
             r_hint = float(np.linalg.norm(gs.landmark(lid) - gs.vehicle)) or None
-            body_vm = build_measurement(case, bundle, inputs, r_max, r_hint)
+            body_vm = build_measurement(case, bundle, inputs, r_hint)
             vm = None if body_vm is None else vmeas._lift(
                 body_vm, T, gs.state.dim, index, gs.n_landmarks)
         parts.append(vm)
@@ -281,6 +279,6 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
     else:
         b[d * nv:d * nv + d] = float(u) * heading_forward(beta_hat)
     new_state = ode_step(gs.state, A, b, vm_all, None, cfg)
-    beta_next = track_heading(beta_hat, omega, beta_d, gamma_beta, cfg.dt)
+    beta_next = track_heading(beta_hat, omega, beta_d, cfg.dt)
     return GlobalState(gs.landmark_ids, new_state, beta_next,
                        gs.second_order, gs.dim)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import vmeas
+from . import noisecal, vmeas
 from .core import Estimates, FilterState, RobotInputs
 from .kalman import FilterConfig, step
 from .vmeas import SensorBundle, build_measurement
@@ -28,47 +28,44 @@ class LocalLandmarkFilter:
 
 def init_landmark(landmark_id: int, case: int,
                   bundle: SensorBundle | None = None,
-                  r_max: float = vmeas.DEFAULT_R_MAX,
                   dim: int = 2, t: float = 0.0) -> LocalLandmarkFilter:
     """Prior for a newly seen landmark.
 
     Bearing cases start along the measured bearing direction, at the
-    measured range in Case II and at half the max range otherwise; Case V
-    (no bearing) starts at the origin with a wide prior.
+    measured range in Case II and at half of ``noisecal.R_MAX`` otherwise;
+    Case V (no bearing) starts at the origin with a wide prior.
     """
     if case == 5 or bundle is None or bundle.bearing is None:
         return LocalLandmarkFilter(
             landmark_id, FilterState(np.zeros(dim), 100.0 * np.eye(dim), t), case)
     bearing = bundle.bearing
     dim = bearing.dim
-    r0 = bundle.range.r if case == 2 and bundle.range is not None else 0.5 * r_max
+    ranged = case == 2 and bundle.range is not None
+    r0 = bundle.range.r if ranged else 0.5 * noisecal.R_MAX
     _, h_star = vmeas._bearing_rows(bearing)
     x0 = r0 * h_star.ravel()
-    sigma0 = bundle.range.sigma_r if (case == 2 and bundle.range is not None
-                                      and bundle.range.sigma_r > 0) else 0.5 * r_max
+    sigma0 = (bundle.range.sigma_r if ranged and bundle.range.sigma_r > 0
+              else 0.5 * noisecal.R_MAX)
     P0 = max(sigma0, 0.1) ** 2 * np.eye(dim)
     return LocalLandmarkFilter(landmark_id, FilterState(x0, P0, t), case)
 
 
 def update_landmark(f: LocalLandmarkFilter, inputs: RobotInputs,
                     bundle: SensorBundle | None,
-                    cfg: FilterConfig = FilterConfig(),
-                    r_max: float = vmeas.DEFAULT_R_MAX) -> LocalLandmarkFilter:
+                    cfg: FilterConfig = FilterConfig()) -> LocalLandmarkFilter:
     """One step: case-built correction when observed, pure prediction when not."""
     r_hint = float(np.linalg.norm(f.state.x)) or None
     vm = (None if bundle is None
-          else build_measurement(f.case, bundle, inputs, r_max, r_hint))
+          else build_measurement(f.case, bundle, inputs, r_hint))
     return replace(f, state=step(f.state, inputs, vm, cfg))
 
 
 class LocalMap:
     """Mutable collection of decoupled landmark filters."""
 
-    def __init__(self, case: int, cfg: FilterConfig = FilterConfig(),
-                 r_max: float = vmeas.DEFAULT_R_MAX, dim: int = 2):
+    def __init__(self, case: int, cfg: FilterConfig = FilterConfig(), dim: int = 2):
         self.case = case
         self.cfg = cfg
-        self.r_max = r_max
         self.dim = dim
         self.filters: dict[int, LocalLandmarkFilter] = {}
         self.t = 0.0
@@ -79,11 +76,10 @@ class LocalMap:
         for lid, bundle in observations.items():
             if lid not in self.filters:
                 self.filters[lid] = init_landmark(
-                    lid, self.case, bundle, r_max=self.r_max,
-                    dim=self.dim, t=self.t)
+                    lid, self.case, bundle, dim=self.dim, t=self.t)
         for lid, f in self.filters.items():
             self.filters[lid] = update_landmark(
-                f, inputs, observations.get(lid), self.cfg, self.r_max)
+                f, inputs, observations.get(lid), self.cfg)
         self.t += self.cfg.dt
 
     def estimates(self) -> Estimates:

@@ -20,8 +20,6 @@ from .core import AngularVelocityMatrix, RobotInputs, Rotation2D
 #: constraints are unreliable and the affected row is dropped.
 EPS_U = 1e-3
 
-DEFAULT_R_MAX = 100.0
-
 
 # ---------------------------------------------------------------------------
 # Observation records
@@ -214,19 +212,17 @@ def _bearing_rows(bearing: BearingObs) -> tuple[np.ndarray, np.ndarray]:
 # Case builders
 # ---------------------------------------------------------------------------
 
-def case1(bearing: BearingObs, *, r_max: float = DEFAULT_R_MAX
-          ) -> VirtualMeasurement:
+def case1(bearing: BearingObs) -> VirtualMeasurement:
     """Bearing only: the angular error becomes a tangential position error."""
     h, _ = _bearing_rows(bearing)
-    R = noisecal.tangential_R(bearing, noisecal.r_star(None, 0.0, r_max))
+    R = noisecal.tangential_R(bearing, noisecal.r_star(None, 0.0))
     return VirtualMeasurement._derived(np.zeros(h.shape[0]), h, R)
 
 
-def case2(bearing: BearingObs, rng: RangeObs, *, r_max: float = DEFAULT_R_MAX
-          ) -> VirtualMeasurement:
+def case2(bearing: BearingObs, rng: RangeObs) -> VirtualMeasurement:
     """Bearing plus range: tangential rows and the radial constraint h* x = r."""
     h, h_star = _bearing_rows(bearing)
-    rstar = noisecal.r_star(rng.r, rng.sigma_r, r_max)
+    rstar = noisecal.r_star(rng.r, rng.sigma_r)
     H = np.vstack([h, h_star])
     y = np.concatenate([np.zeros(h.shape[0]), [rng.r]])
     R = noisecal.block_diag_R(noisecal.tangential_R(bearing, rstar),
@@ -235,8 +231,7 @@ def case2(bearing: BearingObs, rng: RangeObs, *, r_max: float = DEFAULT_R_MAX
 
 
 def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
-          *, r_max: float = DEFAULT_R_MAX,
-          r_hint: float | None = None) -> VirtualMeasurement:
+          *, r_hint: float | None = None) -> VirtualMeasurement:
     """Bearing plus bearing-rate: adds the tangential-velocity constraint.
 
     2D:  y2 = -h u with row  theta_dot h* + h Omega.
@@ -244,7 +239,7 @@ def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
 
     ``r_hint`` (e.g. the current range estimate) sharpens the rate-row
     noise calibration, whose residual scales with the true range; without
-    it the conservative r_max bound applies.
+    it the conservative R_MAX bound applies.
     """
     h, h_star = _bearing_rows(bearing)
     Om = inputs.omega.matrix
@@ -259,8 +254,8 @@ def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
         ])
     H = np.vstack([h, D + h @ Om])
     y = np.concatenate([np.zeros(h.shape[0]), -(h @ u)])
-    rstar = noisecal.r_star(None, 0.0, r_max)
-    rate_rstar = noisecal.r_star(r_hint, 0.0, r_max) if r_hint else rstar
+    rstar = noisecal.r_star(None, 0.0)
+    rate_rstar = noisecal.r_star(r_hint, 0.0) if r_hint else rstar
     R = noisecal.block_diag_R(
         noisecal.tangential_R(bearing, rstar),
         noisecal.rate_row_R(bearing, rate, inputs, rate_rstar),
@@ -268,8 +263,8 @@ def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
     return VirtualMeasurement._derived(y, H, R)
 
 
-def case4(bearing: BearingObs, ttc: TimeToContactObs, inputs: RobotInputs,
-          *, r_max: float = DEFAULT_R_MAX) -> VirtualMeasurement:
+def case4(bearing: BearingObs, ttc: TimeToContactObs, inputs: RobotInputs
+          ) -> VirtualMeasurement:
     """Bearing plus time-to-contact: |tau h* u| estimates the radial distance.
 
     When the radial speed |h* u| is below EPS_U the time-to-contact
@@ -278,9 +273,9 @@ def case4(bearing: BearingObs, ttc: TimeToContactObs, inputs: RobotInputs,
     h, h_star = _bearing_rows(bearing)
     radial_speed = float((h_star @ inputs.u)[0])
     if abs(radial_speed) < EPS_U:
-        return case1(bearing, r_max=r_max)
+        return case1(bearing)
     y4 = abs(ttc.tau * radial_speed)
-    rstar = noisecal.r_star(y4, 0.0, r_max)
+    rstar = noisecal.r_star(y4, 0.0)
     H = np.vstack([h, h_star])
     y = np.concatenate([np.zeros(h.shape[0]), [y4]])
     R = noisecal.block_diag_R(
@@ -308,34 +303,32 @@ def case5(doppler: DopplerObs, inputs: RobotInputs) -> VirtualMeasurement | None
 
 
 def build_measurement(case: int, bundle: SensorBundle, inputs: RobotInputs,
-                      r_max: float = DEFAULT_R_MAX, r_hint: float | None = None
-                      ) -> VirtualMeasurement | None:
+                      r_hint: float | None = None) -> VirtualMeasurement | None:
     """Virtual measurement for the given sensor case, or None if unusable.
 
     ``r_hint`` is an optional current range estimate used to sharpen
     noise calibration in the range-free cases.
     """
     if case == 1:
-        return case1(bundle.bearing, r_max=r_max)
+        return case1(bundle.bearing)
     if case == 2:
-        return case2(bundle.bearing, bundle.range, r_max=r_max)
+        return case2(bundle.bearing, bundle.range)
     if case == 3:
-        return case3(bundle.bearing, bundle.rate, inputs, r_max=r_max,
-                     r_hint=r_hint)
+        return case3(bundle.bearing, bundle.rate, inputs, r_hint=r_hint)
     if case == 4:
-        return case4(bundle.bearing, bundle.ttc, inputs, r_max=r_max)
+        return case4(bundle.bearing, bundle.ttc, inputs)
     if case == 5:
         return case5(bundle.doppler, inputs)
     raise ValueError(f"unknown case {case}")
 
 
-def pinhole(obs: PinholeObs, *, r_max: float = DEFAULT_R_MAX) -> VirtualMeasurement:
+def pinhole(obs: PinholeObs) -> VirtualMeasurement:
     """Pinhole projection (y1, y2) = -f/x3 (x1, x2) as two linear rows."""
     H = np.array([
         [obs.f, 0.0, obs.y1],
         [0.0, obs.f, obs.y2],
     ])
-    var = max(obs.sigma_img**2, noisecal.VAR_FLOOR) * r_max**2
+    var = max(obs.sigma_img**2, noisecal.VAR_FLOOR) * noisecal.R_MAX**2
     return VirtualMeasurement._derived(np.zeros(2), H, var * np.eye(2))
 
 
@@ -350,14 +343,13 @@ def _heading_matrix_3d(heading) -> np.ndarray:
     return T
 
 
-def sfm_constraint(obs: PinholeObs, heading, *, r_max: float = DEFAULT_R_MAX
-                   ) -> VirtualMeasurement:
+def sfm_constraint(obs: PinholeObs, heading) -> VirtualMeasurement:
     """Structure-from-motion rows over the stacked (feature, camera) state.
 
     The pinhole rows act on T (x_feature - x_camera) with T the
     global-to-camera rotation, giving the block row [+HT, -HT].
     """
-    return _lift(pinhole(obs, r_max=r_max), _heading_matrix_3d(heading), 6, 0, 1)
+    return _lift(pinhole(obs), _heading_matrix_3d(heading), 6, 0, 1)
 
 
 def _lift(vm: VirtualMeasurement, T: np.ndarray, n: int, landmark: int,

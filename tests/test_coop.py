@@ -122,7 +122,7 @@ def test_null_inputs_vanish_when_aligned_and_descend_otherwise():
     med = medium_update(maps, "full")
     w = null_rotation_full(maps[2], med)
     assert w > 0.0                # counter-clockwise correction
-    assert w == pytest.approx(maps[2].gamma_omega * math.sin(delta / 2), rel=0.05)
+    assert w == pytest.approx(coop.GAMMA_OMEGA * math.sin(delta / 2), rel=0.05)
 
 
 def make_tick(pose, beta, u, omega, landmarks):

@@ -46,11 +46,11 @@ def test_variance_bounds():
 
 
 def test_r_star_rule():
-    assert noisecal.r_star(4.0, 0.2, 100.0) == pytest.approx(4.6)
-    assert noisecal.r_star(200.0, 1.0, 100.0) == 100.0
-    assert noisecal.r_star(None, 0.0, 100.0) == 100.0
+    assert noisecal.r_star(4.0, 0.2) == pytest.approx(4.6)
+    assert noisecal.r_star(200.0, 1.0) == noisecal.R_MAX
+    assert noisecal.r_star(None, 0.0) == noisecal.R_MAX
     with pytest.raises(ValueError):
-        noisecal.r_star(4.0, 0.2, 0.0)
+        noisecal.r_star(-1.0, 0.2)
 
 
 def test_monte_carlo_port_matches_analytic_bias():

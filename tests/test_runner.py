@@ -1,6 +1,7 @@
 """Scenario execution, alignment, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 
 import ltvslam
 from ltvslam import runner as runner_mod
-from ltvslam.cli import main as cli_main
+from ltvslam.cli import main as cli_main, run_cmd
 from ltvslam.core import rotation2d
 from ltvslam.kalman import DivergenceError
 from ltvslam.runner import (BUILTIN_SCENARIOS, ConfigError, Metrics,
@@ -30,7 +31,7 @@ def test_run_config_validation():
     with pytest.raises(ConfigError, match="case 2"):
         RunConfig(mode="coop-robots", case=4)   # robot sightings: bearing + range
     for bad in (dict(dt=0.0), dict(dt=-0.01), dict(duration=0.0),
-                dict(duration=-5.0), dict(r_max=0.0), dict(seed=-1)):
+                dict(duration=-5.0), dict(seed=-1)):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # shorter than one step: nothing would run
@@ -206,7 +207,7 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert log.exit_code == 2
     for flags in (["--dt", "0"], ["--dt", "-0.01"], ["--duration", "0"],
                   ["--duration", "-5"], ["--duration", "0.001"],
-                  ["--r-max", "0"], ["--seed", "-1"]):
+                  ["--seed", "-1"]):
         bad_number = runner.invoke(cli_main, ["run", "--mode", "local",
                                               "--duration", "0.5", *flags])
         assert bad_number.exit_code == 2, (flags, bad_number.output)
@@ -223,6 +224,16 @@ def test_cli_run_and_exit_codes(tmp_path):
     one_robot = runner.invoke(cli_main, ["run", "--mode", "coop-robots"])
     assert one_robot.exit_code == 2, one_robot.output
     assert "two or more robots" in one_robot.output
+    # the range bound and the gains are constants: their old flags are unknown
+    for flag in ("--gamma-beta", "--gamma-v", "--gamma-omega", "--r-max"):
+        gone = runner.invoke(cli_main, ["run", flag, "1", "--duration", "0.05"])
+        assert gone.exit_code == 2, (flag, gone.output)
+        assert "No such option" in gone.output
+
+
+def test_run_options_are_the_run_config_fields():
+    options = {p.name for p in run_cmd.params}
+    assert options == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 #: Each edit turns the builtin single-vehicle scenario file into a bad one.
@@ -234,6 +245,7 @@ BAD_SCENARIO_EDITS = {
     "negative-sigma": lambda d: d["noise"].update(sigma_r=-1.0),
     "zero-dt": lambda d: d.update(dt_s=0),
     "unknown-visibility": lambda d: d.update(visibility="cone"),
+    "beyond-r-max": lambda d: d["landmarks"][0].update(position_m=[0.0, 200.0]),
     "broken-json": None,
 }
 
@@ -289,6 +301,13 @@ def test_cli_noise_report():
     assert out.exit_code == 0
     assert "analytic radial bias" in out.output
     assert "monte carlo mean" in out.output
+
+
+@pytest.mark.parametrize("flags", [["--samples", "10"], ["--r", "0"],
+                                   ["--sigma-theta", "-1"]])
+def test_cli_noise_report_rejects_bad_input(flags):
+    out = CliRunner().invoke(cli_main, ["noise-report", *flags])
+    assert out.exit_code == 2, out.output
 
 
 def test_package_import_skips_scipy_stats():

@@ -79,11 +79,11 @@ def test_beta_d_input_validation():
 
 
 def test_track_heading_integrates_and_corrects():
-    b = track_heading(0.0, omega=1.0, beta_d=0.0, gamma_beta=0.0, dt=0.01)
+    b = track_heading(0.0, omega=1.0, beta_d=0.0, dt=0.01)
     assert b == pytest.approx(0.01)
     # pure correction pulls toward beta_d along the shortest arc
     b = track_heading(math.pi - 0.01, omega=0.0, beta_d=-math.pi + 0.01,
-                      gamma_beta=1.0, dt=0.01)
+                      dt=0.01)
     assert wrap_angle(b - (math.pi - 0.01)) > 0.0
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam import vmeas
+from ltvslam import noisecal, vmeas
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
 from ltvslam.kalman import FilterConfig
 from ltvslam.noisecal import NoiseSpec
@@ -81,9 +81,9 @@ def test_noisy_convergence_below_decimeter():
 
 def test_init_landmark_bearing_prior_on_the_ray():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.3))
-    f = init_landmark(7, case=1, bundle=bundle, r_max=40.0)
+    f = init_landmark(7, case=1, bundle=bundle)
     r0 = np.linalg.norm(f.state.x)
-    assert r0 == pytest.approx(20.0)      # half the max range
+    assert r0 == pytest.approx(noisecal.R_MAX / 2)      # 50 m
     assert math.atan2(f.state.x[0], f.state.x[1]) == pytest.approx(0.3)
 
 
