@@ -108,13 +108,8 @@ def variance_bounds(sigma_theta: float, r_star: float) -> dict[str, float]:
     }
 
 
-def r_star(r_measured: float | None, sigma_r: float) -> float:
-    """Known range bound used when filling R: min(r + 3 sigma_r, R_MAX).
-
-    Bearing-only cases pass r_measured=None and get R_MAX.
-    """
-    if r_measured is None:
-        return R_MAX
+def r_star(r_measured: float, sigma_r: float) -> float:
+    """Known range bound used when filling R: min(r + 3 sigma_r, R_MAX)."""
     if r_measured < 0 or sigma_r < 0:
         raise ValueError("range inputs must be >= 0")
     return min(r_measured + 3.0 * sigma_r, R_MAX)
@@ -185,9 +180,9 @@ def _rate_row_var_cached(dim: int, theta: float, phi: float, theta_dot: float,
                          rstar: float) -> tuple:
     """Monte Carlo variance of the Case III rate rows, cached per bucket.
 
-    The residual y - Hx of the velocity rows is evaluated directly from
-    the row formulas at a canonical state on the measured ray, so no
-    measurement object (and hence no R) is needed.
+    Each sample's residual y - M x comes from :func:`vmeas._rate_rows` at
+    a canonical state on the measured ray, x = r* h*, so no measurement
+    object (and hence no R) is needed.
     """
     from . import vmeas
     from .core import skew
@@ -196,27 +191,19 @@ def _rate_row_var_cached(dim: int, theta: float, phi: float, theta_dot: float,
     n = 512
     u = np.array(u_key)
     Om = skew(*omega_key).matrix
-    if dim == 2:
-        x = rstar * np.array([math.sin(theta), math.cos(theta)])
-    else:
-        cp = math.cos(phi)
-        x = rstar * np.array([cp * math.sin(theta), cp * math.cos(theta),
-                              math.sin(phi)])
-    rows = 1 if dim == 2 else 2
-    res = np.zeros((n, rows))
+    _, h_star = (vmeas.bearing_vectors_2d(theta) if dim == 2
+                 else vmeas.bearing_vectors_3d(theta, phi))
+    x = rstar * h_star.ravel()
+    res = np.zeros((n, dim - 1))
     for i in range(n):
         th = theta + rng.normal(0.0, st)
         td = theta_dot + rng.normal(0.0, std)
-        if dim == 2:
-            h, h_star = vmeas.bearing_vectors_2d(th)
-            D = td * h_star
-        else:
+        ph = pd = None
+        if dim == 3:
             ph = phi + rng.normal(0.0, sp)
             pd = phi_dot + rng.normal(0.0, spd)
-            h, h_star = vmeas.bearing_vectors_3d(th, ph)
-            D = np.vstack([td * np.array([[math.sin(th), math.cos(th), 0.0]]),
-                           pd * h_star])
-        res[i] = (-(h @ u)) - (D + h @ Om) @ x
+        _, y, M = vmeas._rate_rows(th, ph, td, pd, u, Om)
+        res[i] = y - M @ x
     return tuple(res.var(axis=0))
 
 

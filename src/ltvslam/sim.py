@@ -221,7 +221,8 @@ def scenario_coop(mode: str = "full") -> Scenario:
     ``robots_only`` drops the landmarks entirely (vehicles observe each
     other; see :func:`observe_robots`).  Headings are stored as
     printed (measured from +x1); the trajectory generator derives the
-    internal heading from the circle geometry.
+    internal heading from the circle geometry.  The scenario is named by
+    its builtin key: ``coop-full``, ``coop-partial`` or ``coop-robots``.
     """
     if mode not in coop.MODES:
         raise ValueError(f"unknown coop mode {mode!r}")
@@ -231,7 +232,8 @@ def scenario_coop(mode: str = "full") -> Scenario:
                                    x0=x0, beta0=b0))
                 for i, (c, w, x0, b0) in enumerate(COOP_VEHICLES)]
     return Scenario(
-        name=f"coop-{mode}", landmarks=landmarks, vehicles=vehicles,
+        name="coop-robots" if mode == "robots_only" else f"coop-{mode}",
+        landmarks=landmarks, vehicles=vehicles,
         noise=NoiseSpec(),
         visibility="quadrant" if mode == "partial" else "unlimited",
         duration=20.0, dt=0.01, seed=13)

@@ -70,11 +70,17 @@ def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
                           current_beta: float = 0.0) -> float:
     """Heading that minimizes the bearing-constraint residue.
 
-    Solves d/d(beta) sum_i (h(theta_i) T(beta) (x_i - x_v))^2 = 0 in
-    closed form.  The stationarity condition fixes 2*beta, leaving four
-    candidates a quarter turn apart; the one with the smallest residue is
-    returned.  Falls back to ``current_beta`` when there are no landmarks
-    or every landmark offset is negligible.
+    With each offset d_i = x_i - x_v written as |d_i| e^{i psi_i}, its
+    tangential part h(theta_i) T(beta) d_i is |d_i| cos(psi_i + theta_i -
+    beta) and its projected range h* T(beta) d_i is |d_i| sin(psi_i +
+    theta_i - beta).  The residue is therefore
+    r(beta) = sum_i |d_i|^2 / 2 + |Z| cos(arg Z - 2 beta) / 2 with Z = C + iS:
+    its maximum is at atan2(S, C) / 2 and its two minima a quarter turn
+    either side, where the projected-range sums are negatives of each
+    other.  The minimum that puts the landmarks at positive projected
+    range (true at the true heading) is returned; on an exact tie the one
+    closer to ``current_beta``.  Falls back to ``current_beta`` when there
+    are no landmarks or every landmark offset is negligible.
     """
     xv = np.asarray(vehicle_estimate, dtype=float).ravel()
     lm = np.asarray(landmark_estimates, dtype=float).reshape(-1, xv.size)
@@ -91,20 +97,11 @@ def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
     C = float(np.sum((d1**2 - d2**2) * np.cos(two_t) - 2 * d1 * d2 * np.sin(two_t)))
     S = float(np.sum((d1**2 - d2**2) * np.sin(two_t) + 2 * d1 * d2 * np.cos(two_t)))
     base = 0.5 * math.atan2(S, C)
-    candidates = [wrap_angle(base + k * math.pi / 2.0) for k in range(4)]
-    residues = [_heading_residue(b, offsets, thetas) for b in candidates]
-    # The residue is pi-periodic, so the minimizer and its antipode tie.
-    # Keep all near-minimal candidates and break the tie by requiring the
-    # landmarks to sit at positive projected range h* T(beta) d_i (true at
-    # the true heading), then by closeness to the current heading.
-    scale = float(np.sum(offsets ** 2))
-    best = min(residues)
-    tied = [b for b, r in zip(candidates, residues)
-            if r <= best + 1e-9 * scale]
-    positive = [b for b in tied
-                if np.sum(_bearing_parts(b, offsets, thetas)[1]) > 0.0]
-    pool = positive or tied
-    return min(pool, key=lambda b: abs(angle_diff(b, current_beta)))
+    b1, b3 = (wrap_angle(base + k * math.pi / 2.0) for k in (1, 3))
+    ahead = float(np.sum(_bearing_parts(b1, offsets, thetas)[1]))
+    if ahead != 0.0:
+        return b1 if ahead > 0.0 else b3
+    return min((b1, b3), key=lambda b: abs(angle_diff(b, current_beta)))
 
 
 def track_heading(beta_hat: float, omega: float, beta_d: float,

@@ -63,10 +63,9 @@ def update_landmark(f: LocalLandmarkFilter, inputs: RobotInputs,
 class LocalMap:
     """Mutable collection of decoupled landmark filters."""
 
-    def __init__(self, case: int, cfg: FilterConfig = FilterConfig(), dim: int = 2):
+    def __init__(self, case: int, cfg: FilterConfig = FilterConfig()):
         self.case = case
         self.cfg = cfg
-        self.dim = dim
         self.filters: dict[int, LocalLandmarkFilter] = {}
         self.t = 0.0
 
@@ -76,14 +75,15 @@ class LocalMap:
         for lid, bundle in observations.items():
             if lid not in self.filters:
                 self.filters[lid] = init_landmark(
-                    lid, self.case, bundle, dim=self.dim, t=self.t)
+                    lid, self.case, bundle, dim=inputs.dim, t=self.t)
         for lid, f in self.filters.items():
             self.filters[lid] = update_landmark(
                 f, inputs, observations.get(lid), self.cfg)
         self.t += self.cfg.dt
 
     def estimates(self) -> Estimates:
-        """Landmark positions and covariances in the robot frame."""
+        """Robot-frame positions and covariances; d comes from the filters."""
         states = [f.state for f in self.filters.values()]
+        d = states[0].dim if states else 2
         return Estimates.stack(self.t, self.filters, [s.x for s in states],
-                               [s.P for s in states], self.dim)
+                               [s.P for s in states], d)

@@ -215,7 +215,7 @@ def _bearing_rows(bearing: BearingObs) -> tuple[np.ndarray, np.ndarray]:
 def case1(bearing: BearingObs) -> VirtualMeasurement:
     """Bearing only: the angular error becomes a tangential position error."""
     h, _ = _bearing_rows(bearing)
-    R = noisecal.tangential_R(bearing, noisecal.r_star(None, 0.0))
+    R = noisecal.tangential_R(bearing, noisecal.R_MAX)
     return VirtualMeasurement._derived(np.zeros(h.shape[0]), h, R)
 
 
@@ -234,33 +234,43 @@ def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
           *, r_hint: float | None = None) -> VirtualMeasurement:
     """Bearing plus bearing-rate: adds the tangential-velocity constraint.
 
-    2D:  y2 = -h u with row  theta_dot h* + h Omega.
-    3D:  rows D + h Omega with D = [theta_dot (sin, cos, 0); phi_dot h*].
+    Its rows are [h; M] x = [0; -h u], with M from :func:`_rate_rows`.
 
     ``r_hint`` (e.g. the current range estimate) sharpens the rate-row
     noise calibration, whose residual scales with the true range; without
     it the conservative R_MAX bound applies.
     """
-    h, h_star = _bearing_rows(bearing)
-    Om = inputs.omega.matrix
-    u = inputs.u
-    if bearing.dim == 2:
-        D = rate.theta_dot * h_star
-    else:
-        ct, st = math.cos(bearing.theta), math.sin(bearing.theta)
-        D = np.vstack([
-            rate.theta_dot * np.array([[st, ct, 0.0]]),
-            (rate.phi_dot or 0.0) * h_star,
-        ])
-    H = np.vstack([h, D + h @ Om])
-    y = np.concatenate([np.zeros(h.shape[0]), -(h @ u)])
-    rstar = noisecal.r_star(None, 0.0)
-    rate_rstar = noisecal.r_star(r_hint, 0.0) if r_hint else rstar
+    h, y2, M = _rate_rows(bearing.theta, bearing.phi, rate.theta_dot,
+                          rate.phi_dot or 0.0, inputs.u, inputs.omega.matrix)
+    H = np.vstack([h, M])
+    y = np.concatenate([np.zeros(h.shape[0]), y2])
+    rate_rstar = noisecal.r_star(r_hint, 0.0) if r_hint else noisecal.R_MAX
     R = noisecal.block_diag_R(
-        noisecal.tangential_R(bearing, rstar),
+        noisecal.tangential_R(bearing, noisecal.R_MAX),
         noisecal.rate_row_R(bearing, rate, inputs, rate_rstar),
     )
     return VirtualMeasurement._derived(y, H, R)
+
+
+def _rate_rows(theta: float, phi: float | None, theta_dot: float,
+               phi_dot: float, u: np.ndarray, Om: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Case III bearing rows h and velocity rows y = M x (phi None in 2D).
+
+    y = -h u and M = D + h Omega, with D = theta_dot h* in 2D and
+    D = [theta_dot (sin theta, cos theta, 0); phi_dot h*] in 3D.  The
+    rate-row noise calibration evaluates these same rows.
+    """
+    if phi is None:
+        h, h_star = bearing_vectors_2d(theta)
+        D = theta_dot * h_star
+    else:
+        h, h_star = bearing_vectors_3d(theta, phi)
+        D = np.vstack([
+            theta_dot * np.array([[math.sin(theta), math.cos(theta), 0.0]]),
+            phi_dot * h_star,
+        ])
+    return h, -(h @ u), D + h @ Om
 
 
 def case4(bearing: BearingObs, ttc: TimeToContactObs, inputs: RobotInputs

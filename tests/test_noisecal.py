@@ -48,7 +48,6 @@ def test_variance_bounds():
 def test_r_star_rule():
     assert noisecal.r_star(4.0, 0.2) == pytest.approx(4.6)
     assert noisecal.r_star(200.0, 1.0) == noisecal.R_MAX
-    assert noisecal.r_star(None, 0.0) == noisecal.R_MAX
     with pytest.raises(ValueError):
         noisecal.r_star(-1.0, 0.2)
 
@@ -128,3 +127,26 @@ def test_ttc_row_R_positive_and_scales_with_tau():
     small = noisecal.ttc_row_R(ttc_small, radial_speed=1.0)[0, 0]
     large = noisecal.ttc_row_R(ttc_large, radial_speed=1.0)[0, 0]
     assert 0.0 < small < large
+
+
+def test_rate_rows_have_one_route(monkeypatch):
+    # the Case III rows and their R calibration both evaluate vmeas._rate_rows
+    bearing = vmeas.BearingObs(theta=0.3, sigma_theta=0.02)
+    rate = vmeas.BearingRateObs(theta_dot=0.4, sigma_theta_dot=0.05)
+    inputs = RobotInputs(u=np.array([0.0, 2.0]), omega=skew(0.5))
+    vmeas.case3(bearing, rate, inputs)   # fill this geometry's R cache
+    calls = []
+    rate_rows = vmeas._rate_rows
+
+    def counted(*args):
+        calls.append(args)
+        return rate_rows(*args)
+
+    monkeypatch.setattr(vmeas, "_rate_rows", counted)
+    vmeas.case3(bearing, rate, inputs)
+    assert len(calls) == 1
+    calls.clear()
+    noisecal._rate_row_var_cached.__wrapped__(
+        3, 0.3, 0.1, 0.4, -0.2, (0.0, 2.0, 0.25), (0.0, 0.1, 0.5),
+        0.02, 0.02, 0.05, 0.05, 20.0)
+    assert len(calls) == 512

@@ -133,7 +133,7 @@ PINNED_METRICS = {
         "final_e_h": 1383.3419368889472, "final_discrepancy_m": 35.9402474496406,
         "diverged": False, "divergence": None},
     "coop-robots": {
-        "mode": "coop-robots", "case": 2, "scenario": "coop-robots_only",
+        "mode": "coop-robots", "case": 2, "scenario": "coop-robots",
         "final_errors_m": {}, "vehicle_ate_m": None, "contraction_rate": None,
         "contraction_r2": None, "final_e_c": 869.3317830692114,
         "final_e_h": 519.6225912736625, "final_discrepancy_m": 21.63296794437137,
@@ -319,3 +319,9 @@ def test_package_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_builtin_scenarios_carry_their_key_as_name(name):
+    # metrics.json records scenario.name, which --scenario must accept back
+    assert load_scenario(name).name == name

@@ -65,6 +65,22 @@ def test_beta_d_single_landmark():
     assert _heading_residue(est, landmarks - x_v, thetas) < 1e-18
 
 
+def test_beta_d_exact_antipode_falls_back_to_current_heading():
+    # offsets d and -d on one bearing: both minima have projected-range
+    # sum exactly 0, so the current heading alone picks the side
+    x_v = np.array([1.0, 2.0])
+    d = np.array([3.0, 1.0])
+    landmarks = np.array([x_v + d, x_v - d])
+    thetas = np.array([0.4, 0.4])
+    for current, expected in ((0.0, -0.8490457723982541),
+                              (-2.0, -0.8490457723982541),
+                              (1.0, 2.292546881191539),
+                              (2.5, 2.292546881191539)):
+        est = beta_d_closed_form_2d(landmarks, x_v, thetas, current_beta=current)
+        assert est == pytest.approx(expected, abs=1e-12)
+        assert _heading_residue(est, landmarks - x_v, thetas) < 1e-18
+
+
 def test_beta_d_degenerate_offsets_fall_back():
     est = beta_d_closed_form_2d(np.zeros((2, 2)), np.zeros(2),
                                 np.array([0.1, 0.2]), current_beta=0.7)

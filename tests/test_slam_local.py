@@ -123,3 +123,17 @@ def test_local_map_creates_filters_on_first_sight():
     lmap.step(inputs, {})
     est = lmap.estimates()
     assert est.ids == [4] and est.X.shape == (1, 2) and est.P.shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("case", [2, 5])
+def test_local_map_takes_its_dimension_from_the_inputs(case):
+    # a 3D map reads out (N, 3) positions and (N, 3, 3) covariances
+    lmap = LocalMap(case=case, cfg=FilterConfig(dt=0.01))
+    inputs = RobotInputs(u=np.array([0.0, 1.0, 0.2]), omega=skew(0.1, 0.0, 0.3))
+    sightings = {1: [3.0, 4.0, 1.0], 2: [-2.0, 5.0, -0.5]}
+    for _ in range(3):
+        lmap.step(inputs, {lid: exact_bundle(np.array(x), inputs)
+                           for lid, x in sightings.items()})
+    est = lmap.estimates()
+    assert est.X.shape == (2, 3) and est.P.shape == (2, 3, 3)
+    assert LocalMap(case=case).estimates().X.shape == (0, 2)
