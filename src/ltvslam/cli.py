@@ -50,12 +50,20 @@ def run_cmd(**options):
     click.echo(f"wall time per step: {metrics.wall_time_per_step * 1e3:.3f} ms")
 
 
+def _finite(ctx, param, value: float) -> float:
+    """Option callback: click's float types admit nan and inf."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not finite.")
+    return value
+
+
 @main.command("noise-report")
 @click.option("--sigma-theta", default=5.0, type=click.FloatRange(min=0),
-              help="Bearing std, deg.")
-@click.option("--r", "r_m", default=4.0,
+              callback=_finite, help="Bearing std, deg.")
+@click.option("--r", "r_m", default=4.0, callback=_finite,
               type=click.FloatRange(min=0, min_open=True), help="True range, m.")
-@click.option("--theta", default=45.0, type=float, help="True bearing, deg.")
+@click.option("--theta", default=45.0, type=float, callback=_finite,
+              help="True bearing, deg.")
 @click.option("--samples", default=10000, type=click.IntRange(min=100))
 @click.option("--seed", default=0, type=int)
 def noise_report(sigma_theta, r_m, theta, samples, seed):

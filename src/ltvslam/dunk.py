@@ -119,7 +119,7 @@ def init_pair(landmark_id: int, bundle: SensorBundle,
     else:
         x_v0, P_v0 = np.asarray(vehicle_prior[0], float), np.asarray(vehicle_prior[1], float)
     d = x_v0.size
-    offset = first_sighting_offset(bundle, beta_hat, d)
+    offset = first_sighting_offset(bundle, beta_hat)
     x = np.concatenate([x_v0 + offset, x_v0])
     P = np.zeros((2 * d, 2 * d))
     P[:d, :d] = 100.0 * np.eye(d)

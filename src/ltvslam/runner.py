@@ -64,8 +64,8 @@ class RunConfig:
             raise ConfigError(f"unknown case {self.case!r}")
         for name in ("dt", "duration"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value!r}")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.mode == "coop-robots" and self.case != 2:

@@ -43,6 +43,8 @@ class Landmark:
         position = np.asarray(self.position, dtype=float)
         if position.shape != (2,):
             raise ValueError(f"landmark {self.id} position must be a 2-vector")
+        if not (np.all(np.isfinite(position)) and math.isfinite(self.diameter)):
+            raise ValueError(f"landmark {self.id} position and diameter must be finite")
         object.__setattr__(self, "position", position)
 
 
@@ -57,6 +59,9 @@ class CircleSpec:
     beta0: float = 0.0  # used only when omega == 0 (stationary vehicle)
 
     def __post_init__(self):
+        numbers = [*self.center, *self.x0, self.radius, self.omega, self.beta0]
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"circle numbers must be finite, got {numbers}")
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
 
@@ -105,6 +110,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_visible, self.duration, self.dt))):
+            raise ValueError("r_visible, duration and dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.visibility not in ("unlimited", "quadrant", "range"):

@@ -1,16 +1,18 @@
 """Full-state SLAM in global coordinates with heading side-estimation.
 
-The stacked state holds every landmark's global position followed by
-the vehicle's global position (and, in second-order mode, the vehicle's
-global velocity).  The heading never enters the state vector: it is
-estimated separately by minimizing the measurement residue and fed into
-the measurement matrix as a rotation, which keeps the filter linear.
+The stacked state holds every landmark's planar global position
+followed by the vehicle's.  The vehicle model is first order: its
+position integrates the forward speed along the estimated heading.  The
+heading never enters the state vector: it is estimated separately by
+minimizing the measurement residue and fed into the measurement matrix
+as a rotation, which keeps the filter linear.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,26 +28,6 @@ EPS_OFFSET = 1e-9
 
 #: Gain of the heading tracker: beta_hat' = omega + GAMMA_BETA (beta_d - beta_hat).
 GAMMA_BETA = 1.0
-
-
-@dataclass(frozen=True)
-class VehicleKinematics:
-    """Bicycle-model inputs: speed, axle distance, steering angle."""
-
-    u: float
-    L: float
-    theta_s: float
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("axle distance must be > 0")
-        if not abs(self.theta_s) < math.pi / 2:
-            raise ValueError("steering angle must satisfy |theta_s| < pi/2")
-
-
-def bicycle_omega(k: VehicleKinematics) -> float:
-    """Yaw rate of the bicycle model: omega = (u / L) tan(theta_s)."""
-    return (k.u / k.L) * math.tan(k.theta_s)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +103,7 @@ class GlobalState:
     landmark_ids: list
     state: FilterState
     beta_hat: float
-    second_order: bool = False
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
     @property
     def n_landmarks(self) -> int:
@@ -146,32 +127,20 @@ class GlobalState:
                                self.state.x[:self.dim * n], blocks[:n], self.dim,
                                vehicle=(self.vehicle, blocks[n]))
 
-    @property
-    def vehicle_velocity(self) -> np.ndarray:
-        if not self.second_order:
-            raise ValueError("velocity sub-state exists only in second-order mode")
-        return self.state.x[self._block(self.n_landmarks + 1)]
 
-
-def init_global(x_v0: np.ndarray, beta0: float = 0.0, second_order: bool = False,
-                v0: np.ndarray | None = None) -> GlobalState:
+def init_global(x_v0: np.ndarray, beta0: float = 0.0) -> GlobalState:
+    """An empty map with the vehicle at the planar start ``x_v0``."""
     x_v0 = np.asarray(x_v0, dtype=float).ravel()
-    d = x_v0.size
-    blocks = [x_v0]
-    if second_order:
-        blocks.append(np.zeros(d) if v0 is None else np.asarray(v0, float))
-    x = np.concatenate(blocks)
-    P = np.kron(np.eye(len(blocks)), np.eye(d) * 1e-6)
-    return GlobalState(landmark_ids=[], state=FilterState(x, P),
-                       beta_hat=wrap_angle(beta0), second_order=second_order,
-                       dim=d)
+    if x_v0.shape != (GlobalState.dim,):
+        raise ValueError(f"vehicle start must be a 2-vector, got shape {x_v0.shape}")
+    return GlobalState(landmark_ids=[], state=FilterState(x_v0, np.eye(2) * 1e-6),
+                       beta_hat=wrap_angle(beta0))
 
 
-def first_sighting_offset(bundle: SensorBundle, beta_hat: float, d: int
-                          ) -> np.ndarray:
+def first_sighting_offset(bundle: SensorBundle, beta_hat: float) -> np.ndarray:
     """Global-frame offset of a first sighting: range (else R_MAX/2) along the bearing."""
     if bundle.bearing is None:
-        return np.zeros(d)
+        return np.zeros(2)
     r0 = bundle.range.r if bundle.range is not None else 0.5 * noisecal.R_MAX
     _, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
     return rotation2d(beta_hat).apply(r0 * h_star.ravel())
@@ -180,56 +149,23 @@ def first_sighting_offset(bundle: SensorBundle, beta_hat: float, d: int
 def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle) -> GlobalState:
     """Grow the state by one landmark with a wide prior at the back-projected obs."""
     d = gs.dim
-    x_new = gs.vehicle + first_sighting_offset(bundle, gs.beta_hat, d)
+    x_new = gs.vehicle + first_sighting_offset(bundle, gs.beta_hat)
     k = d * gs.n_landmarks  # new landmark goes just before the vehicle block
     x = np.insert(gs.state.x, [k] * d, x_new)
     P = np.insert(np.insert(gs.state.P, [k] * d, 0.0, axis=0), [k] * d, 0.0, axis=1)
     P[k:k + d, k:k + d] = 100.0 * np.eye(d)   # PSD P plus a PD block: no check
     return GlobalState(landmark_ids=gs.landmark_ids + [lid],
                        state=FilterState._derived(x, P, gs.state.t),
-                       beta_hat=gs.beta_hat, second_order=gs.second_order,
-                       dim=d)
+                       beta_hat=gs.beta_hat)
 
 
-def _second_order_rows(gs: GlobalState, index: int, case: int,
-                       bundle: SensorBundle, inputs: RobotInputs
-                       ) -> vmeas.VirtualMeasurement:
-    """Case I-IV rows with the vehicle velocity as a sub-state instead of an input.
-
-    ``inputs.u`` is the body-frame velocity estimate T v.  The case
-    builders give the rows and R; the velocity-dependent term of the last
-    row moves from y into H columns c acting on the velocity block, where
-    y = -c v.  Case V stays nonlinear in this mode and is rejected.
-    """
-    if case == 5:
-        raise ValueError("Case V is unsupported with second-order dynamics")
-    T = body_from_global(gs.beta_hat)
-    vm = vmeas._lift(build_measurement(case, bundle, inputs), T,
-                     gs.state.dim, index, gs.n_landmarks)
-    h, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
-    if case == 3:
-        # y = -h u
-        c = h
-    elif case == 4 and vm.rows > h.shape[0]:
-        # y = s tau h* u, s chosen so the range surrogate is positive at
-        # the current estimate; the Case I fallback has no such row
-        c = -math.copysign(bundle.ttc.tau, float((h_star @ inputs.u)[0])) * h_star
-    else:
-        return vm
-    H, y = vm.H.copy(), vm.y.copy()
-    H[-1:, gs._block(gs.n_landmarks + 1)] = c @ T
-    y[-1] = 0.0
-    return vmeas.VirtualMeasurement._derived(y, H, vm.R)
-
-
-def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
+def step_global(gs: GlobalState, u: float, omega: float,
                 observations: dict, case: int = 2,
                 cfg: FilterConfig = FilterConfig()) -> GlobalState:
     """One tick of the full-state filter.
 
-    ``u`` is the forward speed (first-order mode) or the global-frame
-    acceleration vector (second-order mode); ``omega`` is the yaw rate.
-    New landmark ids in ``observations`` are appended before the update.
+    ``u`` is the forward speed and ``omega`` the yaw rate.  New landmark
+    ids in ``observations`` are appended before the update.
     """
     for lid, bundle in observations.items():
         if lid not in gs.landmark_ids:
@@ -239,43 +175,21 @@ def step_global(gs: GlobalState, u: float | np.ndarray, omega: float,
     # the tracker advances it to t+dt for the next tick afterwards.
     beta_hat = gs.beta_hat
     seen = [(lid, b) for lid, b in observations.items() if b.bearing is not None]
-    beta_d = beta_d_closed_form_2d([gs.landmark(lid) for lid, _ in seen],
-                                   gs.vehicle,
+    beta_d = beta_d_closed_form_2d([gs.landmark(lid) for lid, _ in seen], gs.vehicle,
                                    [b.bearing.theta for _, b in seen], beta_hat)
     T = body_from_global(beta_hat)
-    # body-frame velocity for the velocity-dependent cases
-    if gs.second_order:
-        fwd_body = T @ gs.vehicle_velocity
-    else:
-        fwd_body = np.array([0.0, float(u)])
-    inputs = RobotInputs(u=fwd_body, omega=skew(omega))
+    inputs = RobotInputs(u=np.array([0.0, float(u)]), omega=skew(omega))
     parts = []
     for lid, bundle in observations.items():
-        index = gs.landmark_ids.index(lid)
-        if gs.second_order:
-            vm = _second_order_rows(gs, index, case, bundle, inputs)
-        else:
-            r_hint = float(np.linalg.norm(gs.landmark(lid) - gs.vehicle)) or None
-            body_vm = build_measurement(case, bundle, inputs, r_hint)
-            vm = None if body_vm is None else vmeas._lift(
-                body_vm, T, gs.state.dim, index, gs.n_landmarks)
-        parts.append(vm)
+        r_hint = float(np.linalg.norm(gs.landmark(lid) - gs.vehicle)) or None
+        body_vm = build_measurement(case, bundle, inputs, r_hint)
+        parts.append(None if body_vm is None else vmeas._lift(
+            body_vm, T, gs.state.dim, gs.landmark_ids.index(lid), gs.n_landmarks))
     vm_all = vmeas.stack_measurements(*parts)
 
+    # A = 0: only the vehicle block (last) moves, at u along the heading
     n = gs.state.dim
-    d = gs.dim
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    nv = gs.n_landmarks
-    if gs.second_order:
-        # vehicle position integrates the velocity sub-state; velocity
-        # integrates the (global-frame) acceleration input
-        A[d * nv:d * nv + d, d * (nv + 1):d * (nv + 2)] = np.eye(d)
-        acc = np.asarray(u, dtype=float).ravel()
-        b[d * (nv + 1):] = acc
-    else:
-        b[d * nv:d * nv + d] = float(u) * heading_forward(beta_hat)
-    new_state = ode_step(gs.state, A, b, vm_all, None, cfg)
+    b = np.concatenate([np.zeros(n - gs.dim), float(u) * heading_forward(beta_hat)])
+    new_state = ode_step(gs.state, np.zeros((n, n)), b, vm_all, None, cfg)
     beta_next = track_heading(beta_hat, omega, beta_d, cfg.dt)
-    return GlobalState(gs.landmark_ids, new_state, beta_next,
-                       gs.second_order, gs.dim)
+    return GlobalState(gs.landmark_ids, new_state, beta_next)

@@ -3,7 +3,7 @@
 Each builder turns one instant's raw sensor readings into a linear
 constraint triple ``y = H x + v`` on the relative landmark position in
 the robot-fixed frame.  Five sensor menus are supported in both 2D and
-3D, plus the pinhole camera and structure-from-motion constraints.
+3D, plus the pinhole camera constraint.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noisecal
-from .core import AngularVelocityMatrix, RobotInputs, Rotation2D
+from .core import RobotInputs
 
 #: Below this radial/total speed (m/s) the time-to-contact and Doppler
 #: constraints are unreliable and the affected row is dropped.
@@ -340,26 +340,6 @@ def pinhole(obs: PinholeObs) -> VirtualMeasurement:
     ])
     var = max(obs.sigma_img**2, noisecal.VAR_FLOOR) * noisecal.R_MAX**2
     return VirtualMeasurement._derived(np.zeros(2), H, var * np.eye(2))
-
-
-def _heading_matrix_3d(heading) -> np.ndarray:
-    if isinstance(heading, Rotation2D):
-        T = np.eye(3)
-        T[:2, :2] = heading.matrix.T  # global -> camera for the planar part
-        return T
-    T = np.asarray(heading, dtype=float)
-    if T.shape != (3, 3):
-        raise ValueError("heading must be a Rotation2D or a 3x3 rotation matrix")
-    return T
-
-
-def sfm_constraint(obs: PinholeObs, heading) -> VirtualMeasurement:
-    """Structure-from-motion rows over the stacked (feature, camera) state.
-
-    The pinhole rows act on T (x_feature - x_camera) with T the
-    global-to-camera rotation, giving the block row [+HT, -HT].
-    """
-    return _lift(pinhole(obs), _heading_matrix_3d(heading), 6, 0, 1)
 
 
 def _lift(vm: VirtualMeasurement, T: np.ndarray, n: int, landmark: int,

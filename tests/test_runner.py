@@ -1,5 +1,6 @@
 """Scenario execution, alignment, and the CLI."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -31,7 +32,9 @@ def test_run_config_validation():
     with pytest.raises(ConfigError, match="case 2"):
         RunConfig(mode="coop-robots", case=4)   # robot sightings: bearing + range
     for bad in (dict(dt=0.0), dict(dt=-0.01), dict(duration=0.0),
-                dict(duration=-5.0), dict(seed=-1)):
+                dict(duration=-5.0), dict(seed=-1), dict(dt=math.inf),
+                dict(dt=math.nan), dict(duration=math.inf),
+                dict(duration=math.nan)):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # shorter than one step: nothing would run
@@ -247,6 +250,15 @@ BAD_SCENARIO_EDITS = {
     "unknown-visibility": lambda d: d.update(visibility="cone"),
     "beyond-r-max": lambda d: d["landmarks"][0].update(position_m=[0.0, 200.0]),
     "broken-json": None,
+    "infinite-duration": lambda d: d.update(duration_s=math.inf),
+    "nan-dt": lambda d: d.update(dt_s=math.nan),
+    "nan-r-visible": lambda d: d.update(visibility="range", r_visible_m=math.nan),
+    "nan-landmark": lambda d: d["landmarks"][0].update(position_m=[math.nan, 1.0]),
+    "infinite-diameter": lambda d: d["landmarks"][0].update(diameter_m=math.inf),
+    "nan-omega": lambda d: d["vehicles"][0].update(omega=math.nan),
+    "infinite-center": lambda d: d["vehicles"][0].update(center=[math.inf, 0.0]),
+    "nan-sigma": lambda d: d["noise"].update(sigma_r=math.nan),
+    "infinite-sigma": lambda d: d["noise"].update(sigma_theta=math.inf),
 }
 
 
@@ -304,7 +316,10 @@ def test_cli_noise_report():
 
 
 @pytest.mark.parametrize("flags", [["--samples", "10"], ["--r", "0"],
-                                   ["--sigma-theta", "-1"]])
+                                   ["--sigma-theta", "-1"], ["--theta", "nan"],
+                                   ["--theta", "inf"], ["--r", "inf"],
+                                   ["--r", "nan"], ["--sigma-theta", "inf"],
+                                   ["--sigma-theta", "nan"]])
 def test_cli_noise_report_rejects_bad_input(flags):
     out = CliRunner().invoke(cli_main, ["noise-report", *flags])
     assert out.exit_code == 2, out.output
@@ -319,6 +334,30 @@ def test_package_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_modules_have_no_unused_imports():
+    # every name a module imports must be read somewhere in that module;
+    # __init__ imports only to re-export
+    pkg = os.path.dirname(os.path.abspath(ltvslam.__file__))
+    unused = []
+    for fname in sorted(os.listdir(pkg)):
+        if not fname.endswith(".py") or fname == "__init__.py":
+            continue
+        with open(os.path.join(pkg, fname)) as f:
+            tree = ast.parse(f.read(), filename=fname)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{fname}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert not unused, f"unused imports: {unused}"
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))

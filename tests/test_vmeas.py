@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltvslam import vmeas
-from ltvslam.core import RobotInputs, rotation2d, skew
+from ltvslam.core import RobotInputs, skew
 
 from conftest import exact_bundle, random_state_and_inputs
 
@@ -77,22 +77,6 @@ def test_pinhole_residual_zero_at_truth(rng):
         y1, y2 = -f * x[0] / x[2], -f * x[1] / x[2]
         vm = vmeas.pinhole(vmeas.PinholeObs(f=f, y1=y1, y2=y2))
         assert np.abs(vm.residual(x)).max() < 1e-10
-
-
-def test_sfm_constraint_residual_zero_at_truth(rng):
-    f = 400.0
-    heading = rotation2d(0.8)
-    T = np.eye(3)
-    T[:2, :2] = heading.matrix.T
-    for _ in range(20):
-        x_cam = rng.uniform(-5.0, 5.0, size=3)
-        x_feat = x_cam + rng.uniform(-10.0, 10.0, size=3)
-        rel = T @ (x_feat - x_cam)
-        if rel[2] < 0.5:
-            continue
-        y1, y2 = -f * rel[0] / rel[2], -f * rel[1] / rel[2]
-        vm = vmeas.sfm_constraint(vmeas.PinholeObs(f=f, y1=y1, y2=y2), heading)
-        assert np.abs(vm.residual(np.concatenate([x_feat, x_cam]))).max() < 1e-9
 
 
 def test_virtual_measurement_validation():
