@@ -27,7 +27,6 @@ def main():
 @click.option("--case", default=2, type=int, help="Sensor case 1-5.")
 @click.option("--scenario", default="single-vehicle-2d",
               help="Builtin scenario name or JSON file path.")
-@click.option("--dt", default=None, type=float)
 @click.option("--seed", default=None, type=int)
 @click.option("--out", "out_dir", default=None, type=click.Path())
 @click.option("--duration", default=None, type=float)

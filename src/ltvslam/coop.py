@@ -45,7 +45,6 @@ GAMMA_OMEGA = 4.0
 class RobotMap:
     """One robot's pair-filter map."""
 
-    robot_id: int
     net: DunkNetwork
 
     def landmark_positions(self) -> dict[int, np.ndarray]:
@@ -56,7 +55,6 @@ class RobotMap:
 class NNFeature:
     """Nearest-neighbor feature vector of landmark k in one robot's map."""
 
-    landmark: int
     neighbor: int
     a: np.ndarray
 
@@ -65,6 +63,7 @@ class NNFeature:
 class MediumState:
     """Everything the central medium computed for one tick."""
 
+    positions: dict     # robot id -> its landmark positions
     x_ic: dict          # robot id -> map center
     x_cc: np.ndarray | None
     x_ck: dict          # landmark id -> average position over observers
@@ -90,15 +89,8 @@ class RobotTick:
 # Medium variables
 # ---------------------------------------------------------------------------
 
-def centers(maps: dict[int, RobotMap]) -> dict[int, np.ndarray]:
-    """Per-map landmark centers x_ic of the non-empty maps."""
-    return {i: np.mean([p.x_landmark for p in m.net.pairs.values()], axis=0)
-            for i, m in maps.items() if m.net.pairs}
-
-
-def nn_features(m: RobotMap) -> dict[int, NNFeature]:
-    """Per observed landmark, the vector to its nearest observed neighbor."""
-    pos = m.landmark_positions()
+def nn_features(pos: dict[int, np.ndarray]) -> dict[int, NNFeature]:
+    """Per landmark of one map's positions, the vector to its nearest neighbor."""
     if len(pos) < 2:
         return {}
     ids = sorted(pos)   # ties go to the lowest id
@@ -106,7 +98,7 @@ def nn_features(m: RobotMap) -> dict[int, NNFeature]:
     dist = np.linalg.norm(X[:, None] - X[None], axis=2)
     np.fill_diagonal(dist, np.inf)
     nearest = dict(zip(ids, np.argmin(dist, axis=1)))
-    return {k: NNFeature(landmark=k, neighbor=ids[nearest[k]], a=x - X[nearest[k]])
+    return {k: NNFeature(neighbor=ids[nearest[k]], a=x - X[nearest[k]])
             for k, x in pos.items()}
 
 
@@ -129,11 +121,12 @@ def coordinate_k_star(all_feats: dict[int, dict[int, NNFeature]]) -> dict[int, i
 
 
 def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
-    """Recompute all medium variables from the current maps."""
+    """Recompute all medium variables from one read of each map's positions."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    x_ic = centers(maps)
     positions = {i: m.landmark_positions() for i, m in maps.items()}
+    x_ic = {i: np.mean(list(pos.values()), axis=0)   # centers of non-empty maps
+            for i, pos in positions.items() if pos}
     x_cc = np.mean(list(x_ic.values()), axis=0) if x_ic else None
     observers: dict[int, list] = {}
     for pos in positions.values():
@@ -142,7 +135,7 @@ def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
     x_ck = {k: np.mean(xs, axis=0) for k, xs in observers.items()}
     feats, k_star, c_k = {}, {}, {}   # read by the partial mode only
     if mode == "partial":
-        feats = {i: nn_features(m) for i, m in maps.items()}
+        feats = {i: nn_features(pos) for i, pos in positions.items()}
         k_star = coordinate_k_star(feats)
         for k, kstar in k_star.items():
             agreeing = [feats[i][k].a for i in sorted(feats)
@@ -150,8 +143,8 @@ def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
             if agreeing:
                 c_k[k] = np.mean(agreeing, axis=0)
     e_c, e_h = heading_errors(positions, x_ic, feats, mode)
-    return MediumState(x_ic=x_ic, x_cc=x_cc, x_ck=x_ck, c_k=c_k,
-                       k_star=k_star, features=feats, e_c=e_c, e_h=e_h)
+    return MediumState(positions=positions, x_ic=x_ic, x_cc=x_cc, x_ck=x_ck,
+                       c_k=c_k, k_star=k_star, features=feats, e_c=e_c, e_h=e_h)
 
 
 def heading_errors(pos: dict, x_ic: dict, feats: dict,
@@ -187,14 +180,14 @@ def heading_errors(pos: dict, x_ic: dict, feats: dict,
 # Null-space inputs
 # ---------------------------------------------------------------------------
 
-def null_translation(m: RobotMap, medium: MediumState, mode: str) -> np.ndarray:
-    """Translation input pulling this map toward the medium."""
+def null_translation(i: int, medium: MediumState, mode: str) -> np.ndarray:
+    """Translation input pulling robot i's map toward the medium."""
     if mode in ("full", "robots_only"):
-        if medium.x_cc is None or m.robot_id not in medium.x_ic:
+        if medium.x_cc is None or i not in medium.x_ic:
             return np.zeros(2)
-        return GAMMA_V * (medium.x_cc - medium.x_ic[m.robot_id])
+        return GAMMA_V * (medium.x_cc - medium.x_ic[i])
     v = np.zeros(2)
-    for k, x_ik in m.landmark_positions().items():
+    for k, x_ik in medium.positions[i].items():
         if k in medium.x_ck:
             v += medium.x_ck[k] - x_ik
     return GAMMA_V * v
@@ -209,7 +202,7 @@ def _descent_rate(pairs) -> float:
     return GAMMA_OMEGA * w / moment if moment > 0.0 else 0.0
 
 
-def null_rotation_full(m: RobotMap, medium: MediumState) -> float:
+def null_rotation_full(i: int, medium: MediumState) -> float:
     """Heading-error descent omega_i ~ Sum_k (x_ik - x_ic)^T J x_ck.
 
     The raw torque scales with the squared map extent, so it is
@@ -218,36 +211,36 @@ def null_rotation_full(m: RobotMap, medium: MediumState) -> float:
     an angular rate independent of map size (and stable for
     GAMMA_OMEGA * dt << 1).
     """
-    if m.robot_id not in medium.x_ic:
+    if i not in medium.x_ic:
         return 0.0
-    x_ic = medium.x_ic[m.robot_id]
+    x_ic = medium.x_ic[i]
     return _descent_rate([
         (x_ik - x_ic, medium.x_ck[k])
-        for k, x_ik in m.landmark_positions().items() if k in medium.x_ck])
+        for k, x_ik in medium.positions[i].items() if k in medium.x_ck])
 
 
-def null_rotation_partial(m: RobotMap, medium: MediumState) -> float:
+def null_rotation_partial(i: int, medium: MediumState) -> float:
     """omega_i ~ Sum_k a_ik^T J c_k over features agreeing with k*.
 
-    Uses the features the medium computed for this map.  Normalized by
+    Uses the features the medium computed for robot i's map.  Normalized by
     Sum ||a_ik|| ||c_k|| for the same scale-free angular rate as
     :func:`null_rotation_full`.
     """
     return _descent_rate([
         (f.a, medium.c_k[k])
-        for k, f in medium.features.get(m.robot_id, {}).items()
+        for k, f in medium.features.get(i, {}).items()
         if medium.k_star.get(k) == f.neighbor and k in medium.c_k])
 
 
-def null_drift(m: RobotMap, medium: MediumState, mode: str) -> Drift:
+def null_drift(i: int, medium: MediumState, mode: str) -> Drift:
     """Robot i's null-space input: v_i, saturated omega_i and the rotation center."""
     if mode == "partial":
-        w = null_rotation_partial(m, medium)
+        w = null_rotation_partial(i, medium)
         center = None   # partial-information rotation acts about the origin
     else:
-        w = null_rotation_full(m, medium)
-        center = medium.x_ic.get(m.robot_id)
-    return Drift(v=null_translation(m, medium, mode),
+        w = null_rotation_full(i, medium)
+        center = medium.x_ic.get(i)
+    return Drift(v=null_translation(i, medium, mode),
                  omega=float(np.clip(w, -OMEGA_MAX, OMEGA_MAX)),
                  center=center)
 
@@ -272,7 +265,7 @@ def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
 
     for i in sorted(maps):
         m, tick = maps[i], ticks[i]
-        drift = null_drift(m, medium, mode) if multi else None
+        drift = null_drift(i, medium, mode) if multi else None
         if mode == "robots_only":
             targets = {k: tick.speeds[k] * heading_forward(
                            m.net.beta_hat + tick.heading_diffs[k])

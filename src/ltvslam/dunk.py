@@ -35,7 +35,6 @@ SELF_TIE_SIGMA = 1e-2
 class LandmarkPairState:
     """Joint (landmark, virtual vehicle) estimate with 2d x 2d block covariance."""
 
-    landmark_id: int
     state: FilterState  # x = [x_i; x_vi]
 
     def __post_init__(self):
@@ -64,11 +63,7 @@ class Consensus:
     """Information-weighted average of the virtual vehicles."""
 
     x_vc: np.ndarray
-    information: np.ndarray   # sum of Sigma_vi^-1 over the observed set
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return np.linalg.inv(self.information)
+    covariance: np.ndarray   # (sum of Sigma_vi^-1 over the observed set)^-1
 
 
 def consensus(pairs: dict[int, LandmarkPairState],
@@ -85,7 +80,8 @@ def consensus(pairs: dict[int, LandmarkPairState],
         w = np.linalg.inv(p.sigma_vehicle + REG * np.eye(d))
         info += w
         weighted += w @ p.x_vehicle
-    return Consensus(x_vc=np.linalg.solve(info, weighted), information=info)
+    return Consensus(x_vc=np.linalg.solve(info, weighted),
+                     covariance=np.linalg.inv(info))
 
 
 def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None:
@@ -108,10 +104,9 @@ def pair_measurement(case: int, bundle: SensorBundle, beta_hat: float,
     return vmeas._lift(body_vm, T, 2 * T.shape[1], 0, 1)
 
 
-def init_pair(landmark_id: int, bundle: SensorBundle,
-              pairs: dict[int, LandmarkPairState], beta_hat: float,
-              vehicle_prior: tuple[np.ndarray, np.ndarray], t: float = 0.0
-              ) -> LandmarkPairState:
+def init_pair(bundle: SensorBundle, pairs: dict[int, LandmarkPairState],
+              beta_hat: float, vehicle_prior: tuple[np.ndarray, np.ndarray],
+              t: float = 0.0) -> LandmarkPairState:
     """New pair: virtual vehicle at the all-pairs consensus, landmark offset by the obs."""
     c = consensus(pairs, pairs.keys()) if pairs else None
     if c is not None:
@@ -124,7 +119,7 @@ def init_pair(landmark_id: int, bundle: SensorBundle,
     P = np.zeros((2 * d, 2 * d))
     P[:d, :d] = 100.0 * np.eye(d)
     P[d:, d:] = P_v0
-    return LandmarkPairState(landmark_id, FilterState(x, P, t))
+    return LandmarkPairState(FilterState(x, P, t))
 
 
 @dataclass
@@ -163,13 +158,12 @@ class Drift:
     center: np.ndarray | None = None
 
 
-def _self_pair(net: DunkNetwork, robot_id: int) -> LandmarkPairState:
+def _self_pair(net: DunkNetwork) -> LandmarkPairState:
     """A robot's own entry: both blocks at the vehicle prior, 0.9 correlated."""
     x_v0 = np.asarray(net.vehicle_prior_x, float)
     P_v0 = np.asarray(net.vehicle_prior_P, float)
     P0 = np.block([[P_v0, 0.9 * P_v0], [0.9 * P_v0, P_v0]])
-    return LandmarkPairState(
-        robot_id, FilterState(np.concatenate([x_v0, x_v0]), P0, net.t))
+    return LandmarkPairState(FilterState(np.concatenate([x_v0, x_v0]), P0, net.t))
 
 
 def _self_tie_measurement(dim: int) -> vmeas.VirtualMeasurement:
@@ -201,10 +195,10 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
     for lid, bundle in observations.items():
         if lid not in net.pairs:
             net.pairs[lid] = init_pair(
-                lid, bundle, net.pairs, net.beta_hat,
+                bundle, net.pairs, net.beta_hat,
                 (net.vehicle_prior_x, net.vehicle_prior_P), net.t)
     if self_id is not None and self_id not in net.pairs:
-        net.pairs[self_id] = _self_pair(net, self_id)
+        net.pairs[self_id] = _self_pair(net)
 
     inputs = RobotInputs(u=np.array([0.0, u_speed]), omega=skew(omega))
     fb = feedback_measurement(net.last_consensus)
@@ -241,7 +235,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         elif lid in targets:
             b[:d] += targets[lid]
         new_state = ode_step(pair.state, A, b, vm, None, net.cfg)
-        net.pairs[lid] = LandmarkPairState(lid, new_state)
+        net.pairs[lid] = LandmarkPairState(new_state)
     net.t += net.cfg.dt
 
     observed = set(observations)

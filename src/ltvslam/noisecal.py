@@ -139,7 +139,7 @@ def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
     residuals = []
     for _ in range(n):
         vm = vmeas.build_measurement(
-            case, vmeas.noisy_bundle(true, noise, rng, 2.0), inputs)
+            case, vmeas.noisy_bundle(true, noise, rng), inputs)
         if vm is None:
             raise ValueError("Case V undefined for a stationary robot")
         residuals.append(vm.residual(x_true))

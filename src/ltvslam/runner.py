@@ -52,7 +52,6 @@ class RunConfig:
     mode: str = "local"
     case: int = 2
     scenario: str = "single-vehicle-2d"   # builtin name or JSON path
-    dt: float | None = None               # overrides the scenario dt when set
     seed: int | None = None
     out_dir: str | None = None
     duration: float | None = None
@@ -62,10 +61,9 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.case not in (1, 2, 3, 4, 5):
             raise ConfigError(f"unknown case {self.case!r}")
-        for name in ("dt", "duration"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        d = self.duration
+        if d is not None and not (math.isfinite(d) and d > 0):
+            raise ConfigError(f"duration must be finite and > 0, got {d!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.mode == "coop-robots" and self.case != 2:
@@ -153,8 +151,8 @@ def align_procrustes(est: np.ndarray, true: np.ndarray
 
 def make_coop_maps(scenario, cfg: RunConfig) -> dict[int, coop_mod.RobotMap]:
     """Each robot starts its map in its own frame (vehicle prior at the origin)."""
-    fcfg = FilterConfig(dt=scenario.dt if cfg.dt is None else cfg.dt)
-    return {vid: coop_mod.RobotMap(vid, DunkNetwork(case=cfg.case, cfg=fcfg))
+    fcfg = FilterConfig(dt=scenario.dt)
+    return {vid: coop_mod.RobotMap(DunkNetwork(case=cfg.case, cfg=fcfg))
             for vid, _ in scenario.vehicles}
 
 
@@ -166,7 +164,7 @@ def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
                 for k in set(pos[a]) & set(pos[b])), default=0.0)
 
 
-def _setup(scenario, cfg: RunConfig, dt: float):
+def _setup(scenario, cfg: RunConfig):
     """Build the mode's estimator; return ``(step, read, truth, finish)``.
 
     ``step(ticks)`` advances it one tick; ``read()`` gives ``{robot id:
@@ -207,7 +205,7 @@ def _setup(scenario, cfg: RunConfig, dt: float):
     (vid, _), = scenario.vehicles
     pose_fn = scenario.pose_fns()[vid]
     pose0 = pose_fn(0.0)
-    fcfg = FilterConfig(dt=dt)
+    fcfg = FilterConfig(dt=scenario.dt)
 
     def truth(t):
         pose = pose_fn(t)
@@ -296,15 +294,15 @@ def run(cfg: RunConfig) -> Metrics:
         raise ConfigError(f"robot {robot} of {cfg.scenario!r} can sight something "
                           f"{far:.1f} m away, beyond the range bound "
                           f"noisecal.R_MAX = {R_MAX:g} m")
-    dt = scenario.dt if cfg.dt is None else cfg.dt
     duration = scenario.duration if cfg.duration is None else cfg.duration
-    n_steps = int(round(duration / dt))
+    n_steps = int(round(duration / scenario.dt))
     if n_steps < 1:
-        raise ConfigError(f"duration {duration!r} s is under one {dt!r} s step")
+        raise ConfigError(f"duration {duration!r} s is under one "
+                          f"{scenario.dt!r} s step")
     rng = np.random.default_rng(scenario.seed if cfg.seed is None else cfg.seed)
-    stream = sim_mod.ticks(scenario, rng, dt, n_steps,
+    stream = sim_mod.ticks(scenario, rng, scenario.dt, n_steps,
                            robots_only=cfg.mode == "coop-robots")
-    step, read, truth, finish = _setup(scenario, cfg, dt)
+    step, read, truth, finish = _setup(scenario, cfg)
     metrics = Metrics(stage_seconds={"sense": 0.0, "step": 0.0, "record": 0.0})
     stages = metrics.stage_seconds
     path: list = []

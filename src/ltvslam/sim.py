@@ -26,7 +26,6 @@ from .noisecal import NoiseSpec
 class Pose:
     """Ground-truth vehicle sample: global position, heading, body twist."""
 
-    t: float
     position: np.ndarray
     beta: float
     u: float          # forward speed, m/s
@@ -45,6 +44,8 @@ class Landmark:
             raise ValueError(f"landmark {self.id} position must be a 2-vector")
         if not (np.all(np.isfinite(position)) and math.isfinite(self.diameter)):
             raise ValueError(f"landmark {self.id} position and diameter must be finite")
+        if self.diameter <= 0:
+            raise ValueError(f"landmark {self.id} diameter must be > 0")
         object.__setattr__(self, "position", position)
 
 
@@ -83,13 +84,13 @@ def circle_trajectory(center, radius: float, omega_m: float, x0, beta0: float = 
 
     def pose(t: float) -> Pose:
         if omega_m == 0.0:
-            return Pose(t=t, position=x0.copy(), beta=wrap_angle(beta0),
+            return Pose(position=x0.copy(), beta=wrap_angle(beta0),
                         u=0.0, omega=0.0)
         alpha = alpha0 + omega_m * t
         position = center + radius * np.array([math.cos(alpha), math.sin(alpha)])
         # forward direction (-sin beta, cos beta) must equal the travel tangent
         beta = alpha if omega_m > 0 else alpha + math.pi
-        return Pose(t=t, position=position, beta=wrap_angle(beta),
+        return Pose(position=position, beta=wrap_angle(beta),
                     u=speed, omega=omega_m)
 
     return pose
@@ -112,8 +113,8 @@ class Scenario:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.r_visible, self.duration, self.dt))):
             raise ValueError("r_visible, duration and dt must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if self.dt <= 0 or self.r_visible <= 0:
+            raise ValueError("dt and r_visible must be > 0")
         if self.visibility not in ("unlimited", "quadrant", "range"):
             raise ValueError(f"unknown visibility rule {self.visibility!r}")
 
@@ -175,7 +176,7 @@ def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,
     x_body = body_from_global(pose.beta) @ (landmark.position - pose.position)
     inputs = RobotInputs(u=np.array([0.0, pose.u]), omega=skew(pose.omega))
     true = vmeas.observe_true(x_body, inputs, diameter=landmark.diameter)
-    return vmeas.noisy_bundle(true, noise, rng, landmark.diameter), true
+    return vmeas.noisy_bundle(true, noise, rng), true
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,7 @@ def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
     return min((b1, b3), key=lambda b: abs(angle_diff(b, current_beta)))
 
 
-def track_heading(beta_hat: float, omega: float, beta_d: float,
-                  dt: float = 0.01) -> float:
+def track_heading(beta_hat: float, omega: float, beta_d: float, dt: float) -> float:
     """One Euler step of the heading tracker with shortest-arc error."""
     return wrap_angle(beta_hat + dt * (omega + GAMMA_BETA * angle_diff(beta_d, beta_hat)))
 

@@ -7,7 +7,7 @@ number of landmarks and update order is irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,10 @@ from .vmeas import SensorBundle, build_measurement
 class LocalLandmarkFilter:
     """Relative-position filter for one landmark."""
 
-    landmark_id: int
     state: FilterState
-    case: int
 
 
-def init_landmark(landmark_id: int, case: int,
-                  bundle: SensorBundle | None = None,
+def init_landmark(case: int, bundle: SensorBundle | None = None,
                   dim: int = 2, t: float = 0.0) -> LocalLandmarkFilter:
     """Prior for a newly seen landmark.
 
@@ -36,8 +33,7 @@ def init_landmark(landmark_id: int, case: int,
     Case V (no bearing) starts at the origin with a wide prior.
     """
     if case == 5 or bundle is None or bundle.bearing is None:
-        return LocalLandmarkFilter(
-            landmark_id, FilterState(np.zeros(dim), 100.0 * np.eye(dim), t), case)
+        return LocalLandmarkFilter(FilterState(np.zeros(dim), 100.0 * np.eye(dim), t))
     bearing = bundle.bearing
     dim = bearing.dim
     ranged = case == 2 and bundle.range is not None
@@ -47,17 +43,17 @@ def init_landmark(landmark_id: int, case: int,
     sigma0 = (bundle.range.sigma_r if ranged and bundle.range.sigma_r > 0
               else 0.5 * noisecal.R_MAX)
     P0 = max(sigma0, 0.1) ** 2 * np.eye(dim)
-    return LocalLandmarkFilter(landmark_id, FilterState(x0, P0, t), case)
+    return LocalLandmarkFilter(FilterState(x0, P0, t))
 
 
-def update_landmark(f: LocalLandmarkFilter, inputs: RobotInputs,
+def update_landmark(f: LocalLandmarkFilter, case: int, inputs: RobotInputs,
                     bundle: SensorBundle | None,
                     cfg: FilterConfig = FilterConfig()) -> LocalLandmarkFilter:
     """One step: case-built correction when observed, pure prediction when not."""
     r_hint = float(np.linalg.norm(f.state.x)) or None
     vm = (None if bundle is None
-          else build_measurement(f.case, bundle, inputs, r_hint))
-    return replace(f, state=step(f.state, inputs, vm, cfg))
+          else build_measurement(case, bundle, inputs, r_hint))
+    return LocalLandmarkFilter(step(f.state, inputs, vm, cfg))
 
 
 class LocalMap:
@@ -75,10 +71,10 @@ class LocalMap:
         for lid, bundle in observations.items():
             if lid not in self.filters:
                 self.filters[lid] = init_landmark(
-                    lid, self.case, bundle, dim=inputs.dim, t=self.t)
+                    self.case, bundle, dim=inputs.dim, t=self.t)
         for lid, f in self.filters.items():
             self.filters[lid] = update_landmark(
-                f, inputs, observations.get(lid), self.cfg)
+                f, self.case, inputs, observations.get(lid), self.cfg)
         self.t += self.cfg.dt
 
     def estimates(self) -> Estimates:

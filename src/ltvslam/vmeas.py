@@ -67,7 +67,6 @@ class BearingRateObs:
 class TimeToContactObs:
     tau: float                   # s
     alpha: float | None = None   # rad, visual angle the tau came from
-    d: float | None = None       # m, feature size (simulation provenance)
     sigma_alpha: float = 0.0
 
     def __post_init__(self):
@@ -273,16 +272,17 @@ def _rate_rows(theta: float, phi: float | None, theta_dot: float,
     return h, -(h @ u), D + h @ Om
 
 
-def case4(bearing: BearingObs, ttc: TimeToContactObs, inputs: RobotInputs
+def case4(bearing: BearingObs, ttc: TimeToContactObs | None, inputs: RobotInputs
           ) -> VirtualMeasurement:
     """Bearing plus time-to-contact: |tau h* u| estimates the radial distance.
 
-    When the radial speed |h* u| is below EPS_U the time-to-contact
-    reading is unreliable and the radial row is dropped (Case I fallback).
+    When there is no time-to-contact reading (the range is not changing),
+    or the radial speed |h* u| is below EPS_U so that the reading is
+    unreliable, the radial row is dropped (Case I fallback).
     """
     h, h_star = _bearing_rows(bearing)
     radial_speed = float((h_star @ inputs.u)[0])
-    if abs(radial_speed) < EPS_U:
+    if ttc is None or abs(radial_speed) < EPS_U:
         return case1(bearing)
     y4 = abs(ttc.tau * radial_speed)
     rstar = noisecal.r_star(y4, 0.0)
@@ -406,13 +406,13 @@ def observe_true(x: np.ndarray, inputs: RobotInputs,
                            phi=phi, phi_dot=phi_dot, alpha=alpha, tau=tau)
 
 
-def noisy_bundle(true: TrueObservation, noise, rng: np.random.Generator,
-                 diameter: float) -> SensorBundle:
+def noisy_bundle(true: TrueObservation, noise,
+                 rng: np.random.Generator) -> SensorBundle:
     """Every reading of one sighting, drawn around ``true`` per ``noise``'s sigmas.
 
     One normal each, in this order: theta, phi (3D only), r, theta_dot,
     phi_dot (3D only), r_dot, alpha; the simulator's streams depend on it.
-    ``true`` must come from :func:`observe_true` with this ``diameter``.
+    ``true`` must come from :func:`observe_true` with a ``diameter``.
     The range is clipped at 0, and the visual-angle error enters tau
     multiplicatively (tau ~ alpha/alphadot).
     """
@@ -435,7 +435,6 @@ def noisy_bundle(true: TrueObservation, noise, rng: np.random.Generator,
                             sigma_theta_dot=noise.sigma_theta_dot,
                             sigma_phi_dot=noise.sigma_phi_dot),
         ttc=None if tau is None else TimeToContactObs(
-            tau=max(tau, 1e-9), alpha=alpha, d=diameter,
-            sigma_alpha=noise.sigma_alpha),
+            tau=max(tau, 1e-9), alpha=alpha, sigma_alpha=noise.sigma_alpha),
         doppler=DopplerObs(r=r, r_dot=r_dot, sigma_r=noise.sigma_r,
                            sigma_r_dot=noise.sigma_r_dot))

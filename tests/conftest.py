@@ -29,7 +29,7 @@ def exact_bundle(x_body, inputs, noise=None, diameter=2.0):
                                   sigma_theta_dot=s.sigma_theta_dot if s else 0.0,
                                   sigma_phi_dot=s.sigma_phi_dot if s else 0.0),
         ttc=None if true.tau is None else vmeas.TimeToContactObs(
-            tau=true.tau, alpha=true.alpha, d=diameter,
+            tau=true.tau, alpha=true.alpha,
             sigma_alpha=s.sigma_alpha if s else 0.0),
         doppler=vmeas.DopplerObs(r=true.r, r_dot=true.r_dot,
                                  sigma_r=s.sigma_r if s else 0.0,

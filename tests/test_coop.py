@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ltvslam import coop, dunk, sim
-from ltvslam.coop import (NNFeature, RobotMap, RobotTick, centers, coop_step,
+from ltvslam.coop import (NNFeature, RobotMap, RobotTick, coop_step,
                           coordinate_k_star, medium_update, nn_features,
                           null_rotation_full, null_translation)
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
@@ -18,33 +18,33 @@ from ltvslam.runner import RunConfig, make_coop_maps
 from conftest import exact_bundle
 
 
-def seeded_map(robot_id, positions, vehicle=(0.0, 0.0), **kwargs):
+def seeded_map(positions, vehicle=(0.0, 0.0)):
     net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
     for k, p in positions.items():
         x = np.concatenate([np.asarray(p, float), np.asarray(vehicle, float)])
-        net.pairs[k] = LandmarkPairState(k, FilterState(x, np.eye(4)))
-    return RobotMap(robot_id=robot_id, net=net, **kwargs)
+        net.pairs[k] = LandmarkPairState(FilterState(x, np.eye(4)))
+    return RobotMap(net=net)
 
 
 def test_centers_and_empty_maps():
-    maps = {1: seeded_map(1, {1: (0.0, 0.0), 2: (2.0, 0.0)}),
-            2: seeded_map(2, {1: (0.0, 4.0)}),
-            3: seeded_map(3, {})}
-    x_ic = centers(maps)
+    maps = {1: seeded_map({1: (0.0, 0.0), 2: (2.0, 0.0)}),
+            2: seeded_map({1: (0.0, 4.0)}),
+            3: seeded_map({})}
+    x_ic = medium_update(maps, "full").x_ic
     assert set(x_ic) == {1, 2}
     assert np.allclose(x_ic[1], [1.0, 0.0])
     assert np.allclose(medium_update(maps, "full").x_cc, [0.5, 2.0])
-    assert centers({3: maps[3]}) == {}
+    assert medium_update({3: maps[3]}, "full").x_ic == {}
     assert medium_update({3: maps[3]}, "full").x_cc is None
 
 
 def test_nn_features():
-    m = seeded_map(1, {1: (0.0, 0.0), 2: (1.0, 0.0), 3: (5.0, 0.0)})
-    feats = nn_features(m)
+    m = seeded_map({1: (0.0, 0.0), 2: (1.0, 0.0), 3: (5.0, 0.0)})
+    feats = nn_features(m.landmark_positions())
     assert feats[1].neighbor == 2
     assert feats[3].neighbor == 2
     assert np.allclose(feats[3].a, [4.0, 0.0])
-    assert nn_features(seeded_map(2, {1: (0.0, 0.0)})) == {}
+    assert nn_features({1: np.zeros(2)}) == {}
 
 
 def test_nn_features_match_the_pairwise_loop(rng):
@@ -53,31 +53,31 @@ def test_nn_features_match_the_pairwise_loop(rng):
     # an exact tie, far from the rest: 20's neighbor is the lower id, 21
     pos.update({22: np.array([99.0, 100.0]), 20: np.array([100.0, 100.0]),
                 21: np.array([101.0, 100.0])})
-    feats = nn_features(seeded_map(1, pos))
+    feats = nn_features(pos)
     assert list(feats) == list(pos)
     for k, xk in pos.items():
         best = min((kp for kp in sorted(pos) if kp != k),
                    key=lambda kp: float(np.linalg.norm(xk - pos[kp])))
-        assert feats[k].landmark == k and feats[k].neighbor == best
+        assert feats[k].neighbor == best
         assert np.array_equal(feats[k].a, xk - pos[best])
 
 
 def test_coordinate_k_star_shortest_claim_wins_then_lowest_robot():
     all_feats = {
-        1: {7: NNFeature(7, 8, np.array([3.0, 0.0]))},
-        2: {7: NNFeature(7, 9, np.array([1.0, 0.0]))},
+        1: {7: NNFeature(8, np.array([3.0, 0.0]))},
+        2: {7: NNFeature(9, np.array([1.0, 0.0]))},
     }
     assert coordinate_k_star(all_feats)[7] == 9
     tie = {
-        2: {7: NNFeature(7, 8, np.array([1.0, 0.0]))},
-        1: {7: NNFeature(7, 9, np.array([1.0, 0.0]))},
+        2: {7: NNFeature(8, np.array([1.0, 0.0]))},
+        1: {7: NNFeature(9, np.array([1.0, 0.0]))},
     }
     assert coordinate_k_star(tie)[7] == 9   # robot 1's claim breaks the tie
 
 
 def test_medium_update_averages_and_rejects_bad_mode():
-    maps = {1: seeded_map(1, {1: (0.0, 0.0), 2: (2.0, 2.0)}),
-            2: seeded_map(2, {1: (1.0, 1.0), 2: (3.0, 3.0)})}
+    maps = {1: seeded_map({1: (0.0, 0.0), 2: (2.0, 2.0)}),
+            2: seeded_map({1: (1.0, 1.0), 2: (3.0, 3.0)})}
     med = medium_update(maps, "full")
     assert np.allclose(med.x_ck[1], [0.5, 0.5])
     assert np.allclose(med.x_ck[2], [2.5, 2.5])
@@ -87,7 +87,7 @@ def test_medium_update_averages_and_rejects_bad_mode():
 
 def test_heading_errors_zero_on_identical_maps():
     pos = {1: (1.0, 0.0), 2: (-1.0, 2.0), 3: (0.0, -2.0)}
-    maps = {1: seeded_map(1, pos), 2: seeded_map(2, pos)}
+    maps = {1: seeded_map(pos), 2: seeded_map(pos)}
     for mode in ("full", "partial"):
         med = medium_update(maps, mode)
         e_c, e_h = med.e_c, med.e_h
@@ -99,28 +99,28 @@ def test_heading_errors_detect_rotation_but_not_common_translation():
     pos = {1: np.array([1.0, 0.0]), 2: np.array([-1.0, 2.0]),
            3: np.array([0.0, -2.0])}
     shift = np.array([5.0, -3.0])
-    maps = {1: seeded_map(1, pos),
-            2: seeded_map(2, {k: p + shift for k, p in pos.items()})}
+    maps = {1: seeded_map(pos),
+            2: seeded_map({k: p + shift for k, p in pos.items()})}
     med = medium_update(maps, "full")
     assert med.e_c > 1.0 and med.e_h == pytest.approx(0.0, abs=1e-18)
     T = body_from_global(0.5)
-    maps[2] = seeded_map(2, {k: T @ p for k, p in pos.items()})
+    maps[2] = seeded_map({k: T @ p for k, p in pos.items()})
     assert medium_update(maps, "full").e_h > 0.1
 
 
 def test_null_inputs_vanish_when_aligned_and_descend_otherwise():
     pos = {1: np.array([2.0, 0.0]), 2: np.array([-2.0, 0.0]),
            3: np.array([0.0, 2.0])}
-    maps = {1: seeded_map(1, pos), 2: seeded_map(2, pos)}
+    maps = {1: seeded_map(pos), 2: seeded_map(pos)}
     med = medium_update(maps, "full")
-    assert np.allclose(null_translation(maps[1], med, "full"), 0.0)
-    assert null_rotation_full(maps[1], med) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(null_translation(1, med, "full"), 0.0)
+    assert null_rotation_full(1, med) == pytest.approx(0.0, abs=1e-12)
     # rotate map 2 slightly: its torque must oppose the misalignment
     delta = 0.1
     T = body_from_global(delta)   # clockwise by delta
-    maps[2] = seeded_map(2, {k: T @ p for k, p in pos.items()})
+    maps[2] = seeded_map({k: T @ p for k, p in pos.items()})
     med = medium_update(maps, "full")
-    w = null_rotation_full(maps[2], med)
+    w = null_rotation_full(2, med)
     assert w > 0.0                # counter-clockwise correction
     assert w == pytest.approx(coop.GAMMA_OMEGA * math.sin(delta / 2), rel=0.05)
 
@@ -152,7 +152,7 @@ def test_single_robot_coop_matches_plain_pair_filter():
     net_a = run(lambda net, tick: dunk_step(net, tick.u, tick.omega_m,
                                             tick.observations))
     net_b = run(lambda net, tick: coop_step(
-        {1: RobotMap(robot_id=1, net=net)}, {1: tick}, "full"))
+        {1: RobotMap(net=net)}, {1: tick}, "full"))
     for k in landmarks:
         assert np.array_equal(net_a.pairs[k].state.x, net_b.pairs[k].state.x)
         assert np.array_equal(net_a.pairs[k].state.P, net_b.pairs[k].state.P)
@@ -197,12 +197,31 @@ def test_full_mode_builds_no_nn_features(monkeypatch):
     sc = sim.scenario_coop("full")
     maps = make_coop_maps(sc, RunConfig(mode="coop-full"))
     calls = []
-    monkeypatch.setattr(coop, "nn_features", lambda m: calls.append(m) or {})
+    monkeypatch.setattr(coop, "nn_features", lambda pos: calls.append(pos) or {})
     _, ticks = next(sim.ticks(sc, np.random.default_rng(0), sc.dt, 1))
     medium = coop_step(maps, ticks, "full")
     assert calls == []
     # the null-space inputs and the errors still read x_ck for every landmark
     assert sorted(medium.x_ck) == sorted(lm.id for lm in sc.landmarks)
+
+
+@pytest.mark.parametrize("mode", ["full", "partial"])
+def test_coop_step_reads_each_map_once(monkeypatch, mode):
+    # the medium reads the maps; the null-space inputs read the medium
+    sc = sim.scenario_coop(mode)
+    maps = make_coop_maps(sc, RunConfig(mode=f"coop-{mode}"))
+    stream = sim.ticks(sc, np.random.default_rng(0), sc.dt, 3)
+    medium = coop_step(maps, next(stream)[1], mode)
+    reads = []
+    real = RobotMap.landmark_positions
+    monkeypatch.setattr(RobotMap, "landmark_positions",
+                        lambda m: reads.append(m) or real(m))
+    for _, ticks in stream:
+        assert all(np.array_equal(x, medium.positions[i][k])
+                   for i, m in maps.items() for k, x in real(m).items())
+        reads.clear()
+        medium = coop_step(maps, ticks, mode, medium)
+        assert sorted(map(id, reads)) == sorted(map(id, maps.values()))
 
 
 def test_coop_step_rejects_unknown_mode():
@@ -216,7 +235,7 @@ def run_two_robot_alignment(mode, steps=1500):
                   4: (-2.0, -3.0), 5: (5.0, 0.0)}.items()}
     dt = 0.01
     specs = {1: (6.0, 0.7, 0.0), 2: (7.0, -0.5, math.pi / 2)}
-    maps = {i: RobotMap(robot_id=i, net=DunkNetwork(
+    maps = {i: RobotMap(net=DunkNetwork(
         case=2, cfg=FilterConfig(dt=dt), beta_hat=0.0,
         vehicle_prior_P=np.eye(2))) for i in specs}
     if mode == "partial":

@@ -16,37 +16,37 @@ from ltvslam.slam_local import SensorBundle
 from conftest import exact_bundle
 
 
-def make_pair(lid, x_lm, x_v, sigma_v=1.0):
+def make_pair(x_lm, x_v, sigma_v=1.0):
     P = np.eye(4)
     P[2:, 2:] = sigma_v * np.eye(2)
-    return LandmarkPairState(lid, FilterState(np.concatenate([x_lm, x_v]), P))
+    return LandmarkPairState(FilterState(np.concatenate([x_lm, x_v]), P))
 
 
 def test_pair_state_block_accessors():
-    p = make_pair(1, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    p = make_pair(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     assert np.allclose(p.x_landmark, [1.0, 2.0])
     assert np.allclose(p.x_vehicle, [3.0, 4.0])
     assert p.sigma_vehicle.shape == (2, 2)
     with pytest.raises(ValueError):
-        LandmarkPairState(1, FilterState(np.zeros(3), np.eye(3)))
+        LandmarkPairState(FilterState(np.zeros(3), np.eye(3)))
 
 
 def test_consensus_equal_weights_is_midpoint():
-    pairs = {1: make_pair(1, np.zeros(2), np.array([0.0, 0.0])),
-             2: make_pair(2, np.zeros(2), np.array([2.0, 0.0]))}
+    pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
+             2: make_pair(np.zeros(2), np.array([2.0, 0.0]))}
     c = consensus(pairs, {1, 2})
     assert np.allclose(c.x_vc, [1.0, 0.0], atol=1e-8)
 
 
 def test_consensus_information_weighted():
-    pairs = {1: make_pair(1, np.zeros(2), np.array([0.0, 0.0]), sigma_v=1.0),
-             2: make_pair(2, np.zeros(2), np.array([5.0, 0.0]), sigma_v=4.0)}
+    pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0]), sigma_v=1.0),
+             2: make_pair(np.zeros(2), np.array([5.0, 0.0]), sigma_v=4.0)}
     c = consensus(pairs, {1, 2})
     assert np.allclose(c.x_vc, [1.0, 0.0], atol=1e-6)
 
 
 def test_consensus_single_pair_and_empty():
-    pairs = {1: make_pair(1, np.zeros(2), np.array([7.0, -1.0]))}
+    pairs = {1: make_pair(np.zeros(2), np.array([7.0, -1.0]))}
     c = consensus(pairs, {1})
     assert np.allclose(c.x_vc, [7.0, -1.0], atol=1e-8)
     assert consensus(pairs, set()) is None
@@ -60,7 +60,7 @@ def test_consensus_is_quadratic_minimizer(rng):
         P = np.eye(4)
         P[2:, 2:] = M @ M.T + 0.1 * np.eye(2)
         x = rng.normal(size=4)
-        pairs[lid] = LandmarkPairState(lid, FilterState(x, P))
+        pairs[lid] = LandmarkPairState(FilterState(x, P))
     c = consensus(pairs, pairs.keys())
     A = np.zeros((2, 2))
     b = np.zeros(2)
@@ -69,10 +69,11 @@ def test_consensus_is_quadratic_minimizer(rng):
         A += W
         b += W @ p.x_vehicle
     assert np.allclose(c.x_vc, np.linalg.solve(A, b), atol=1e-8)
+    assert np.allclose(c.covariance, np.linalg.inv(A), atol=1e-8)
 
 
 def test_consensus_permutation_invariant():
-    pairs = {i: make_pair(i, np.zeros(2), np.array([float(i), 0.0]),
+    pairs = {i: make_pair(np.zeros(2), np.array([float(i), 0.0]),
                           sigma_v=1.0 + i) for i in range(4)}
     a = consensus(pairs, [0, 1, 2, 3])
     b = consensus(pairs, [3, 1, 0, 2])
@@ -80,7 +81,7 @@ def test_consensus_permutation_invariant():
 
 
 def test_feedback_measurement_rows():
-    c = Consensus(x_vc=np.array([1.0, 2.0]), information=np.eye(2))
+    c = Consensus(x_vc=np.array([1.0, 2.0]), covariance=np.eye(2))
     vm = feedback_measurement(c)
     assert np.allclose(vm.H, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert np.allclose(vm.residual(np.array([9.0, 9.0, 1.0, 2.0])), 0.0)
@@ -109,11 +110,11 @@ def test_pair_measurement_rotates_with_heading(rng):
 
 
 def test_init_pair_uses_all_pairs_consensus():
-    pairs = {1: make_pair(1, np.zeros(2), np.array([0.0, 0.0])),
-             2: make_pair(2, np.zeros(2), np.array([4.0, 0.0]))}
+    pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
+             2: make_pair(np.zeros(2), np.array([4.0, 0.0]))}
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=2.0))
-    p = init_pair(3, bundle, pairs, beta_hat=0.0,
+    p = init_pair(bundle, pairs, beta_hat=0.0,
                   vehicle_prior=(np.zeros(2), np.eye(2)))
     assert np.allclose(p.x_vehicle, [2.0, 0.0], atol=1e-6)
     assert np.allclose(p.x_landmark, [2.0, 2.0], atol=1e-6)
@@ -122,7 +123,7 @@ def test_init_pair_uses_all_pairs_consensus():
 def test_init_pair_first_ever_uses_prior():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=5.0))
-    p = init_pair(1, bundle, {}, beta_hat=0.0,
+    p = init_pair(bundle, {}, beta_hat=0.0,
                   vehicle_prior=(np.array([1.0, 1.0]), np.eye(2)))
     assert np.allclose(p.x_vehicle, [1.0, 1.0])
     assert np.allclose(p.x_landmark, [1.0, 6.0])
@@ -143,7 +144,7 @@ def test_identical_pairs_stay_identical():
 
 def test_dunk_step_no_observations_no_motion_is_identity():
     net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
-    net.pairs[1] = make_pair(1, np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+    net.pairs[1] = make_pair(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
     x_before = net.pairs[1].state.x.copy()
     dunk_step(net, 0.0, 0.0, {})
     assert np.allclose(net.pairs[1].x_landmark, x_before[:2], atol=1e-12)
@@ -157,7 +158,7 @@ def test_unobserved_pairs_follow_the_consensus():
     inputs_bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                                  range=vmeas.RangeObs(r=4.0))
     dunk_step(net, 0.0, 0.0, {1: inputs_bundle, 2: inputs_bundle})
-    net.pairs[2] = make_pair(2, np.array([9.0, 9.0]), np.array([5.0, 5.0]),
+    net.pairs[2] = make_pair(np.array([9.0, 9.0]), np.array([5.0, 5.0]),
                              sigma_v=100.0)
     for _ in range(300):
         dunk_step(net, 0.0, 0.0, {1: inputs_bundle})

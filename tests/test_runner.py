@@ -31,10 +31,8 @@ def test_run_config_validation():
     assert RunConfig(mode="coop-robots").case == 2
     with pytest.raises(ConfigError, match="case 2"):
         RunConfig(mode="coop-robots", case=4)   # robot sightings: bearing + range
-    for bad in (dict(dt=0.0), dict(dt=-0.01), dict(duration=0.0),
-                dict(duration=-5.0), dict(seed=-1), dict(dt=math.inf),
-                dict(dt=math.nan), dict(duration=math.inf),
-                dict(duration=math.nan)):
+    for bad in (dict(duration=0.0), dict(duration=-5.0), dict(seed=-1),
+                dict(duration=math.inf), dict(duration=math.nan)):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # shorter than one step: nothing would run
@@ -208,9 +206,8 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert missing.exit_code == 2
     log = runner.invoke(cli_main, ["run", "--log", "x.csv"])
     assert log.exit_code == 2
-    for flags in (["--dt", "0"], ["--dt", "-0.01"], ["--duration", "0"],
-                  ["--duration", "-5"], ["--duration", "0.001"],
-                  ["--seed", "-1"]):
+    for flags in (["--duration", "0"], ["--duration", "-5"],
+                  ["--duration", "0.001"], ["--seed", "-1"]):
         bad_number = runner.invoke(cli_main, ["run", "--mode", "local",
                                               "--duration", "0.5", *flags])
         assert bad_number.exit_code == 2, (flags, bad_number.output)
@@ -227,8 +224,9 @@ def test_cli_run_and_exit_codes(tmp_path):
     one_robot = runner.invoke(cli_main, ["run", "--mode", "coop-robots"])
     assert one_robot.exit_code == 2, one_robot.output
     assert "two or more robots" in one_robot.output
-    # the range bound and the gains are constants: their old flags are unknown
-    for flag in ("--gamma-beta", "--gamma-v", "--gamma-omega", "--r-max"):
+    # the range bound and the gains are constants and dt comes only from the
+    # scenario: their old flags are unknown
+    for flag in ("--gamma-beta", "--gamma-v", "--gamma-omega", "--r-max", "--dt"):
         gone = runner.invoke(cli_main, ["run", flag, "1", "--duration", "0.05"])
         assert gone.exit_code == 2, (flag, gone.output)
         assert "No such option" in gone.output
@@ -255,6 +253,10 @@ BAD_SCENARIO_EDITS = {
     "nan-r-visible": lambda d: d.update(visibility="range", r_visible_m=math.nan),
     "nan-landmark": lambda d: d["landmarks"][0].update(position_m=[math.nan, 1.0]),
     "infinite-diameter": lambda d: d["landmarks"][0].update(diameter_m=math.inf),
+    "zero-diameter": lambda d: d["landmarks"][0].update(diameter_m=0.0),
+    "negative-diameter": lambda d: d["landmarks"][0].update(diameter_m=-2.0),
+    "zero-r-visible": lambda d: d.update(visibility="range", r_visible_m=0.0),
+    "negative-r-visible": lambda d: d.update(visibility="range", r_visible_m=-1.0),
     "nan-omega": lambda d: d["vehicles"][0].update(omega=math.nan),
     "infinite-center": lambda d: d["vehicles"][0].update(center=[math.inf, 0.0]),
     "nan-sigma": lambda d: d["noise"].update(sigma_r=math.nan),
@@ -277,6 +279,19 @@ def test_cli_rejects_bad_scenario_file(tmp_path, bad):
                                         "--duration", "0.05"])
     assert out.exit_code == 2, out.output
     assert "config error" in out.output and str(path) in out.output
+
+
+@pytest.mark.parametrize("mode", ["local", "global", "dunk"])
+def test_case4_runs_with_a_landmark_at_the_circle_centre(tmp_path, mode):
+    # the range to it never changes, so its sightings carry no time to contact
+    world = json.loads(scenario_single_vehicle_2d().to_json())
+    world["landmarks"].append({"id": 9, "position_m": [0.0, 0.0], "diameter_m": 2.0})
+    path = tmp_path / "centre.json"
+    path.write_text(json.dumps(world))
+    out = CliRunner().invoke(cli_main, ["run", "--mode", mode, "--case", "4",
+                                        "--scenario", str(path), "--duration", "0.5"])
+    assert out.exit_code == 0, out.output
+    assert "landmark 9: final error" in out.output
 
 
 def test_diverged_run_still_writes_metrics(tmp_path, monkeypatch):
@@ -358,6 +373,44 @@ def test_package_modules_have_no_unused_imports():
         unused += [f"{fname}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert not unused, f"unused imports: {unused}"
+
+
+#: Parameters whose callers fix the signature: click's option callback and
+#: a one-choice click argument, and the ``robot`` the bench passes to sense.
+UNREAD_PARAMETERS = {"cli._finite(ctx)", "cli._finite(param)",
+                     "cli.scenarios(action)", "sim.sense(robot)"}
+
+
+def unread_parameters(source: str, module: str) -> set[str]:
+    """``module.function(parameter)`` for each parameter its body never reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found |= {f"{module}.{node.name}({p})" for p in params
+                  if p not in read and p not in ("self", "cls")}
+    return found
+
+
+def test_package_functions_read_every_parameter():
+    pkg = os.path.dirname(os.path.abspath(ltvslam.__file__))
+    unread = set()
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as f:
+                unread |= unread_parameters(f.read(), fname[:-3])
+    assert unread == UNREAD_PARAMETERS
+
+
+def test_unread_parameter_guard_catches_a_leftover():
+    leftover = ("def noisy_bundle(true, noise, rng, diameter):\n"
+                "    return true, noise, rng\n")
+    assert unread_parameters(leftover, "vmeas") == {"vmeas.noisy_bundle(diameter)"}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))

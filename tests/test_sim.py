@@ -56,7 +56,7 @@ def test_visibility_rules():
     sc = Scenario(name="t", visibility="range", r_visible=10.0)
     spec = CircleSpec(center=(5.0, 5.0), radius=1.0, omega=1.0, x0=(6.0, 5.0))
     from ltvslam.sim import Pose
-    pose = Pose(t=0.0, position=np.zeros(2), beta=0.0, u=0.0, omega=0.0)
+    pose = Pose(position=np.zeros(2), beta=0.0, u=0.0, omega=0.0)
     near, far = Landmark(1, (3.0, 4.0)), Landmark(2, (30.0, 40.0))
     assert is_visible(sc, spec, pose, near)
     assert not is_visible(sc, spec, pose, far)
@@ -70,7 +70,7 @@ def test_visibility_rules():
 
 def test_sense_noise_free_matches_truth():
     from ltvslam.sim import Pose
-    pose = Pose(t=0.0, position=np.array([1.0, 1.0]), beta=0.3, u=2.0,
+    pose = Pose(position=np.array([1.0, 1.0]), beta=0.3, u=2.0,
                 omega=0.5)
     lm = Landmark(4, (4.0, 5.0))
     bundle, true = sense(pose, lm, NoiseSpec(), np.random.default_rng(0))
@@ -82,12 +82,11 @@ def test_sense_noise_free_matches_truth():
     for kind, value in readings.items():
         assert value == pytest.approx(getattr(true, kind), abs=1e-12), kind
     assert bundle.doppler.r == bundle.range.r == pytest.approx(5.0)
-    assert bundle.ttc.d == lm.diameter
 
 
 def test_sense_is_seed_deterministic():
     from ltvslam.sim import Pose
-    pose = Pose(t=0.0, position=np.zeros(2), beta=0.0, u=1.0, omega=0.2)
+    pose = Pose(position=np.zeros(2), beta=0.0, u=1.0, omega=0.2)
     lm = Landmark(1, (2.0, 3.0))
     noise = NoiseSpec(sigma_theta=0.05, sigma_r=0.5, sigma_theta_dot=0.05,
                       sigma_r_dot=0.1, sigma_alpha=0.01)
@@ -102,7 +101,7 @@ def test_sense_is_seed_deterministic():
 def test_sense_draws_theta_r_theta_dot_r_dot_alpha_in_order():
     # the order every run's noise stream (and so every trace) depends on
     from ltvslam.sim import Pose
-    pose = Pose(t=0.0, position=np.array([1.0, 1.0]), beta=0.3, u=2.0,
+    pose = Pose(position=np.array([1.0, 1.0]), beta=0.3, u=2.0,
                 omega=0.5)
     lm = Landmark(4, (4.0, 5.0))
     noise = NoiseSpec(sigma_theta=0.05, sigma_r=0.5, sigma_theta_dot=0.05,

@@ -81,7 +81,7 @@ def test_noisy_convergence_below_decimeter():
 
 def test_init_landmark_bearing_prior_on_the_ray():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.3))
-    f = init_landmark(7, case=1, bundle=bundle)
+    f = init_landmark(case=1, bundle=bundle)
     r0 = np.linalg.norm(f.state.x)
     assert r0 == pytest.approx(noisecal.R_MAX / 2)      # 50 m
     assert math.atan2(f.state.x[0], f.state.x[1]) == pytest.approx(0.3)
@@ -90,22 +90,21 @@ def test_init_landmark_bearing_prior_on_the_ray():
 def test_init_landmark_with_range_uses_it():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=7.0, sigma_r=0.5))
-    f = init_landmark(1, case=2, bundle=bundle)
+    f = init_landmark(case=2, bundle=bundle)
     assert np.allclose(f.state.x, [0.0, 7.0])
     assert f.state.P[0, 0] == pytest.approx(0.25)
 
 
 def test_init_landmark_case5_starts_at_origin_wide():
-    f = init_landmark(1, case=5, bundle=None)
+    f = init_landmark(case=5, bundle=None)
     assert np.allclose(f.state.x, 0.0)
     assert f.state.P[0, 0] == 100.0
 
 
 def test_unobserved_landmark_gets_prediction_only():
     inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
-    f = LocalLandmarkFilter(1, FilterState(np.array([0.0, 5.0]), np.eye(2)),
-                            case=2)
-    f2 = update_landmark(f, inputs, None, FilterConfig(dt=0.01))
+    f = LocalLandmarkFilter(FilterState(np.array([0.0, 5.0]), np.eye(2)))
+    f2 = update_landmark(f, 2, inputs, None, FilterConfig(dt=0.01))
     assert np.allclose(f2.state.x, [0.0, 4.99])       # drifts by -u dt
 
 

@@ -64,6 +64,15 @@ def test_case4_falls_back_to_bearing_only_when_radial_speed_tiny():
     assert np.allclose(vm.H, h)
 
 
+def test_case4_falls_back_to_bearing_only_without_a_ttc_reading():
+    # a landmark at a constant range gives no time-to-contact reading
+    bearing = vmeas.BearingObs(theta=0.5, sigma_theta=0.01)
+    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.2))
+    vm, ref = vmeas.case4(bearing, None, inputs), vmeas.case1(bearing)
+    for rows in ("y", "H", "R"):
+        assert np.array_equal(getattr(vm, rows), getattr(ref, rows)), rows
+
+
 def test_case5_none_when_stationary():
     dop = vmeas.DopplerObs(r=4.0, r_dot=-1.0)
     assert vmeas.case5(dop, RobotInputs(u=np.zeros(2), omega=skew(0.0))) is None
