@@ -181,9 +181,9 @@ def _rate_row_var_cached(dim: int, theta: float, phi: float, theta_dot: float,
                          rstar: float) -> tuple:
     """Monte Carlo variance of the Case III rate rows, cached per bucket.
 
-    Each sample's residual y - M x comes from :func:`vmeas._rate_rows` at
-    a canonical state on the measured ray, x = r* h*, so no measurement
-    object (and hence no R) is needed.
+    All n samples' residuals y - M x come from one :func:`vmeas._rate_rows`
+    call, at a canonical state on the measured ray, x = r* h*, so no
+    measurement object (and hence no R) is needed.
     """
     from . import vmeas
     from .core import skew
@@ -195,17 +195,17 @@ def _rate_row_var_cached(dim: int, theta: float, phi: float, theta_dot: float,
     _, h_star = (vmeas.bearing_vectors_2d(theta) if dim == 2
                  else vmeas.bearing_vectors_3d(theta, phi))
     x = rstar * h_star.ravel()
-    res = np.zeros((n, dim - 1))
-    for i in range(n):
-        th = theta + rng.normal(0.0, st)
-        td = theta_dot + rng.normal(0.0, std)
-        ph = pd = None
-        if dim == 3:
-            ph = phi + rng.normal(0.0, sp)
-            pd = phi_dot + rng.normal(0.0, spd)
-        _, y, M = vmeas._rate_rows(th, ph, td, pd, u, Om)
-        res[i] = y - M @ x
-    return tuple(res.var(axis=0))
+    # one draw in the scalar order theta, theta_dot (, phi, phi_dot) per sample;
+    # value + (0.0 + sigma z) is the arithmetic of Generator.normal(0.0, sigma)
+    z = rng.standard_normal((n, 2 * (dim - 1)))
+    th = theta + (0.0 + st * z[:, 0])
+    td = theta_dot + (0.0 + std * z[:, 1])
+    ph = pd = None
+    if dim == 3:
+        ph = phi + (0.0 + sp * z[:, 2])
+        pd = phi_dot + (0.0 + spd * z[:, 3])
+    _, y, M = vmeas._rate_rows(th, ph, td, pd, u, Om)
+    return tuple((y - M @ x).var(axis=0))
 
 
 def rate_row_R(bearing, rate, inputs, rstar: float) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,6 +167,12 @@ def is_visible(scenario: Scenario, vehicle_spec: CircleSpec, pose: Pose,
     return bool(np.all(landmark.position * center >= 0.0))
 
 
+@lru_cache(maxsize=8)
+def _pose_frame(beta: float, u: float, omega: float) -> tuple[np.ndarray, RobotInputs]:
+    """A pose's global-to-body matrix and twist, built once for all its sightings."""
+    return body_from_global(beta), RobotInputs(u=np.array([0.0, u]), omega=skew(omega))
+
+
 def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,
           rng: np.random.Generator, robot: int = 0
           ) -> tuple[vmeas.SensorBundle, vmeas.TrueObservation]:
@@ -173,8 +180,8 @@ def sense(pose: Pose, landmark: Landmark, noise: NoiseSpec,
 
     ``robot`` is unused; callers outside the package still pass it.
     """
-    x_body = body_from_global(pose.beta) @ (landmark.position - pose.position)
-    inputs = RobotInputs(u=np.array([0.0, pose.u]), omega=skew(pose.omega))
+    to_body, inputs = _pose_frame(pose.beta, pose.u, pose.omega)
+    x_body = to_body @ (landmark.position - pose.position)
     true = vmeas.observe_true(x_body, inputs, diameter=landmark.diameter)
     return vmeas.noisy_bundle(true, noise, rng), true
 

@@ -174,31 +174,33 @@ def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement 
 # Bearing geometry
 # ---------------------------------------------------------------------------
 
-def bearing_vectors_2d(theta: float) -> tuple[np.ndarray, np.ndarray]:
+def _rows(*rows) -> np.ndarray:
+    """(k, d) matrix of k rows; equal-shaped array entries add its leading axes."""
+    a = np.array(rows)
+    return a if a.ndim == 2 else np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+
+
+def bearing_vectors_2d(theta) -> tuple[np.ndarray, np.ndarray]:
     """Tangential row h and radial row h* for a 2D bearing.
 
     h x = 0 and h* x = r hold for x = (r sin(theta), r cos(theta)).
+    An array of bearings gives a stack of rows, one per bearing.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    h = np.array([[c, -s]])
-    h_star = np.array([[s, c]])
-    return h, h_star
+    c, s = np.cos(theta), np.sin(theta)
+    return _rows([c, -s]), _rows([s, c])
 
 
-def bearing_vectors_3d(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def bearing_vectors_3d(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """Tangential rows h (2x3) and radial row h* (1x3) for a 3D bearing.
 
     The three rows are orthonormal, h x = 0 and h* x = r for
     x = (r cos(phi) sin(theta), r cos(phi) cos(theta), r sin(phi)).
+    Equal-shaped arrays of angles give a stack of rows, one per pair.
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    h = np.array([
-        [ct, -st, 0.0],
-        [-sp * st, -sp * ct, cp],
-    ])
-    h_star = np.array([[cp * st, cp * ct, sp]])
-    return h, h_star
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    h = _rows([ct, -st, np.zeros_like(ct)], [-sp * st, -sp * ct, cp])
+    return h, _rows([cp * st, cp * ct, sp])
 
 
 def _bearing_rows(bearing: BearingObs) -> tuple[np.ndarray, np.ndarray]:
@@ -251,24 +253,24 @@ def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
     return VirtualMeasurement._derived(y, H, R)
 
 
-def _rate_rows(theta: float, phi: float | None, theta_dot: float,
-               phi_dot: float, u: np.ndarray, Om: np.ndarray
+def _rate_rows(theta, phi, theta_dot, phi_dot, u: np.ndarray, Om: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Case III bearing rows h and velocity rows y = M x (phi None in 2D).
 
     y = -h u and M = D + h Omega, with D = theta_dot h* in 2D and
-    D = [theta_dot (sin theta, cos theta, 0); phi_dot h*] in 3D.  The
-    rate-row noise calibration evaluates these same rows.
+    D = [theta_dot (sin theta, cos theta, 0); phi_dot h*] in 3D.  Equal-shaped
+    arrays of angles and rates give a stack of rows, one per sample, each
+    the scalar call's; the rate-row noise calibration passes its samples so.
     """
+    td = np.asarray(theta_dot)[..., None, None]
     if phi is None:
         h, h_star = bearing_vectors_2d(theta)
-        D = theta_dot * h_star
+        D = td * h_star
     else:
         h, h_star = bearing_vectors_3d(theta, phi)
-        D = np.vstack([
-            theta_dot * np.array([[math.sin(theta), math.cos(theta), 0.0]]),
-            phi_dot * h_star,
-        ])
+        ct, st = np.cos(theta), np.sin(theta)
+        D = np.concatenate([td * _rows([st, ct, np.zeros_like(ct)]),
+                            np.asarray(phi_dot)[..., None, None] * h_star], axis=-2)
     return h, -(h @ u), D + h @ Om
 
 

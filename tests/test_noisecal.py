@@ -149,4 +149,49 @@ def test_rate_rows_have_one_route(monkeypatch):
     noisecal._rate_row_var_cached.__wrapped__(
         3, 0.3, 0.1, 0.4, -0.2, (0.0, 2.0, 0.25), (0.0, 0.1, 0.5),
         0.02, 0.02, 0.05, 0.05, 20.0)
-    assert len(calls) == 512
+    # one call carries all 512 calibration samples
+    assert len(calls) == 1
+    assert np.shape(calls[0][0]) == (512,)
+
+
+def _rate_row_var_loop(dim, theta, phi, theta_dot, phi_dot, u_key, omega_key,
+                       st, sp, std, spd, rstar):
+    """The calibration one sample at a time: scalar draws, one row call each."""
+    rng = np.random.default_rng(20181224)
+    u, Om = np.array(u_key), skew(*omega_key).matrix
+    _, h_star = (vmeas.bearing_vectors_2d(theta) if dim == 2
+                 else vmeas.bearing_vectors_3d(theta, phi))
+    x = rstar * h_star.ravel()
+    res = np.zeros((512, dim - 1))
+    for i in range(512):
+        th = theta + rng.normal(0.0, st)
+        td = theta_dot + rng.normal(0.0, std)
+        ph = pd = None
+        if dim == 3:
+            ph = phi + rng.normal(0.0, sp)
+            pd = phi_dot + rng.normal(0.0, spd)
+        _, y, M = vmeas._rate_rows(th, ph, td, pd, u, Om)
+        res[i] = y - M @ x
+    return res.var(axis=0)
+
+
+def test_batched_calibration_matches_the_per_sample_loop():
+    rng = np.random.default_rng(20240518)
+    sigmas = [0.002, 0.01, 0.035, 0.0873, 0.3]
+    identical = 0
+    for i in range(300):
+        dim = 2 if i % 2 else 3
+        key = (dim, round(rng.uniform(-3.2, 3.2), 1),
+               round(rng.uniform(-1.5, 1.5), 1) if dim == 3 else 0.0,
+               round(rng.uniform(-1.0, 1.0), 2),
+               round(rng.uniform(-1.0, 1.0), 2) if dim == 3 else 0.0,
+               tuple(rng.uniform(-2.0, 2.0, dim).round(2)),
+               tuple(rng.uniform(-1.0, 1.0, 1 if dim == 2 else 3).round(2)),
+               *(float(v) for v in rng.choice(sigmas, 4)),
+               float(rng.integers(1, 101)))
+        batched = np.array(noisecal._rate_row_var_cached.__wrapped__(*key))
+        loop = _rate_row_var_loop(*key)
+        assert batched.shape == (dim - 1,)
+        np.testing.assert_allclose(batched, loop, rtol=1e-15, atol=0.0)
+        identical += bool(np.array_equal(batched, loop))
+    print(f"batched calibration: {identical}/300 keys bit-identical to the loop")

@@ -136,3 +136,37 @@ def test_local_map_takes_its_dimension_from_the_inputs(case):
     est = lmap.estimates()
     assert est.X.shape == (2, 3) and est.P.shape == (2, 3, 3)
     assert LocalMap(case=case).estimates().X.shape == (0, 2)
+
+
+def test_3d_case3_on_a_helix_keeps_R_definite_and_states_finite(monkeypatch):
+    # u . omega != 0: the robot climbs while it turns; readings are exact
+    w, u = 0.3, np.array([0.0, 1.0, 0.2])
+    inputs = RobotInputs(u=u, omega=skew(0.0, 0.0, w))
+    landmarks = np.array([[3.0, 4.0, 1.0], [-2.0, 5.0, -0.5],
+                          [4.0, -3.0, 2.0], [-4.0, -2.0, 0.5]])
+    seen = []
+
+    def recorded(*args):
+        vm = build_measurement(*args)
+        seen.append(vm.R)
+        return vm
+
+    monkeypatch.setattr("ltvslam.slam_local.build_measurement", recorded)
+    lmap = LocalMap(case=3, cfg=FilterConfig(dt=0.01))
+    rng = np.random.default_rng(0)
+    for i in range(300):
+        t = i * 0.01
+        c, s = math.cos(w * t), math.sin(w * t)
+        rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        pos = np.array([(c - 1.0) / w, s / w, u[2] * t])  # integral of rz u
+        obs = {}
+        for lid, lm in enumerate(landmarks):
+            true = vmeas.observe_true(rz.T @ (lm - pos), inputs, diameter=2.0)
+            obs[lid] = vmeas.noisy_bundle(true, NoiseSpec(), rng)
+        lmap.step(inputs, obs)
+        for f in lmap.filters.values():
+            assert np.all(np.isfinite(f.state.x)) and np.all(np.isfinite(f.state.P))
+    assert len(seen) == 300 * len(landmarks)
+    for R in seen:
+        assert R.shape == (4, 4) and np.all(np.isfinite(R))
+        assert np.linalg.eigvalsh(R).min() > 0.0
