@@ -10,8 +10,8 @@ multi-robot cooperative map alignment through null-space inputs.
 """
 
 from .core import (AngularVelocityMatrix, ContractionDiagnostics, FilterState,
-                   RobotInputs, Rotation2D, fit_contraction_rate,
-                   heading_forward, rotation2d, skew, wrap_angle)
+                   RobotInputs, fit_contraction_rate, heading_forward,
+                   rotation2d, skew, wrap_angle)
 from .kalman import DivergenceError, FilterConfig, ode_step, step
 from .noisecal import NoiseSpec, PortedNoise
 from .slam_local import LocalLandmarkFilter, LocalMap, SensorBundle
@@ -20,7 +20,7 @@ from .vmeas import VirtualMeasurement
 __all__ = [
     "AngularVelocityMatrix", "ContractionDiagnostics", "DivergenceError",
     "FilterConfig", "FilterState", "LocalLandmarkFilter", "LocalMap",
-    "NoiseSpec", "PortedNoise", "RobotInputs", "Rotation2D", "SensorBundle",
+    "NoiseSpec", "PortedNoise", "RobotInputs", "SensorBundle",
     "VirtualMeasurement", "fit_contraction_rate", "heading_forward",
     "ode_step", "rotation2d", "skew", "step", "wrap_angle",
 ]

@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * Heading ``beta`` is measured counterclockwise from the global +x2 axis,
   so the body forward axis expressed in global coordinates is
   ``(-sin(beta), cos(beta))``.
-* ``rotation2d(beta).matrix`` is the standard counterclockwise rotation;
+* ``rotation2d(beta)`` is the standard counterclockwise rotation;
   it maps body coordinates to global coordinates.  Its transpose maps
   global to body.
 * Bearings theta are measured in the body frame from the forward (+x2)
@@ -42,34 +42,16 @@ def angle_diff(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
-@dataclass(frozen=True)
-class Rotation2D:
-    """Planar rotation by heading angle beta (rad)."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.beta):
-            raise ValueError(f"non-finite heading: {self.beta}")
-        object.__setattr__(self, "beta", wrap_angle(self.beta))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.beta), math.sin(self.beta)
-        return np.array([[c, -s], [s, c]])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float)
-
-
-def rotation2d(beta: float) -> Rotation2D:
-    """Rotation by beta with the angle wrapped to [-pi, pi)."""
-    return Rotation2D(beta)
+def rotation2d(beta: float) -> np.ndarray:
+    """Counterclockwise rotation matrix by beta, with the angle wrapped to [-pi, pi)."""
+    b = wrap_angle(beta)
+    c, s = math.cos(b), math.sin(b)
+    return np.array([[c, -s], [s, c]])
 
 
 def body_from_global(beta: float) -> np.ndarray:
     """Matrix taking global-frame vectors into the body frame at heading beta."""
-    return rotation2d(beta).matrix.T
+    return rotation2d(beta).T
 
 
 def heading_forward(beta: float) -> np.ndarray:

@@ -104,15 +104,10 @@ def pair_measurement(case: int, bundle: SensorBundle, beta_hat: float,
     return vmeas._lift(body_vm, T, 2 * T.shape[1], 0, 1)
 
 
-def init_pair(bundle: SensorBundle, pairs: dict[int, LandmarkPairState],
-              beta_hat: float, vehicle_prior: tuple[np.ndarray, np.ndarray],
-              t: float = 0.0) -> LandmarkPairState:
-    """New pair: virtual vehicle at the all-pairs consensus, landmark offset by the obs."""
-    c = consensus(pairs, pairs.keys()) if pairs else None
-    if c is not None:
-        x_v0, P_v0 = c.x_vc, c.covariance
-    else:
-        x_v0, P_v0 = np.asarray(vehicle_prior[0], float), np.asarray(vehicle_prior[1], float)
+def init_pair(bundle: SensorBundle, prior: tuple[np.ndarray, np.ndarray],
+              beta_hat: float, t: float = 0.0) -> LandmarkPairState:
+    """New pair: virtual vehicle at the ``prior`` (x, P), landmark offset by the obs."""
+    x_v0, P_v0 = prior
     d = x_v0.size
     offset = first_sighting_offset(bundle, beta_hat)
     x = np.concatenate([x_v0 + offset, x_v0])
@@ -158,12 +153,11 @@ class Drift:
     center: np.ndarray | None = None
 
 
-def _self_pair(net: DunkNetwork) -> LandmarkPairState:
-    """A robot's own entry: both blocks at the vehicle prior, 0.9 correlated."""
-    x_v0 = np.asarray(net.vehicle_prior_x, float)
-    P_v0 = np.asarray(net.vehicle_prior_P, float)
+def _self_pair(prior: tuple[np.ndarray, np.ndarray], t: float) -> LandmarkPairState:
+    """A robot's own entry: both blocks at the ``prior`` (x, P), 0.9 correlated."""
+    x_v0, P_v0 = prior
     P0 = np.block([[P_v0, 0.9 * P_v0], [0.9 * P_v0, P_v0]])
-    return LandmarkPairState(FilterState(np.concatenate([x_v0, x_v0]), P0, net.t))
+    return LandmarkPairState(FilterState(np.concatenate([x_v0, x_v0]), P0, t))
 
 
 def _self_tie_measurement(dim: int) -> vmeas.VirtualMeasurement:
@@ -186,27 +180,36 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
     every pair follow the map's null-space ``drift`` (none by default);
     the vehicle block also moves with u * forward(beta_hat).
 
+    Every pair the tick creates starts from one prior: the consensus of
+    the pairs the tick began with, else the map's vehicle prior.
+
     ``self_id`` names the pair whose "landmark" is the robot itself: it
     starts from :func:`_self_pair`, is measured by tie rows instead of
     case rows, and its landmark block moves with the vehicle.
     ``target_velocities`` gives the global velocity of landmarks that
     are moving robots.
     """
-    for lid, bundle in observations.items():
-        if lid not in net.pairs:
-            net.pairs[lid] = init_pair(
-                bundle, net.pairs, net.beta_hat,
-                (net.vehicle_prior_x, net.vehicle_prior_P), net.t)
-    if self_id is not None and self_id not in net.pairs:
-        net.pairs[self_id] = _self_pair(net)
+    new = [lid for lid in observations if lid not in net.pairs]
+    new_self = self_id is not None and self_id not in net.pairs
+    if new or new_self:
+        c = consensus(net.pairs, net.pairs.keys())
+        prior = ((c.x_vc, c.covariance) if c is not None else
+                 (np.asarray(net.vehicle_prior_x, float),
+                  np.asarray(net.vehicle_prior_P, float)))
+        for lid in new:
+            net.pairs[lid] = init_pair(observations[lid], prior, net.beta_hat, net.t)
+        if new_self:
+            net.pairs[self_id] = _self_pair(prior, net.t)
 
     inputs = RobotInputs(u=np.array([0.0, u_speed]), omega=skew(omega))
     fb = feedback_measurement(net.last_consensus)
 
-    # heading residue uses offsets at the sample instant, before the updates
+    # heading residue and range hints read offsets at the sample instant
+    offsets = {lid: net.pairs[lid].x_landmark - net.pairs[lid].x_vehicle
+               for lid in observations}
     visible = [(lid, b) for lid, b in observations.items() if b.bearing is not None]
     beta_d = beta_d_closed_form_2d(
-        [net.pairs[lid].x_landmark - net.pairs[lid].x_vehicle for lid, _ in visible],
+        [offsets[lid] for lid, _ in visible],
         np.zeros(2), [b.bearing.theta for _, b in visible], net.beta_hat)
 
     own_v = u_speed * heading_forward(net.beta_hat)
@@ -223,7 +226,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         if lid == self_id:
             case_vm = _self_tie_measurement(d)
         elif bundle is not None:
-            r_hint = float(np.linalg.norm(pair.x_landmark - pair.x_vehicle)) or None
+            r_hint = float(np.linalg.norm(offsets[lid])) or None
             case_vm = pair_measurement(net.case, bundle, net.beta_hat, inputs,
                                        r_hint)
         else:

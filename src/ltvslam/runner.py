@@ -308,8 +308,12 @@ def run(cfg: RunConfig) -> Metrics:
     path: list = []
     trace = rows = None
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        trace = open(os.path.join(cfg.out_dir, "trace.csv"), "w", newline="")
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            trace = open(os.path.join(cfg.out_dir, "trace.csv"), "w", newline="")
+        except OSError as exc:
+            raise ConfigError(f"output directory {cfg.out_dir!r} cannot be used: "
+                              f"{type(exc).__name__}: {exc.strerror}") from exc
         rows = csv.writer(trace, lineterminator="\n")
         rows.writerow(TRACE_HEADER)
     ran = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -118,6 +119,11 @@ class Scenario:
             raise ValueError("dt and r_visible must be > 0")
         if self.visibility not in ("unlimited", "quadrant", "range"):
             raise ValueError(f"unknown visibility rule {self.visibility!r}")
+        for kind, ids in (("landmark", [lm.id for lm in self.landmarks]),
+                          ("vehicle", [vid for vid, _ in self.vehicles])):
+            repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
+            if repeated:
+                raise ValueError(f"{kind} ids must be unique, repeated: {repeated}")
 
     def pose_fns(self) -> dict:
         return {vid: circle_trajectory(spec.center, spec.radius, spec.omega,

@@ -10,6 +10,7 @@ as a rotation, which keeps the filter linear.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -111,9 +112,6 @@ class GlobalState:
     def _block(self, index: int) -> slice:
         return slice(self.dim * index, self.dim * (index + 1))
 
-    def landmark(self, lid) -> np.ndarray:
-        return self.state.x[self._block(self.landmark_ids.index(lid))]
-
     @property
     def vehicle(self) -> np.ndarray:
         return self.state.x[self._block(self.n_landmarks)]
@@ -142,18 +140,18 @@ def first_sighting_offset(bundle: SensorBundle, beta_hat: float) -> np.ndarray:
         return np.zeros(2)
     r0 = bundle.range.r if bundle.range is not None else 0.5 * noisecal.R_MAX
     _, h_star = vmeas.bearing_vectors_2d(bundle.bearing.theta)
-    return rotation2d(beta_hat).apply(r0 * h_star.ravel())
+    return rotation2d(beta_hat) @ (r0 * h_star.ravel())
 
 
-def _append_landmark(gs: GlobalState, lid, bundle: SensorBundle) -> GlobalState:
-    """Grow the state by one landmark with a wide prior at the back-projected obs."""
-    d = gs.dim
-    x_new = gs.vehicle + first_sighting_offset(bundle, gs.beta_hat)
-    k = d * gs.n_landmarks  # new landmark goes just before the vehicle block
-    x = np.insert(gs.state.x, [k] * d, x_new)
-    P = np.insert(np.insert(gs.state.P, [k] * d, 0.0, axis=0), [k] * d, 0.0, axis=1)
-    P[k:k + d, k:k + d] = 100.0 * np.eye(d)   # PSD P plus a PD block: no check
-    return GlobalState(landmark_ids=gs.landmark_ids + [lid],
+def _append_landmarks(gs: GlobalState, new: dict) -> GlobalState:
+    """Grow the state by ``new`` ({id: first bundle}) at their back-projected obs."""
+    x_new = np.concatenate([gs.vehicle + first_sighting_offset(b, gs.beta_hat)
+                            for b in new.values()])
+    k, m = gs.dim * gs.n_landmarks, x_new.size
+    x = np.insert(gs.state.x, k, x_new)
+    P = np.insert(np.insert(gs.state.P, [k] * m, 0.0, axis=0), [k] * m, 0.0, axis=1)
+    P[k:k + m, k:k + m] = 100.0 * np.eye(m)   # PSD P plus a PD block: no check
+    return GlobalState(landmark_ids=gs.landmark_ids + list(new),
                        state=FilterState._derived(x, P, gs.state.t),
                        beta_hat=gs.beta_hat)
 
@@ -166,24 +164,28 @@ def step_global(gs: GlobalState, u: float, omega: float,
     ``u`` is the forward speed and ``omega`` the yaw rate.  New landmark
     ids in ``observations`` are appended before the update.
     """
-    for lid, bundle in observations.items():
-        if lid not in gs.landmark_ids:
-            gs = _append_landmark(gs, lid, bundle)
+    block = {lid: i for i, lid in enumerate(gs.landmark_ids)}
+    new = {lid: b for lid, b in observations.items() if lid not in block}
+    if new:
+        gs = _append_landmarks(gs, new)
+        block.update(zip(new, itertools.count(len(block))))
 
     # The measurement and drift use the heading at the sample instant;
     # the tracker advances it to t+dt for the next tick afterwards.
-    beta_hat = gs.beta_hat
+    beta_hat, x, xv = gs.beta_hat, gs.state.x, gs.vehicle
+    offsets = {lid: x[gs._block(block[lid])] - xv for lid in observations}
     seen = [(lid, b) for lid, b in observations.items() if b.bearing is not None]
-    beta_d = beta_d_closed_form_2d([gs.landmark(lid) for lid, _ in seen], gs.vehicle,
+    beta_d = beta_d_closed_form_2d([offsets[lid] for lid, _ in seen],
+                                   np.zeros(gs.dim),
                                    [b.bearing.theta for _, b in seen], beta_hat)
     T = body_from_global(beta_hat)
     inputs = RobotInputs(u=np.array([0.0, float(u)]), omega=skew(omega))
     parts = []
     for lid, bundle in observations.items():
-        r_hint = float(np.linalg.norm(gs.landmark(lid) - gs.vehicle)) or None
+        r_hint = float(np.linalg.norm(offsets[lid])) or None
         body_vm = build_measurement(case, bundle, inputs, r_hint)
         parts.append(None if body_vm is None else vmeas._lift(
-            body_vm, T, gs.state.dim, gs.landmark_ids.index(lid), gs.n_landmarks))
+            body_vm, T, gs.state.dim, block[lid], gs.n_landmarks))
     vm_all = vmeas.stack_measurements(*parts)
 
     # A = 0: only the vehicle block (last) moves, at u along the heading

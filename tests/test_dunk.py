@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam import vmeas
+from ltvslam import dunk, sim, vmeas
+from ltvslam.coop import coop_step
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
 from ltvslam.dunk import (Consensus, DunkNetwork, LandmarkPairState, consensus,
                           dunk_step, feedback_measurement, init_pair,
                           pair_measurement)
 from ltvslam.kalman import FilterConfig
+from ltvslam.runner import RunConfig, make_coop_maps
 from ltvslam.slam_local import SensorBundle
 
 from conftest import exact_bundle
@@ -109,24 +111,78 @@ def test_pair_measurement_rotates_with_heading(rng):
     assert np.allclose(vmb.H[:, :2], vm0.H[:, :2] @ T, atol=1e-12)
 
 
-def test_init_pair_uses_all_pairs_consensus():
-    pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
-             2: make_pair(np.zeros(2), np.array([4.0, 0.0]))}
+def _capture_init_pair(monkeypatch):
+    """Record every pair that pair_tick creates through the dunk.init_pair binding."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(init_pair(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(dunk, "init_pair", recording)
+    return made
+
+
+def test_init_pair_uses_all_pairs_consensus(monkeypatch):
+    # a tick's new pairs start at the consensus of the pairs it began with
+    net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
+    net.pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
+                 2: make_pair(np.zeros(2), np.array([4.0, 0.0]))}
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=2.0))
-    p = init_pair(bundle, pairs, beta_hat=0.0,
-                  vehicle_prior=(np.zeros(2), np.eye(2)))
-    assert np.allclose(p.x_vehicle, [2.0, 0.0], atol=1e-6)
-    assert np.allclose(p.x_landmark, [2.0, 2.0], atol=1e-6)
+    made = _capture_init_pair(monkeypatch)
+    dunk_step(net, 0.0, 0.0, {3: bundle, 4: bundle})
+    assert len(made) == 2
+    for p in made:
+        assert np.allclose(p.x_vehicle, [2.0, 0.0], atol=1e-6)
+        assert np.allclose(p.x_landmark, [2.0, 2.0], atol=1e-6)
+        assert np.allclose(p.sigma_vehicle, 0.5 * np.eye(2), atol=1e-6)
 
 
 def test_init_pair_first_ever_uses_prior():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=5.0))
-    p = init_pair(bundle, {}, beta_hat=0.0,
-                  vehicle_prior=(np.array([1.0, 1.0]), np.eye(2)))
+    p = init_pair(bundle, (np.array([1.0, 1.0]), np.eye(2)), beta_hat=0.0)
     assert np.allclose(p.x_vehicle, [1.0, 1.0])
     assert np.allclose(p.x_landmark, [1.0, 6.0])
+    assert np.array_equal(p.sigma_vehicle, np.eye(2))
+
+
+def test_every_pair_of_a_tick_starts_at_one_prior(monkeypatch):
+    # the pairs a tick creates do not feed each other's start
+    net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
+    made = _capture_init_pair(monkeypatch)
+    obs = {k: SensorBundle(bearing=vmeas.BearingObs(theta=0.3 * k),
+                           range=vmeas.RangeObs(r=3.0 + k)) for k in range(6)}
+    dunk_step(net, 1.0, 0.2, obs)
+    assert len(made) == 6
+    for p in made:
+        assert np.array_equal(p.x_vehicle, net.vehicle_prior_x)
+        assert np.array_equal(p.sigma_vehicle, net.vehicle_prior_P)
+
+
+def test_consensus_runs_at_most_twice_per_map_per_tick(monkeypatch):
+    # one prior for the new pairs plus the end-of-tick consensus, however
+    # many pairs the tick creates
+    scenario = sim.scenario_coop("full")
+    n_ticks = 3
+    stream = sim.ticks(scenario, np.random.default_rng(scenario.seed),
+                       scenario.dt, n_ticks)
+    maps = make_coop_maps(scenario, RunConfig(mode="coop-full"))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return consensus(*args, **kwargs)
+
+    monkeypatch.setattr(dunk, "consensus", counting)
+    medium = None
+    for _ in range(n_ticks):
+        _, ticks = next(stream)
+        calls.clear()
+        medium = coop_step(maps, ticks, "full", medium)
+        assert 0 < len(calls) <= 2 * len(maps)
+    assert all(len(m.net.pairs) == len(scenario.landmarks) for m in maps.values())
 
 
 def test_identical_pairs_stay_identical():

@@ -82,7 +82,7 @@ def test_process_noise_grows_covariance():
     P0 = np.array([[2.0, 0.3], [0.3, 1.0]])
     st = ode_step(FilterState(np.zeros(2), P0), skew(0.5).matrix, np.zeros(2),
                   None, 0.3 * np.eye(2), FilterConfig(dt=dt))
-    Phi = rotation2d(0.5 * dt).matrix
+    Phi = rotation2d(0.5 * dt)
     expected = Phi @ P0 @ Phi.T + 0.3 * dt * np.eye(2)
     assert np.allclose(st.P, expected, rtol=0.0, atol=1e-14)
 

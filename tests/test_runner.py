@@ -52,7 +52,7 @@ def test_load_scenario_builtin_file_and_missing(tmp_path):
 
 def test_align_procrustes_recovers_rigid_transform(rng):
     pts = rng.uniform(-10, 10, size=(20, 2))
-    R_true = rotation2d(0.7).matrix
+    R_true = rotation2d(0.7)
     t_true = np.array([3.0, -1.0])
     est = (pts - t_true) @ R_true       # so that R est + t == pts
     R, t, rms = align_procrustes(est, pts)
@@ -99,45 +99,45 @@ PINNED_METRICS = {
         "diverged": False, "divergence": None},
     "dunk": {
         "mode": "dunk", "case": 2, "scenario": "single-vehicle-2d",
-        "final_errors_m": {"1": 0.07081007934254285, "2": 0.04857115155402308,
-                           "3": 0.06618718690250792},
-        "contraction_rate": 2.391125890512336,
-        "contraction_r2": 0.5665997462985346, "final_e_c": None,
+        "final_errors_m": {"1": 0.07082224705565694, "2": 0.04858077285469343,
+                           "3": 0.06619059404664342},
+        "contraction_rate": 2.3906398303323186,
+        "contraction_r2": 0.5665451079554569, "final_e_c": None,
         "final_e_h": None, "final_discrepancy_m": None,
         "diverged": False, "divergence": None},
     "coop-full": {
         "mode": "coop-full", "case": 2, "scenario": "coop-full",
         "final_errors_m": {
-            "1": 0.35414593058963867, "2": 0.25204202270695636,
-            "3": 0.35814478448640774, "4": 0.25054269015310987,
-            "5": 0.002624768513412708, "6": 0.2567914896960288,
-            "7": 0.3523996635051871, "8": 0.2557000251424378,
-            "9": 0.35789233574544177, "10": 0.08516965275595818,
-            "11": 0.08535118484084134, "12": 0.17286789413757056,
-            "13": 0.17057278766982278},
+            "1": 0.35414270872078274, "2": 0.25203973475137664,
+            "3": 0.35814153659926945, "4": 0.25054039947149176,
+            "5": 0.0026247375686609437, "6": 0.25678917420727737,
+            "7": 0.3523964557453225, "8": 0.2556977706580102,
+            "9": 0.35788911603586115, "10": 0.08516888224517098,
+            "11": 0.08535044760380449, "12": 0.17286634878048399,
+            "13": 0.17057123921512407},
         "vehicle_ate_m": None, "contraction_rate": None,
-        "contraction_r2": None, "final_e_c": 940.7761729725235,
-        "final_e_h": 3161.311765991754, "final_discrepancy_m": 25.30893168296547,
+        "contraction_r2": None, "final_e_c": 940.8347317276994,
+        "final_e_h": 3161.2832546051127, "final_discrepancy_m": 25.309604818236707,
         "diverged": False, "divergence": None},
     "coop-partial": {
         "mode": "coop-partial", "case": 2, "scenario": "coop-partial",
         "final_errors_m": {
-            "1": 33.29631306397691, "2": 20.166308431522456,
-            "3": 28.9879434794373, "4": 5.332430739509162,
-            "5": 13.45224080707144, "6": 29.301799163156343,
-            "7": 25.531830812471792, "8": 21.258079525397456,
-            "9": 36.381079704977836, "10": 11.118391237642543,
-            "11": 4.979796545953444, "12": 3.464701291829805,
-            "13": 24.484786592684138},
+            "1": 33.515043156255544, "2": 20.2232882747547,
+            "3": 28.89953480117239, "4": 5.407866714710187,
+            "5": 13.53400122928619, "6": 29.21350623234616,
+            "7": 25.557396581342672, "8": 21.197599459115235,
+            "9": 36.206663375724624, "10": 11.212249814724055,
+            "11": 5.070080903638298, "12": 3.5076869776569066,
+            "13": 24.44213443901451},
         "vehicle_ate_m": None, "contraction_rate": None,
-        "contraction_r2": None, "final_e_c": 5812.99703200801,
-        "final_e_h": 1383.3419368889472, "final_discrepancy_m": 35.9402474496406,
+        "contraction_r2": None, "final_e_c": 5836.759923942767,
+        "final_e_h": 1385.7045999804543, "final_discrepancy_m": 35.94166082995718,
         "diverged": False, "divergence": None},
     "coop-robots": {
         "mode": "coop-robots", "case": 2, "scenario": "coop-robots",
         "final_errors_m": {}, "vehicle_ate_m": None, "contraction_rate": None,
-        "contraction_r2": None, "final_e_c": 869.3317830692114,
-        "final_e_h": 519.6225912736625, "final_discrepancy_m": 21.63296794437137,
+        "contraction_r2": None, "final_e_c": 869.314052535752,
+        "final_e_h": 519.6171925505904, "final_discrepancy_m": 21.633055281551247,
         "diverged": False, "divergence": None},
 }
 
@@ -261,6 +261,7 @@ BAD_SCENARIO_EDITS = {
     "infinite-center": lambda d: d["vehicles"][0].update(center=[math.inf, 0.0]),
     "nan-sigma": lambda d: d["noise"].update(sigma_r=math.nan),
     "infinite-sigma": lambda d: d["noise"].update(sigma_theta=math.inf),
+    "duplicate-landmark-id": lambda d: d["landmarks"][1].update(id=1),
 }
 
 
@@ -279,6 +280,27 @@ def test_cli_rejects_bad_scenario_file(tmp_path, bad):
                                         "--duration", "0.05"])
     assert out.exit_code == 2, out.output
     assert "config error" in out.output and str(path) in out.output
+
+
+def test_cli_rejects_a_duplicate_vehicle_id(tmp_path):
+    world = json.loads(BUILTIN_SCENARIOS["coop-full"]().to_json())
+    world["vehicles"][1]["id"] = world["vehicles"][0]["id"]
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps(world))
+    out = CliRunner().invoke(cli_main, ["run", "--mode", "coop-full", "--scenario",
+                                        str(path), "--duration", "0.05"])
+    assert out.exit_code == 2, out.output
+    assert "vehicle ids must be unique" in out.output
+
+
+def test_cli_rejects_an_unusable_output_path(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_path in (taken, taken / "sub"):
+        out = CliRunner().invoke(cli_main, ["run", "--duration", "0.05",
+                                            "--out", str(out_path)])
+        assert out.exit_code == 2, out.output
+        assert "config error" in out.output and str(out_path) in out.output
 
 
 @pytest.mark.parametrize("mode", ["local", "global", "dunk"])

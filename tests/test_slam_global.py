@@ -8,8 +8,9 @@ import pytest
 from ltvslam import vmeas
 from ltvslam.core import RobotInputs, body_from_global, rotation2d, skew, wrap_angle
 from ltvslam.kalman import FilterConfig
-from ltvslam.slam_global import (_heading_residue, beta_d_closed_form_2d,
-                                 init_global, step_global, track_heading)
+from ltvslam.slam_global import (_append_landmarks, _heading_residue,
+                                 beta_d_closed_form_2d, init_global, step_global,
+                                 track_heading)
 
 from conftest import exact_bundle
 
@@ -102,8 +103,22 @@ def test_init_global_and_landmark_append():
     gs = step_global(gs, u=0.0, omega=0.0, observations={9: bundle}, case=2)
     assert gs.landmark_ids == [9]
     # back-projected initialization: vehicle + R(beta) * r h*
-    expected = np.array([1.0, 2.0]) + rotation2d(0.3).apply([0.0, 4.0])
-    assert np.linalg.norm(gs.landmark(9) - expected) < 0.5
+    expected = np.array([1.0, 2.0]) + rotation2d(0.3) @ [0.0, 4.0]
+    assert np.linalg.norm(gs.estimates().X[0] - expected) < 0.5
+
+
+def test_one_growth_for_a_tick_equals_one_growth_per_landmark():
+    inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
+    new = {k: exact_bundle(np.array([0.5 * k, 3.0 + k]), inputs) for k in (4, 2, 7)}
+    gs = step_global(init_global(np.array([1.0, 2.0]), beta0=0.3), u=1.0,
+                     omega=0.2, observations={1: exact_bundle(np.ones(2), inputs)})
+    once = _append_landmarks(gs, new)
+    apart = gs
+    for k, b in new.items():
+        apart = _append_landmarks(apart, {k: b})
+    assert once.landmark_ids == apart.landmark_ids == [1, 4, 2, 7]
+    assert np.array_equal(once.state.x, apart.state.x)
+    assert np.array_equal(once.state.P, apart.state.P)
 
 
 def test_init_global_rejects_non_planar_start():
@@ -155,5 +170,6 @@ def test_global_one_loop_noise_free_converges():
     pos, beta = pose(gs.state.t)
     assert np.linalg.norm(gs.vehicle - pos) < 0.05
     assert abs(wrap_angle(gs.beta_hat - beta)) < 0.01
+    est = dict(zip(gs.landmark_ids, gs.estimates().X))
     for lid, lm in landmarks.items():
-        assert np.linalg.norm(gs.landmark(lid) - lm) < 0.05
+        assert np.linalg.norm(est[lid] - lm) < 0.05
