@@ -110,21 +110,18 @@ class FilterState:
             raise ValueError(f"covariance shape {P.shape} does not match state size {x.size}")
         if np.abs(P - P.T).max() > 1e-9 * max(np.abs(P).max(), 1.0):
             raise ValueError("P is not symmetric within tolerance")
-        eig = np.linalg.eigvalsh(0.5 * (P + P.T))
+        P = 0.5 * (P + P.T)
+        eig = np.linalg.eigvalsh(P)
         if eig.min() < -1e-9 * max(np.trace(P), 1.0):
             raise ValueError(f"P is not positive semidefinite (min eig {eig.min():g})")
-        self._fill(x, P, self.t)
+        self.__dict__.update(x=x, P=P)
 
     @classmethod
-    def _derived(cls, x, P, t: float) -> "FilterState":
-        """Unchecked: P is PSD by construction (Joseph correction, Phi P Phi^T)."""
-        return object.__new__(cls)._fill(x, P, t)
-
-    def _fill(self, x, P, t: float) -> "FilterState":
-        P = np.asarray(P, dtype=float)
-        self.__dict__.update(x=np.asarray(x, dtype=float).ravel(),
-                             P=0.5 * (P + P.T), t=t)
-        return self
+    def _derived(cls, x: np.ndarray, P: np.ndarray, t: float) -> "FilterState":
+        """Unchecked and stored as given: a filter's float x and symmetric PSD P."""
+        state = object.__new__(cls)
+        state.__dict__.update(x=x, P=P, t=t)
+        return state
 
     @property
     def dim(self) -> int:

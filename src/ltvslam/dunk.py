@@ -80,8 +80,9 @@ def consensus(pairs: dict[int, LandmarkPairState],
         w = np.linalg.inv(p.sigma_vehicle + REG * np.eye(d))
         info += w
         weighted += w @ p.x_vehicle
+    cov = np.linalg.inv(info)
     return Consensus(x_vc=np.linalg.solve(info, weighted),
-                     covariance=np.linalg.inv(info))
+                     covariance=0.5 * (cov + cov.T))
 
 
 def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None:
@@ -93,14 +94,13 @@ def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None
     return vmeas.VirtualMeasurement._derived(c.x_vc, H, c.covariance)
 
 
-def pair_measurement(case: int, bundle: SensorBundle, beta_hat: float,
+def pair_measurement(case: int, bundle: SensorBundle, T: np.ndarray,
                      inputs: RobotInputs, r_hint: float | None = None
                      ) -> vmeas.VirtualMeasurement | None:
-    """Case rows lifted to the pair state: body rows M become [M T, -M T]."""
+    """Case rows lifted by the tick's rotation T: body rows M become [M T, -M T]."""
     body_vm = build_measurement(case, bundle, inputs, r_hint)
     if body_vm is None:
         return None
-    T = body_from_global(beta_hat)
     return vmeas._lift(body_vm, T, 2 * T.shape[1], 0, 1)
 
 
@@ -212,6 +212,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         [offsets[lid] for lid, _ in visible],
         np.zeros(2), [b.bearing.theta for _, b in visible], net.beta_hat)
 
+    T = body_from_global(net.beta_hat)
     own_v = u_speed * heading_forward(net.beta_hat)
     d = own_v.size
     if drift is None:
@@ -227,8 +228,7 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
             case_vm = _self_tie_measurement(d)
         elif bundle is not None:
             r_hint = float(np.linalg.norm(offsets[lid])) or None
-            case_vm = pair_measurement(net.case, bundle, net.beta_hat, inputs,
-                                       r_hint)
+            case_vm = pair_measurement(net.case, bundle, T, inputs, r_hint)
         else:
             case_vm = None
         vm = vmeas.stack_measurements(case_vm, fb)

@@ -56,19 +56,20 @@ def _predict(x, P, A, b, Q, dt):
     [[-A, Q], [0, A^T]] dt.  With A = 0 the flow is x + b dt, P + Q dt.
     """
     if not A.any():
-        return x + b * dt, (P if Q is None else P + Q * dt)
-    n = x.size
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A * dt
-    M[:n, n] = b * dt
-    E = expm(M)
-    Phi = E[:n, :n]
-    x = Phi @ x + E[:n, n]
-    P = Phi @ P @ Phi.T
-    if Q is not None:
-        F = expm(np.block([[-A, Q], [np.zeros((n, n)), A.T]]) * dt)
-        P = P + Phi @ F[:n, n:]
-    return x, P
+        x, P = x + b * dt, (P if Q is None else P + Q * dt)
+    else:
+        n = x.size
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = A * dt
+        M[:n, n] = b * dt
+        E = expm(M)
+        Phi = E[:n, :n]
+        x = Phi @ x + E[:n, n]
+        P = Phi @ P @ Phi.T
+        if Q is not None:
+            F = expm(np.block([[-A, Q], [np.zeros((n, n)), A.T]]) * dt)
+            P = P + Phi @ F[:n, n:]
+    return x, 0.5 * (P + P.T)
 
 
 def _correct(x, P, vm: VirtualMeasurement, dt: float):

@@ -67,6 +67,9 @@ class CircleSpec:
             raise ValueError(f"circle numbers must be finite, got {numbers}")
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
+        off = abs(math.dist(self.x0, self.center) - self.radius)
+        if off > 1e-6 * max(self.radius, 1.0):
+            raise ValueError("start point is not on the circle")
 
 
 def circle_trajectory(center, radius: float, omega_m: float, x0, beta0: float = 0.0):
@@ -74,13 +77,12 @@ def circle_trajectory(center, radius: float, omega_m: float, x0, beta0: float = 
 
     The start point fixes the phase; the heading is tangent to the circle
     in the direction of travel, so the emitted (u, omega) inputs are
-    exactly consistent with the positions.
+    exactly consistent with the positions.  :class:`CircleSpec` checks the numbers.
     """
+    CircleSpec(center, radius, omega_m, x0, beta0)
     center = np.asarray(center, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     offset = x0 - center
-    if abs(np.linalg.norm(offset) - radius) > 1e-6 * max(radius, 1.0):
-        raise ValueError("start point is not on the circle")
     alpha0 = math.atan2(offset[1], offset[0])
     speed = radius * abs(omega_m)
 
@@ -119,8 +121,12 @@ class Scenario:
             raise ValueError("dt and r_visible must be > 0")
         if self.visibility not in ("unlimited", "quadrant", "range"):
             raise ValueError(f"unknown visibility rule {self.visibility!r}")
+        if type(self.seed) is not int or self.seed < 0:   # a JSON true is a bool
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for kind, ids in (("landmark", [lm.id for lm in self.landmarks]),
                           ("vehicle", [vid for vid, _ in self.vehicles])):
+            if any(type(k) is not int for k in ids):
+                raise ValueError(f"{kind} ids must be integers, got {ids!r}")
             repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
             if repeated:
                 raise ValueError(f"{kind} ids must be unique, repeated: {repeated}")

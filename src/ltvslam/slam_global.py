@@ -180,16 +180,19 @@ def step_global(gs: GlobalState, u: float, omega: float,
                                    [b.bearing.theta for _, b in seen], beta_hat)
     T = body_from_global(beta_hat)
     inputs = RobotInputs(u=np.array([0.0, float(u)]), omega=skew(omega))
-    parts = []
+    n = gs.state.dim
+    parts, row_blocks = [], []   # every sighting's body rows, placed by one lift
     for lid, bundle in observations.items():
         r_hint = float(np.linalg.norm(offsets[lid])) or None
         body_vm = build_measurement(case, bundle, inputs, r_hint)
-        parts.append(None if body_vm is None else vmeas._lift(
-            body_vm, T, gs.state.dim, block[lid], gs.n_landmarks))
-    vm_all = vmeas.stack_measurements(*parts)
+        if body_vm is not None:
+            parts.append(body_vm)
+            row_blocks += [block[lid]] * body_vm.rows
+    body = vmeas.stack_measurements(*parts)
+    vm_all = None if body is None else vmeas._lift(body, T, n, row_blocks,
+                                                   gs.n_landmarks)
 
     # A = 0: only the vehicle block (last) moves, at u along the heading
-    n = gs.state.dim
     b = np.concatenate([np.zeros(n - gs.dim), float(u) * heading_forward(beta_hat)])
     new_state = ode_step(gs.state, np.zeros((n, n)), b, vm_all, None, cfg)
     beta_next = track_heading(beta_hat, omega, beta_d, cfg.dt)

@@ -118,7 +118,8 @@ class VirtualMeasurement:
     """One instant's linear constraint set y = H x + v, Cov(v) = R.
 
     The constructor checks the row counts and that R is symmetric positive
-    definite; the package's own rows come from :meth:`_derived`.
+    definite; the package's own rows, whose R is floored and symmetric where
+    it is made, come from :meth:`_derived`.
     """
 
     y: np.ndarray
@@ -134,21 +135,17 @@ class VirtualMeasurement:
                 f"row mismatch: y {y.size}, H {H.shape}, R {R.shape}")
         if np.abs(R - R.T).max() > 1e-12 * max(np.abs(R).max(), 1.0):
             raise ValueError("R must be symmetric")
+        R = 0.5 * (R + R.T)
         if np.linalg.eigvalsh(R).min() <= 0:
             raise ValueError("R must be positive definite")
-        self._fill(y, H, R)
+        self.__dict__.update(y=y, H=H, R=R)
 
     @classmethod
     def _derived(cls, y, H, R) -> "VirtualMeasurement":
-        """Unchecked: every R the package builds is PD (its variances are floored)."""
-        return object.__new__(cls)._fill(y, H, R)
-
-    def _fill(self, y, H, R) -> "VirtualMeasurement":
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        self.__dict__.update(y=np.asarray(y, dtype=float).ravel(),
-                             H=np.atleast_2d(np.asarray(H, dtype=float)),
-                             R=0.5 * (R + R.T))
-        return self
+        """Unchecked; y, H and R are stored as given and shared, so never written."""
+        vm = object.__new__(cls)
+        vm.__dict__.update(y=y, H=H, R=R)
+        return vm
 
     @property
     def rows(self) -> int:
@@ -344,19 +341,20 @@ def pinhole(obs: PinholeObs) -> VirtualMeasurement:
     return VirtualMeasurement._derived(np.zeros(2), H, var * np.eye(2))
 
 
-def _lift(vm: VirtualMeasurement, T: np.ndarray, n: int, landmark: int,
+def _lift(vm: VirtualMeasurement, T: np.ndarray, n: int, landmark,
           vehicle: int) -> VirtualMeasurement:
     """Rows on T (x_landmark - x_vehicle), placed in an n-column state.
 
-    M = H T fills the columns of block ``landmark`` and -M those of block
-    ``vehicle``; each block is as wide as T.
+    M = H T fills the columns of block ``landmark`` (one for all rows, or a
+    list of one per row) and -M those of block ``vehicle``; each block is as
+    wide as T.
     """
     M = vm.H @ T
-    d = M.shape[1]
-    H = np.zeros((vm.rows, n))
-    H[:, d * landmark:d * landmark + d] = M
-    H[:, d * vehicle:d * vehicle + d] = -M
-    return VirtualMeasurement._derived(vm.y, H, vm.R)
+    k, d = M.shape
+    H = np.zeros((k, n // d, d))
+    H[np.arange(k), landmark] = M
+    H[:, vehicle] = -M
+    return VirtualMeasurement._derived(vm.y, H.reshape(k, n), vm.R)
 
 
 # ---------------------------------------------------------------------------

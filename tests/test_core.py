@@ -71,6 +71,12 @@ def test_filter_state_validates_covariance():
     assert st.dim == 2
 
 
+def test_derived_filter_state_keeps_its_arrays():
+    x, P = np.array([1.0, 2.0]), np.eye(2)
+    st = FilterState._derived(x, P, 0.5)
+    assert st.x is x and st.P is P and st.t == 0.5
+
+
 def test_fit_contraction_rate_recovers_exponential():
     t = np.linspace(0.0, 5.0, 200)
     diag = fit_contraction_rate(np.column_stack([t, 3.0 * np.exp(-0.7 * t)]))

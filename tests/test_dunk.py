@@ -74,6 +74,17 @@ def test_consensus_is_quadratic_minimizer(rng):
     assert np.allclose(c.covariance, np.linalg.inv(A), atol=1e-8)
 
 
+def test_consensus_covariance_is_exactly_symmetric(rng):
+    pairs = {}
+    for lid in range(4):
+        M = rng.normal(size=(2, 2))
+        P = np.eye(4)
+        P[2:, 2:] = M @ M.T + 0.1 * np.eye(2)
+        pairs[lid] = LandmarkPairState(FilterState(rng.normal(size=4), P))
+    cov = consensus(pairs, pairs.keys()).covariance
+    assert np.array_equal(cov, cov.T)
+
+
 def test_consensus_permutation_invariant():
     pairs = {i: make_pair(np.zeros(2), np.array([float(i), 0.0]),
                           sigma_v=1.0 + i) for i in range(4)}
@@ -95,7 +106,7 @@ def test_pair_measurement_relative_reduction():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=4.0))
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
-    vm = pair_measurement(2, bundle, 0.0, inputs)
+    vm = pair_measurement(2, bundle, body_from_global(0.0), inputs)
     x = np.array([1.0, 6.0, 1.0, 2.0])   # x_i - x_vi = (0, 4)
     assert np.abs(vm.residual(x)).max() < 1e-12
 
@@ -105,9 +116,9 @@ def test_pair_measurement_rotates_with_heading(rng):
                           range=vmeas.RangeObs(r=3.0))
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
     beta = 1.1
-    vm0 = pair_measurement(2, bundle, 0.0, inputs)
-    vmb = pair_measurement(2, bundle, beta, inputs)
     T = body_from_global(beta)
+    vm0 = pair_measurement(2, bundle, np.eye(2), inputs)
+    vmb = pair_measurement(2, bundle, T, inputs)
     assert np.allclose(vmb.H[:, :2], vm0.H[:, :2] @ T, atol=1e-12)
 
 
@@ -183,6 +194,25 @@ def test_consensus_runs_at_most_twice_per_map_per_tick(monkeypatch):
         medium = coop_step(maps, ticks, "full", medium)
         assert 0 < len(calls) <= 2 * len(maps)
     assert all(len(m.net.pairs) == len(scenario.landmarks) for m in maps.values())
+
+
+def test_pair_tick_forms_one_rotation_per_map(monkeypatch):
+    # every observed pair of a map is lifted with the tick's one T
+    scenario = sim.scenario_coop("full")
+    stream = sim.ticks(scenario, np.random.default_rng(scenario.seed),
+                       scenario.dt, 1)
+    maps = make_coop_maps(scenario, RunConfig(mode="coop-full"))
+    calls = []
+
+    def counting(beta):
+        calls.append(beta)
+        return body_from_global(beta)
+
+    monkeypatch.setattr(dunk, "body_from_global", counting)
+    _, ticks = next(stream)
+    coop_step(maps, ticks, "full", None)
+    assert all(len(t.observations) == len(scenario.landmarks) for t in ticks.values())
+    assert len(calls) == len(maps)
 
 
 def test_identical_pairs_stay_identical():

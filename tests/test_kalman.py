@@ -87,6 +87,15 @@ def test_process_noise_grows_covariance():
     assert np.allclose(st.P, expected, rtol=0.0, atol=1e-14)
 
 
+def test_rotation_step_with_process_noise_returns_an_exactly_symmetric_p(rng):
+    M = rng.normal(size=(3, 3))
+    st = FilterState(np.zeros(3), M @ M.T + np.eye(3))
+    Q = np.diag([0.1, 0.2, 0.3])
+    st = ode_step(st, skew(0.3, -0.2, 0.7).matrix, np.ones(3), None, Q,
+                  FilterConfig(dt=0.01))
+    assert np.array_equal(st.P, st.P.T)
+
+
 def test_covariance_stays_symmetric_psd_under_random_stable_steps(rng):
     st = FilterState(rng.normal(size=3), np.eye(3))
     cfg = FilterConfig(dt=0.01)

@@ -262,6 +262,14 @@ BAD_SCENARIO_EDITS = {
     "nan-sigma": lambda d: d["noise"].update(sigma_r=math.nan),
     "infinite-sigma": lambda d: d["noise"].update(sigma_theta=math.inf),
     "duplicate-landmark-id": lambda d: d["landmarks"][1].update(id=1),
+    "negative-seed": lambda d: d.update(seed=-1),
+    "fractional-seed": lambda d: d.update(seed=1.5),
+    "string-seed": lambda d: d.update(seed="7"),
+    "boolean-seed": lambda d: d.update(seed=True),
+    "off-circle-start": lambda d: d["vehicles"][0].update(x0=[6.0, 0.0]),
+    "string-landmark-id": lambda d: d["landmarks"][0].update(id="a"),
+    "boolean-landmark-id": lambda d: d["landmarks"][0].update(id=True),
+    "boolean-vehicle-id": lambda d: d["vehicles"][0].update(id=False),
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam import vmeas
+from ltvslam import slam_global, vmeas
 from ltvslam.core import RobotInputs, body_from_global, rotation2d, skew, wrap_angle
 from ltvslam.kalman import FilterConfig
 from ltvslam.slam_global import (_append_landmarks, _heading_residue,
@@ -144,9 +144,49 @@ def test_new_landmarks_grow_p_without_an_eigvalsh(monkeypatch):
     assert gs.landmark_ids == [1, 2, 3]
 
 
-def test_global_one_loop_noise_free_converges():
+def test_step_global_lifts_a_ticks_rows_once(monkeypatch):
+    # Case IV gives two rows where the range changes and falls back to the
+    # one Case I row for the landmark at the circle's centre, where it does not
+    real_lift, real_ode_step = vmeas._lift, slam_global.ode_step
+    lifts, rows = [], []
+    monkeypatch.setattr(vmeas, "_lift",
+                        lambda *args: lifts.append(args) or real_lift(*args))
+    monkeypatch.setattr(slam_global, "ode_step", lambda state, A, b, vm, Q, cfg:
+                        rows.append(vm) or real_ode_step(state, A, b, vm, Q, cfg))
+    pos, beta, u, omega = np.array([5.0, 0.0]), 0.0, 2.5, 0.5
+    inputs = RobotInputs(u=np.array([0.0, u]), omega=skew(omega))
+    T = body_from_global(beta)
+    world = {1: [2.5, 2.5], 2: [0.0, 0.0], 3: [2.0, -3.0]}
+    obs = {lid: exact_bundle(T @ (np.asarray(lm) - pos), inputs)
+           for lid, lm in world.items()}
+    step_global(init_global(pos, beta0=beta), u=u, omega=omega,
+                observations=obs, case=4)
+    parts = [real_lift(vmeas.build_measurement(4, b, inputs), T, 8, k, 3)
+             for k, b in enumerate(obs.values())]
+    assert [p.rows for p in parts] == [2, 1, 2]
+    ref = vmeas.stack_measurements(*parts)
+    vm, = rows
+    assert len(lifts) == 1
+    assert np.array_equal(vm.y, ref.y) and np.array_equal(vm.R, ref.R)
+    assert np.abs(vm.H - ref.H).max() <= 1e-14
+
+    # Case V of a stationary vehicle: no rows, so a pure prediction
+    gs = init_global(pos, beta0=beta)
+    still = RobotInputs(u=np.zeros(2), omega=skew(0.0))
+    obs = {lid: exact_bundle(T @ (np.asarray(lm) - pos), still)
+           for lid, lm in world.items()}
+    lifts.clear()
+    grown = _append_landmarks(gs, obs)
+    gs = step_global(gs, u=0.0, omega=0.0, observations=obs, case=5)
+    assert rows[-1] is None and not lifts
+    assert np.array_equal(gs.state.x, grown.state.x)
+    assert np.array_equal(gs.state.P, grown.state.P)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+def test_global_one_loop_noise_free_converges(case):
     # a full circle with three landmarks: everything should land within
-    # a few centimeters with exact measurements
+    # a few centimeters with exact measurements, in every sensor case
     dt, omega_m, radius = 0.01, 0.5, 5.0
     landmarks = {1: np.array([2.5, 2.5]), 2: np.array([-3.0, 1.5]),
                  3: np.array([2.0, -3.0])}
@@ -166,7 +206,8 @@ def test_global_one_loop_noise_free_converges():
         T = body_from_global(beta)
         obs = {lid: exact_bundle(T @ (lm - pos), inputs)
                for lid, lm in landmarks.items()}
-        gs = step_global(gs, u=u, omega=omega_m, observations=obs, case=2, cfg=cfg)
+        gs = step_global(gs, u=u, omega=omega_m, observations=obs, case=case,
+                         cfg=cfg)
     pos, beta = pose(gs.state.t)
     assert np.linalg.norm(gs.vehicle - pos) < 0.05
     assert abs(wrap_angle(gs.beta_hat - beta)) < 0.01

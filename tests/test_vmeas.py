@@ -96,6 +96,12 @@ def test_virtual_measurement_validation():
                                  R=np.array([[0.0]]))
 
 
+def test_derived_measurement_keeps_its_arrays():
+    y, H, R = np.zeros(1), np.array([[1.0, 0.0]]), np.array([[2.0]])
+    vm = vmeas.VirtualMeasurement._derived(y, H, R)
+    assert vm.y is y and vm.H is H and vm.R is R
+
+
 def test_case_rows_r_is_positive_definite_at_zero_range():
     # r* = 0 makes sigma^2 r*^2 exactly 0; the variance floor keeps R PD
     vm = vmeas.case2(vmeas.BearingObs(0.3), vmeas.RangeObs(0.0, 0.0))
