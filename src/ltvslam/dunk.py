@@ -73,11 +73,10 @@ def consensus(pairs: dict[int, LandmarkPairState],
     if not observed:
         return None
     d = next(iter(pairs.values())).dim
-    info = np.zeros((d, d))
-    weighted = np.zeros(d)
+    info, weighted, reg = np.zeros((d, d)), np.zeros(d), REG * np.eye(d)
     for lid in sorted(observed):
         p = pairs[lid]
-        w = np.linalg.inv(p.sigma_vehicle + REG * np.eye(d))
+        w = np.linalg.inv(p.sigma_vehicle + reg)
         info += w
         weighted += w @ p.x_vehicle
     cov = np.linalg.inv(info)
@@ -217,9 +216,9 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
     d = own_v.size
     if drift is None:
         drift = Drift(np.zeros(d))
-    Om = skew(drift.omega).matrix
-    A = np.kron(np.eye(2), Om)
+    Om = skew(drift.omega).matrix   # turns both blocks of every pair
     base = drift.v - (Om @ drift.center if drift.center is not None else 0.0)
+    b = np.concatenate([base, base + own_v])
     targets = target_velocities or {}
     for lid in sorted(net.pairs):
         pair = net.pairs[lid]
@@ -232,12 +231,9 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         else:
             case_vm = None
         vm = vmeas.stack_measurements(case_vm, fb)
-        b = np.concatenate([base, base + own_v])
-        if lid == self_id:
-            b[:d] += own_v
-        elif lid in targets:
-            b[:d] += targets[lid]
-        new_state = ode_step(pair.state, A, b, vm, None, net.cfg)
+        extra = own_v if lid == self_id else targets.get(lid)
+        b_lid = b if extra is None else np.concatenate([base + extra, b[d:]])
+        new_state = ode_step(pair.state, Om, b_lid, vm, None, net.cfg)
         net.pairs[lid] = LandmarkPairState(new_state)
     net.t += net.cfg.dt
 

@@ -5,28 +5,28 @@ One generic propagation engine for the model
     xdot = A x + b + K (y - H x),      K = P H^T R^{-1}
     Pdot = Q + A P + P A^T - P H^T R^{-1} H P
 
-Every estimator in the package is an instance of this engine with a
-different (A, b):
+where A = I_k (x) A_d turns every d-block of x alike by the skew
+generator A_d.  Every estimator in the package is an instance of this
+engine with a different (A_d, b):
 
-* relative-frame landmark tracking uses A = -Omega, b = -u;
-* global-frame estimation uses A = 0 with the drift folded into b;
-* cooperative pair filters add a null-space drift, A = I (x) Omega.
+* relative-frame landmark tracking uses A_d = -Omega, b = -u;
+* global-frame estimation uses A_d = 0 with the drift folded into b;
+* cooperative pair filters add a null-space drift, A_d = Omega.
 
 Each step holds A, b, Q, H and R over dt and applies two exact flows.
 First the correction: the information matrix grows linearly,
 I(t) = I0 + t H^T R^{-1} H, which is a discrete Kalman update with
 R_d = R / dt -- stable for any P/R ratio, however stiff.  Then the exact
-zero-order-hold transition of the prediction, Phi = e^{A dt}, with the
-process noise from Van Loan, "Computing integrals involving the matrix
-exponential", IEEE TAC 1978.
+zero-order-hold transition of the prediction, Phi = e^{A_d dt} by
+Rodrigues' formula; process noise Q needs A = 0, where it adds Q dt.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import FilterState, RobotInputs
 from .vmeas import VirtualMeasurement
@@ -48,27 +48,27 @@ class FilterConfig:
 
 
 def _predict(x, P, A, b, Q, dt):
-    """Exact flow of xdot = A x + b, Pdot = Q + A P + P A^T over dt.
+    """Exact flow of xdot = (I_k (x) A) x + b, Pdot = Q + A P + P A^T over dt.
 
-    A, b and Q are held over the step; ``Q=None`` means no process noise.
-    Phi and the input term come from one exponential of the augmented
-    generator [[A dt, b dt], [0, 0]]; Q_d from Van Loan's block
-    [[-A, Q], [0, A^T]] dt.  With A = 0 the flow is x + b dt, P + Q dt.
+    A = 0 gives x + b dt and P + Q dt, with Q symmetrized (P as is without
+    Q).  Otherwise Rodrigues, with w = sqrt(sum(A**2) / 2), K = A / w,
+    th = w dt and h = 1 - cos th = 2 sin^2(th / 2), exact at small th:
+    Phi = I + sin(th) K + h K^2, G = dt I + h / w K + (dt - sin(th) / w) K^2.
     """
-    if not A.any():
-        x, P = x + b * dt, (P if Q is None else P + Q * dt)
-    else:
-        n = x.size
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = A * dt
-        M[:n, n] = b * dt
-        E = expm(M)
-        Phi = E[:n, :n]
-        x = Phi @ x + E[:n, n]
-        P = Phi @ P @ Phi.T
-        if Q is not None:
-            F = expm(np.block([[-A, Q], [np.zeros((n, n)), A.T]]) * dt)
-            P = P + Phi @ F[:n, n:]
+    if not A.any():   # P is symmetric, so P + sym(Q) dt is exactly symmetric
+        return x + b * dt, P if Q is None else P + 0.5 * (Q + Q.T) * dt
+    d, k, eye = len(A), x.size // len(A), np.eye(len(A))
+    w = math.sqrt(0.5 * np.vdot(A, A))
+    K, th = A / w, w * dt
+    K2, s, h = K @ K, math.sin(th), 2.0 * math.sin(0.5 * th) ** 2
+    Phi = eye + s * K + h * K2
+    G = dt * eye + h / w * K + (dt - s / w) * K2
+    if k == 1:
+        x, P = Phi @ x + G @ b, Phi @ P @ Phi.T
+    else:   # F = I_k (x) Phi, applied block by block
+        x = (x.reshape(k, d) @ Phi.T + b.reshape(k, d) @ G.T).ravel()
+        P = (Phi @ P.reshape(k, d, -1)).reshape(-1, k, d) @ Phi.T
+        P = P.reshape(x.size, x.size)
     return x, 0.5 * (P + P.T)
 
 
@@ -93,18 +93,23 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
              cfg: FilterConfig = FilterConfig()) -> FilterState:
     """Advance (x, P) by one step of dt under the generic LTV filter model.
 
-    ``vm`` is held constant over the step (zero-order hold); pass None
-    when no measurement is available this step.  The correction is
-    applied first, at the instant the measurement was sampled, followed
-    by the exact transition over the full step.
+    ``A`` is the skew d x d generator of every d-block of x (d <= 3, where
+    any skew matrix turns about one axis); Q needs A = 0.  ``vm`` is held
+    over the step (None: no measurement).  The correction is applied
+    first, at the instant the measurement was sampled, then the exact
+    transition over the full step.
     """
     n = state.dim
     A = np.asarray(A, dtype=float)
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float).ravel()
     Q = None if Q is None else np.asarray(Q, dtype=float)
-    if A.shape != (n, n) or b.shape != (n,) or (Q is not None
-                                               and Q.shape != (n, n)):
-        raise ValueError("A, b, Q shapes must match the state dimension")
+    d = A.shape[-1] if A.ndim else 0
+    if (A.shape != (d, d) or not 0 < d <= 3 or n % d or b.shape != (n,)
+            or (Q is not None and Q.shape != (n, n))):
+        raise ValueError("A must be d x d with d <= 3 dividing the state "
+                         "dimension; b and Q must match the state")
+    if (A + A.T).any() or (Q is not None and A.any()):
+        raise ValueError("A must be skew, and zero when Q is given")
     if vm is not None and vm.H.shape[1] != n:
         raise ValueError(
             f"measurement has {vm.H.shape[1]} columns for state size {n}")
@@ -114,7 +119,7 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
         x, P = _correct(x, P, vm, cfg.dt)
     x, P = _predict(x, P, A, b, Q, cfg.dt)
 
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
+    if not (np.isfinite(x).all() and np.isfinite(P).all()):
         raise DivergenceError(f"filter diverged at t={state.t + cfg.dt:g}")
     return FilterState._derived(x, P, state.t + cfg.dt)
 
@@ -127,5 +132,4 @@ def step(state: FilterState, inputs: RobotInputs,
     The landmark is static in the global frame; in the robot-fixed frame
     its relative position rotates with -Omega and translates with -u.
     """
-    A = -inputs.omega.matrix
-    return ode_step(state, A, -inputs.u, vm, None, cfg)
+    return ode_step(state, -inputs.omega.matrix, -inputs.u, vm, None, cfg)

@@ -194,6 +194,6 @@ def step_global(gs: GlobalState, u: float, omega: float,
 
     # A = 0: only the vehicle block (last) moves, at u along the heading
     b = np.concatenate([np.zeros(n - gs.dim), float(u) * heading_forward(beta_hat)])
-    new_state = ode_step(gs.state, np.zeros((n, n)), b, vm_all, None, cfg)
+    new_state = ode_step(gs.state, np.zeros((2, 2)), b, vm_all, None, cfg)
     beta_next = track_heading(beta_hat, omega, beta_d, cfg.dt)
     return GlobalState(gs.landmark_ids, new_state, beta_next)

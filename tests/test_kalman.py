@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ltvslam import coop, sim, vmeas
-from ltvslam.core import FilterState, RobotInputs, rotation2d, skew
+from ltvslam import coop, kalman, sim, vmeas
+from ltvslam.core import FilterState, RobotInputs, skew
 from ltvslam.kalman import DivergenceError, FilterConfig, ode_step, step
 from ltvslam.runner import RunConfig, make_coop_maps
 from ltvslam.slam_global import init_global, step_global
@@ -76,53 +76,74 @@ def test_process_noise_grows_covariance():
     st = ode_step(st, np.zeros((2, 2)), np.zeros(2), None, 0.5 * np.eye(2),
                   FilterConfig(dt=0.01))
     assert np.allclose(st.P, 0.005 * np.eye(2), atol=1e-15)
-    # under a rotation Phi, isotropic noise integrates to exactly Q dt:
-    # Q_d = int_0^dt Phi(s) Q Phi(s)^T ds = 0.3 dt I
-    dt = 0.01
-    P0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-    st = ode_step(FilterState(np.zeros(2), P0), skew(0.5).matrix, np.zeros(2),
-                  None, 0.3 * np.eye(2), FilterConfig(dt=dt))
-    Phi = rotation2d(0.5 * dt)
-    expected = Phi @ P0 @ Phi.T + 0.3 * dt * np.eye(2)
-    assert np.allclose(st.P, expected, rtol=0.0, atol=1e-14)
+    # process noise is integrated only with A = 0
+    with pytest.raises(ValueError):
+        ode_step(FilterState(np.zeros(2), np.eye(2)), skew(0.5).matrix,
+                 np.zeros(2), None, 0.3 * np.eye(2), FilterConfig(dt=0.01))
 
 
-def test_rotation_step_with_process_noise_returns_an_exactly_symmetric_p(rng):
+def test_rotation_step_returns_an_exactly_symmetric_p(rng):
     M = rng.normal(size=(3, 3))
     st = FilterState(np.zeros(3), M @ M.T + np.eye(3))
-    Q = np.diag([0.1, 0.2, 0.3])
-    st = ode_step(st, skew(0.3, -0.2, 0.7).matrix, np.ones(3), None, Q,
+    st = ode_step(st, skew(0.3, -0.2, 0.7).matrix, np.ones(3), None, None,
                   FilterConfig(dt=0.01))
     assert np.array_equal(st.P, st.P.T)
 
 
 def test_covariance_stays_symmetric_psd_under_random_stable_steps(rng):
+    # random rotations with random rows, and A = 0 steps with process noise
     st = FilterState(rng.normal(size=3), np.eye(3))
     cfg = FilterConfig(dt=0.01)
     for i in range(500):
-        M = rng.normal(scale=0.5, size=(3, 3))
-        A = -np.eye(3) + 0.5 * (M - M.T)      # stable + skew part
+        A, Q = ((skew(*rng.normal(size=3)).matrix, None) if i % 2
+                else (np.zeros((3, 3)), 0.01 * np.eye(3)))
         vm = vmeas.VirtualMeasurement(
             y=rng.normal(size=1), H=rng.normal(size=(1, 3)), R=[[1.0]])
-        st = ode_step(st, A, np.zeros(3), vm if i % 3 else None,
-                      0.01 * np.eye(3), cfg)
+        st = ode_step(st, A, rng.normal(size=3), vm if i % 3 else None, Q, cfg)
         assert np.allclose(st.P, st.P.T)
         assert np.linalg.eigvalsh(st.P).min() >= -1e-8 * np.trace(st.P)
 
 
 def test_divergence_raises():
     st = FilterState(np.array([1.0]), np.eye(1))
-    A = np.array([[1e8]])
-    with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
-        s = st
-        for _ in range(100):
-            s = ode_step(s, A, np.zeros(1), None, None, FilterConfig(dt=0.01))
+    with pytest.raises(DivergenceError), np.errstate(over="ignore"):
+        ode_step(st, np.zeros((1, 1)), np.array([1e308]), None, None,
+                 FilterConfig(dt=10.0))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_matches_expm_of_the_augmented_generator(rng, d, k):
+    # Rodrigues against expm([[A dt, b dt], [0, 0]]) of the full I_k (x) A:
+    # its top-left block is F = I_k (x) Phi, its last column the input term
+    from scipy.linalg import expm
+    n = d * k
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    M = rng.normal(size=(n, n))
+    P0 = M @ M.T + np.eye(n)
+    for rate in (0.0, 1e-9, 1e-3, 1.0, 30.0):
+        A = skew(rate) if d == 2 else skew(*(rate * axis))
+        for dt in (0.01, 1.0):
+            E = np.zeros((n + 1, n + 1))
+            E[:n, :n] = np.kron(np.eye(k), A.matrix) * dt
+            b = rng.normal(size=n)
+            E[:n, n] = b * dt
+            E = expm(E)
+            F = np.column_stack([kalman._predict(e, P0, A.matrix, np.zeros(n),
+                                                 None, dt)[0] for e in np.eye(n)])
+            x, P = kalman._predict(np.zeros(n), P0, A.matrix, b, None, dt)
+            assert np.abs(F - E[:n, :n]).max() <= 1e-12, (rate, dt)
+            assert np.abs(x - E[:n, n]).max() <= 1e-12, (rate, dt)
+            assert np.allclose(P, F @ P0 @ F.T, rtol=1e-12, atol=0.0)
 
 
 def test_shape_validation():
     st = FilterState(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
         ode_step(st, np.zeros((3, 3)), np.zeros(2), None, None)
+    with pytest.raises(ValueError):   # A must be skew
+        ode_step(st, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2), None, None)
     bad_vm = vmeas.VirtualMeasurement(y=[0.0], H=[[1.0, 0.0, 0.0]], R=[[1.0]])
     with pytest.raises(ValueError):
         ode_step(st, np.zeros((2, 2)), np.zeros(2), bad_vm, None)

@@ -1,15 +1,23 @@
 """Print one digest per reference trace, to check that a refactor is bit-identical.
 
-Runs the 18 reference runs through ``runner.run``, 4 s each, into a
-temporary directory: ``local``, ``global`` and ``dunk`` in Cases 1-5 on
-``single-vehicle-2d``, and ``coop-full``, ``coop-partial`` and
-``coop-robots`` on their builtin scenarios.  Prints ``name sha256[:16]``
-of each run's ``trace.csv``, one line per run.  BLAS runs on one thread,
-so the digests do not depend on the thread count.
+Runs the 18 reference runs through ``runner.run``, 4 s each: ``local``,
+``global`` and ``dunk`` in Cases 1-5 on ``single-vehicle-2d``, and
+``coop-full``, ``coop-partial`` and ``coop-robots`` on their builtin
+scenarios.  Prints ``name sha256[:16]`` of each run's ``trace.csv``, one
+line per run.  BLAS runs on one thread, so the digests do not depend on
+the thread count.
 
-Usage: python3 tools/trace_digests.py
+``--keep DIR`` writes the runs under DIR (one directory per run) instead
+of a temporary directory.  ``--compare DIR`` reads the traces a kept
+directory holds and adds, per run, the largest |est - est_kept| in
+metres and the largest |var - var_kept| / |var_kept|, so the tolerance
+of a trace that moved can be stated and reproduced.
+
+Usage: python3 tools/trace_digests.py [--keep DIR] [--compare DIR]
 """
 
+import argparse
+import csv
 import hashlib
 import os
 import sys
@@ -24,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ltvslam.runner import COOP_MODES, RunConfig, run  # noqa: E402
 
 DURATION_S = 4.0
+KEY = ("t", "robot", "entity", "id", "component")
 
 
 def reference_runs():
@@ -36,13 +45,39 @@ def reference_runs():
         yield mode, RunConfig(mode=mode, scenario=mode, duration=DURATION_S)
 
 
+def deviation(trace: Path, kept: Path) -> str:
+    """Largest |d est| (m) and relative |d var| of ``trace`` against ``kept``."""
+    with open(trace, newline="") as f, open(kept, newline="") as g:
+        rows, kept_rows = list(csv.DictReader(f)), list(csv.DictReader(g))
+    if [[r[k] for k in KEY] for r in rows] != [[r[k] for k in KEY]
+                                               for r in kept_rows]:
+        return "rows differ from the kept trace"
+    d_est = d_var = 0.0
+    for r, k in zip(rows, kept_rows):
+        d_est = max(d_est, abs(float(r["est"]) - float(k["est"])))
+        var, var_kept = float(r["var"]), float(k["var"])
+        d_var = max(d_var, abs(var - var_kept) / abs(var_kept) if var_kept
+                    else abs(var))
+    return f"max|d est| {d_est:.2e} m  max rel|d var| {d_var:.2e}"
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", type=Path,
+                        help="write the runs under this directory")
+    parser.add_argument("--compare", type=Path,
+                        help="report deviations from the traces kept here")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
+        root = args.keep or Path(tmp)
         for name, cfg in reference_runs():
-            cfg.out_dir = os.path.join(tmp, name)
+            cfg.out_dir = str(root / name)
             run(cfg)
-            trace = Path(cfg.out_dir, "trace.csv").read_bytes()
-            print(name, hashlib.sha256(trace).hexdigest()[:16], flush=True)
+            trace = Path(cfg.out_dir, "trace.csv")
+            line = f"{name} {hashlib.sha256(trace.read_bytes()).hexdigest()[:16]}"
+            if args.compare is not None:
+                line += "  " + deviation(trace, args.compare / name / "trace.csv")
+            print(line, flush=True)
 
 
 if __name__ == "__main__":
