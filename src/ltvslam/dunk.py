@@ -93,14 +93,26 @@ def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None
     return vmeas.VirtualMeasurement._derived(c.x_vc, H, c.covariance)
 
 
-def pair_measurement(case: int, bundle: SensorBundle, T: np.ndarray,
-                     inputs: RobotInputs, r_hint: float | None = None
-                     ) -> vmeas.VirtualMeasurement | None:
-    """Case rows lifted by the tick's rotation T: body rows M become [M T, -M T]."""
-    body_vm = build_measurement(case, bundle, inputs, r_hint)
-    if body_vm is None:
+def pair_measurement(case: int, bundles: list[SensorBundle], T: np.ndarray,
+                     inputs: RobotInputs, r_hints=None
+                     ) -> list[vmeas.VirtualMeasurement] | None:
+    """A tick's case rows, built and lifted by its rotation T at once: M becomes
+    [M T, -M T]; one measurement per sighting, or None if the case gives none.
+
+    A sighting that drops a row (a Case IV fallback) is lifted on its kept
+    rows alone: the last bit of a row of H T depends on H's row count.
+    """
+    body = build_measurement(case, bundles, inputs, r_hints)
+    if body is None:
         return None
-    return vmeas._lift(body_vm, T, 2 * T.shape[1], 0, 1)
+    n = 2 * T.shape[1]
+    rows = vmeas.sighting_rows(vmeas._lift(body, T, n, 0, 1))
+    partial = np.flatnonzero(~vmeas.kept_rows(body).all(axis=-1))
+    if partial.size:
+        own = vmeas.sighting_rows(body)
+        for i in partial:
+            rows[i] = vmeas._lift(own[i], T, n, 0, 1)
+    return rows
 
 
 def init_pair(bundle: SensorBundle, prior: tuple[np.ndarray, np.ndarray],
@@ -211,7 +223,12 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
         [offsets[lid] for lid, _ in visible],
         np.zeros(2), [b.bearing.theta for _, b in visible], net.beta_hat)
 
-    T = body_from_global(net.beta_hat)
+    measured = [lid for lid in observations if lid != self_id]   # one build for all
+    rows = pair_measurement(net.case, [observations[lid] for lid in measured],
+                            body_from_global(net.beta_hat), inputs,
+                            vmeas.range_hints([offsets[lid] for lid in measured]))
+    case_rows = dict(zip(measured, rows or ()))
+
     own_v = u_speed * heading_forward(net.beta_hat)
     d = own_v.size
     if drift is None:
@@ -222,15 +239,8 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
     targets = target_velocities or {}
     for lid in sorted(net.pairs):
         pair = net.pairs[lid]
-        bundle = observations.get(lid)
-        if lid == self_id:
-            case_vm = _self_tie_measurement(d)
-        elif bundle is not None:
-            r_hint = float(np.linalg.norm(offsets[lid])) or None
-            case_vm = pair_measurement(net.case, bundle, T, inputs, r_hint)
-        else:
-            case_vm = None
-        vm = vmeas.stack_measurements(case_vm, fb)
+        vm = vmeas.stack_measurements(_self_tie_measurement(d) if lid == self_id
+                                      else case_rows.get(lid), fb)
         extra = own_v if lid == self_id else targets.get(lid)
         b_lid = b if extra is None else np.concatenate([base + extra, b[d:]])
         new_state = ode_step(pair.state, Om, b_lid, vm, None, net.cfg)

@@ -2,8 +2,9 @@
 
 Analytic bias and variance of the noise after rewriting angular sensor
 errors as Cartesian constraint errors, the r* upper-bound rule, Monte
-Carlo calibration for rows with no closed form, and the R-matrix
-assembly policy shared by all builders.
+Carlo calibration for rows with no closed form, and the row variances
+(every R is diagonal: each helper returns its rows' variances on a last
+axis) shared by all builders.
 """
 
 from __future__ import annotations
@@ -109,11 +110,11 @@ def variance_bounds(sigma_theta: float, r_star: float) -> dict[str, float]:
     }
 
 
-def r_star(r_measured: float, sigma_r: float) -> float:
-    """Known range bound used when filling R: min(r + 3 sigma_r, R_MAX)."""
-    if r_measured < 0 or sigma_r < 0:
+def r_star(r_measured, sigma_r):
+    """Known range bound used when filling R: min(r + 3 sigma_r, R_MAX) elementwise."""
+    if (np.minimum(r_measured, sigma_r) < 0).any():
         raise ValueError("range inputs must be >= 0")
-    return min(r_measured + 3.0 * sigma_r, R_MAX)
+    return np.minimum(np.add(r_measured, 3.0 * sigma_r), R_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +126,9 @@ def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
     """Empirical mean/variance of y - H x_true for one case under sensor noise.
 
     Draws each sample's readings with the simulator's sampler
-    (:func:`vmeas.noisy_bundle`, a 2 m landmark), builds the case's
-    virtual measurement, and ports the statistics of the residual at the
-    true state.  Deterministic for a fixed seed.
+    (:func:`vmeas.noisy_bundle`, a 2 m landmark), builds every sample's
+    virtual measurement in one call, and ports the statistics of the
+    residual at the true state.  Deterministic for a fixed seed.
     """
     from . import vmeas
 
@@ -136,14 +137,13 @@ def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
     x_true = np.asarray(x_true, dtype=float).ravel()
     true = vmeas.observe_true(x_true, inputs, diameter=2.0)
     rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(n):
-        vm = vmeas.build_measurement(
-            case, vmeas.noisy_bundle(true, noise, rng), inputs)
-        if vm is None:
-            raise ValueError("Case V undefined for a stationary robot")
-        residuals.append(vm.residual(x_true))
-    res = np.asarray(residuals)
+    bundles = [vmeas.noisy_bundle(true, noise, rng) for _ in range(n)]
+    vm = vmeas.build_measurement(case, bundles, inputs)
+    if vm is None:
+        raise ValueError("Case V undefined for a stationary robot")
+    if not vmeas.kept_rows(vm).all():
+        raise ValueError("Case IV radial row undefined for some samples")
+    res = vm.residual(x_true)
     return PortedNoise(mean=res.mean(axis=0), variance=res.var(axis=0))
 
 
@@ -151,27 +151,17 @@ def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
 # R assembly
 # ---------------------------------------------------------------------------
 
-def tangential_R(bearing, rstar: float) -> np.ndarray:
-    """Diagonal R for the tangential rows (theta; phi in 3D): sigma^2 r*^2 >= VAR_FLOOR."""
-    sigmas = [bearing.sigma_theta, bearing.sigma_phi][:bearing.dim - 1]
-    return np.diag([max(max(s, SIGMA_THETA_FLOOR)**2 * rstar**2, VAR_FLOOR)
-                    for s in sigmas])
+def tangential_R(bearing, rstar) -> np.ndarray:
+    """Tangential (theta; phi in 3D) row variances sigma^2 r*^2 >= VAR_FLOOR."""
+    sigmas = np.array([bearing.sigma_theta, bearing.sigma_phi][:bearing.dim - 1]).T
+    return np.maximum(np.maximum(sigmas, SIGMA_THETA_FLOOR)**2
+                      * np.asarray(rstar)[..., None]**2, VAR_FLOOR)
 
 
 def range_row_R(range_obs) -> np.ndarray:
     """Case II range row h* x = r: the (floored) sensor variance itself."""
-    var = max(range_obs.sigma_r, SIGMA_RANGE_FLOOR)**2
-    return np.array([[max(var, VAR_FLOOR)]])
-
-
-def block_diag_R(*blocks: np.ndarray) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    R = np.zeros((n, n))
-    k = 0
-    for b in blocks:
-        R[k:k + b.shape[0], k:k + b.shape[0]] = b
-        k += b.shape[0]
-    return R
+    var = np.maximum(range_obs.sigma_r, SIGMA_RANGE_FLOOR)**2
+    return np.maximum(var, VAR_FLOOR)[..., None]
 
 
 @lru_cache(maxsize=4096)
@@ -209,7 +199,7 @@ def _rate_row_var_cached(dim: int, theta: float, phi: float, theta_dot: float,
 
 
 def rate_row_R(bearing, rate, inputs, rstar: float) -> np.ndarray:
-    """Monte Carlo-calibrated variance for the Case III velocity rows.
+    """Monte Carlo-calibrated variances for one sighting's Case III velocity rows.
 
     These rows have no simple closed-form variance; the calibration is
     cached on a coarse bucket of the geometry so repeated calls in a
@@ -227,19 +217,17 @@ def rate_row_R(bearing, rate, inputs, rstar: float) -> np.ndarray:
         tuple(q(v, 0.25) for v in inputs.u),
         tuple(q(v, 0.05) for v in inputs.omega.omega),
         st, sp, std, spd, q(rstar, 1.0) or 1.0)
-    return np.diag([max(v, VAR_FLOOR) for v in var])
+    return np.array([max(v, VAR_FLOOR) for v in var])
 
 
-def ttc_row_R(ttc, radial_speed: float) -> np.ndarray:
+def ttc_row_R(ttc, radial_speed) -> np.ndarray:
     """Conservative variance for the time-to-contact radial row.
 
-    Propagates the visual-angle noise through tau = alpha/alphadot and the
-    speed uncertainty through y = |tau h* u|.
+    Propagates the visual-angle noise through tau = alpha/alphadot (5 %
+    without an angle) and the speed uncertainty through y = |tau h* u|.
     """
-    y = abs(ttc.tau * radial_speed)
-    if ttc.alpha and ttc.alpha > 0:
-        rel_tau = max(ttc.sigma_alpha, SIGMA_THETA_FLOOR) / ttc.alpha
-    else:
-        rel_tau = 0.05
-    var = (rel_tau * y)**2 + (ttc.tau * SIGMA_SPEED)**2
-    return np.array([[max(var, SIGMA_RANGE_FLOOR**2)]])
+    alpha = np.asarray(ttc.alpha, dtype=float)   # None: nan
+    rel_tau = np.where(alpha > 0, np.maximum(ttc.sigma_alpha, SIGMA_THETA_FLOOR)
+                       / np.where(alpha > 0, alpha, 1.0), 0.05)
+    var = (rel_tau * np.abs(ttc.tau * radial_speed))**2 + (ttc.tau * SIGMA_SPEED)**2
+    return np.maximum(var, SIGMA_RANGE_FLOOR**2)[..., None]

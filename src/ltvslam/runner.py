@@ -59,13 +59,14 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.case not in (1, 2, 3, 4, 5):
+        # type(v) is int: a bool or a whole float is no case or seed
+        if type(self.case) is not int or self.case not in (1, 2, 3, 4, 5):
             raise ConfigError(f"unknown case {self.case!r}")
         d = self.duration
-        if d is not None and not (math.isfinite(d) and d > 0):
+        if d is not None and (type(d) is bool or not (math.isfinite(d) and d > 0)):
             raise ConfigError(f"duration must be finite and > 0, got {d!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.mode == "coop-robots" and self.case != 2:
             raise ConfigError("mode 'coop-robots' runs case 2 only: robot "
                               f"sightings carry bearing + range, got {self.case}")

@@ -172,25 +172,22 @@ def step_global(gs: GlobalState, u: float, omega: float,
 
     # The measurement and drift use the heading at the sample instant;
     # the tracker advances it to t+dt for the next tick afterwards.
-    beta_hat, x, xv = gs.beta_hat, gs.state.x, gs.vehicle
-    offsets = {lid: x[gs._block(block[lid])] - xv for lid in observations}
-    seen = [(lid, b) for lid, b in observations.items() if b.bearing is not None]
-    beta_d = beta_d_closed_form_2d([offsets[lid] for lid, _ in seen],
-                                   np.zeros(gs.dim),
-                                   [b.bearing.theta for _, b in seen], beta_hat)
-    T = body_from_global(beta_hat)
+    beta_hat, xv = gs.beta_hat, gs.vehicle
+    bundles = list(observations.values())
+    blocks = np.array([block[lid] for lid in observations], dtype=int)
+    offsets = gs.state.x.reshape(-1, gs.dim)[blocks] - xv
+    seen = [i for i, b in enumerate(bundles) if b.bearing is not None]
+    beta_d = beta_d_closed_form_2d(offsets[seen], np.zeros(gs.dim),
+                                   [bundles[i].bearing.theta for i in seen],
+                                   beta_hat)
     inputs = RobotInputs(u=np.array([0.0, float(u)]), omega=skew(omega))
     n = gs.state.dim
-    parts, row_blocks = [], []   # every sighting's body rows, placed by one lift
-    for lid, bundle in observations.items():
-        r_hint = float(np.linalg.norm(offsets[lid])) or None
-        body_vm = build_measurement(case, bundle, inputs, r_hint)
-        if body_vm is not None:
-            parts.append(body_vm)
-            row_blocks += [block[lid]] * body_vm.rows
-    body = vmeas.stack_measurements(*parts)
-    vm_all = None if body is None else vmeas._lift(body, T, n, row_blocks,
-                                                   gs.n_landmarks)
+    body = build_measurement(case, bundles, inputs, vmeas.range_hints(offsets))
+    vm_all = None
+    if body is not None:   # the whole tick's body rows, placed by one lift
+        rows, sighting = vmeas.flat_rows(body)
+        vm_all = vmeas._lift(rows, body_from_global(beta_hat), n,
+                             blocks[sighting], gs.n_landmarks)
 
     # A = 0: only the vehicle block (last) moves, at u along the heading
     b = np.concatenate([np.zeros(n - gs.dim), float(u) * heading_forward(beta_hat)])

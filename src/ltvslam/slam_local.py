@@ -46,16 +46,6 @@ def init_landmark(case: int, bundle: SensorBundle | None = None,
     return LocalLandmarkFilter(FilterState(x0, P0, t))
 
 
-def update_landmark(f: LocalLandmarkFilter, case: int, inputs: RobotInputs,
-                    bundle: SensorBundle | None,
-                    cfg: FilterConfig = FilterConfig()) -> LocalLandmarkFilter:
-    """One step: case-built correction when observed, pure prediction when not."""
-    r_hint = float(np.linalg.norm(f.state.x)) or None
-    vm = (None if bundle is None
-          else build_measurement(case, bundle, inputs, r_hint))
-    return LocalLandmarkFilter(step(f.state, inputs, vm, cfg))
-
-
 class LocalMap:
     """Mutable collection of decoupled landmark filters."""
 
@@ -67,14 +57,18 @@ class LocalMap:
 
     def step(self, inputs: RobotInputs,
              observations: dict[int, SensorBundle]) -> None:
-        """Advance every filter by dt; initialize filters for new ids."""
+        """Advance every filter by dt, all rows from one build; start new ids."""
         for lid, bundle in observations.items():
             if lid not in self.filters:
                 self.filters[lid] = init_landmark(
                     self.case, bundle, dim=inputs.dim, t=self.t)
+        vm = build_measurement(self.case, list(observations.values()), inputs,
+                               vmeas.range_hints([self.filters[lid].state.x
+                                                  for lid in observations]))
+        rows = {} if vm is None else dict(zip(observations, vmeas.sighting_rows(vm)))
         for lid, f in self.filters.items():
-            self.filters[lid] = update_landmark(
-                f, self.case, inputs, observations.get(lid), self.cfg)
+            self.filters[lid] = LocalLandmarkFilter(
+                step(f.state, inputs, rows.get(lid), self.cfg))
         self.t += self.cfg.dt
 
     def estimates(self) -> Estimates:

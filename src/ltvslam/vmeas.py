@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -25,16 +27,36 @@ EPS_U = 1e-3
 # Observation records
 # ---------------------------------------------------------------------------
 
+class _Reading:
+    """Checks that every set value is finite, each ``_NONNEG`` one >= 0 and
+    each ``_POSITIVE`` one > 0 (None: unset)."""
+
+    _NONNEG = _POSITIVE = ()
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:   # getattr: vars() would add a dict
+            value = getattr(self, name)
+            if value is not None and not -math.inf < value < math.inf:
+                self._reject(name, "finite")
+        for name in self._NONNEG:
+            if getattr(self, name) < 0:
+                self._reject(name, ">= 0")
+        for name in self._POSITIVE:
+            if getattr(self, name) <= 0:
+                self._reject(name, "> 0")
+
+    def _reject(self, name, rule):
+        raise ValueError(f"{type(self).__name__}.{name} must be {rule}, "
+                         f"got {getattr(self, name)!r}")
+
+
 @dataclass(frozen=True)
-class BearingObs:
+class BearingObs(_Reading):
     theta: float                 # rad, from the body forward axis
     phi: float | None = None     # rad, pitch (3D only)
     sigma_theta: float = 0.0
     sigma_phi: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_theta < 0 or self.sigma_phi < 0:
-            raise ValueError("bearing noise std must be >= 0")
+    _NONNEG = ("sigma_theta", "sigma_phi")
 
     @property
     def dim(self) -> int:
@@ -42,60 +64,47 @@ class BearingObs:
 
 
 @dataclass(frozen=True)
-class RangeObs:
+class RangeObs(_Reading):
     r: float
     sigma_r: float = 0.0
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("range must be >= 0")
+    _NONNEG = ("r", "sigma_r")
 
 
 @dataclass(frozen=True)
-class BearingRateObs:
+class BearingRateObs(_Reading):
     theta_dot: float             # rad/s
     phi_dot: float | None = None
     sigma_theta_dot: float = 0.0
     sigma_phi_dot: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta_dot):
-            raise ValueError("non-finite bearing rate")
+    _NONNEG = ("sigma_theta_dot", "sigma_phi_dot")
 
 
 @dataclass(frozen=True)
-class TimeToContactObs:
+class TimeToContactObs(_Reading):
     tau: float                   # s
     alpha: float | None = None   # rad, visual angle the tau came from
     sigma_alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("time to contact must be > 0")
+    _NONNEG = ("sigma_alpha",)
+    _POSITIVE = ("tau",)
 
 
 @dataclass(frozen=True)
-class DopplerObs:
+class DopplerObs(_Reading):
     r: float
     r_dot: float
     sigma_r: float = 0.0
     sigma_r_dot: float = 0.0
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("range must be >= 0")
+    _NONNEG = ("r", "sigma_r", "sigma_r_dot")
 
 
 @dataclass(frozen=True)
-class PinholeObs:
+class PinholeObs(_Reading):
     f: float                     # focal length, image units
     y1: float
     y2: float
     sigma_img: float = 0.0
-
-    def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError("focal length must be > 0")
+    _NONNEG = ("sigma_img",)
+    _POSITIVE = ("f",)
 
 
 @dataclass(frozen=True)
@@ -118,8 +127,8 @@ class VirtualMeasurement:
     """One instant's linear constraint set y = H x + v, Cov(v) = R.
 
     The constructor checks the row counts and that R is symmetric positive
-    definite; the package's own rows, whose R is floored and symmetric where
-    it is made, come from :meth:`_derived`.
+    definite; the package's own rows (a tick's with a leading sighting
+    axis), whose R is floored and symmetric where made, use :meth:`_derived`.
     """
 
     y: np.ndarray
@@ -156,6 +165,7 @@ class VirtualMeasurement:
 
 
 def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement | None:
+    """The given row sets (None skipped) as one, with a block-diagonal R."""
     parts = [vm for vm in vms if vm is not None]
     if not parts:
         return None
@@ -163,8 +173,34 @@ def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement 
         return parts[0]
     y = np.concatenate([vm.y for vm in parts])
     H = np.vstack([vm.H for vm in parts])
-    R = noisecal.block_diag_R(*[vm.R for vm in parts])
+    R, k = np.zeros((y.size, y.size)), 0
+    for vm in parts:
+        R[k:k + vm.rows, k:k + vm.rows] = vm.R
+        k += vm.rows
     return VirtualMeasurement._derived(y, H, R)
+
+
+def kept_rows(vm: VirtualMeasurement) -> np.ndarray:
+    """Mask of the rows that carry information: all but the infinite-variance
+    radial row of a Case IV sighting that keeps only its Case I rows."""
+    return vm.R.diagonal(axis1=-2, axis2=-1) < math.inf
+
+
+def sighting_rows(vm: VirtualMeasurement) -> list[VirtualMeasurement]:
+    """Each sighting's kept rows of a tick's stack (:func:`kept_rows`)."""
+    keep = kept_rows(vm)
+    if keep.all():
+        return [VirtualMeasurement._derived(*r) for r in zip(vm.y, vm.H, vm.R)]
+    return [VirtualMeasurement._derived(y[k], H[k], R[np.ix_(k, k)])
+            for y, H, R, k in zip(vm.y, vm.H, vm.R, keep)]
+
+
+def flat_rows(vm: VirtualMeasurement) -> tuple[VirtualMeasurement, np.ndarray]:
+    """A tick's kept rows (:func:`kept_rows`) as one measurement, and each
+    row's sighting."""
+    keep = kept_rows(vm)
+    var = vm.R.diagonal(axis1=-2, axis2=-1)[keep]
+    return _measurement([vm.y[keep]], [vm.H[keep]], [var]), np.nonzero(keep)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +209,8 @@ def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement 
 
 def _rows(*rows) -> np.ndarray:
     """(k, d) matrix of k rows; equal-shaped array entries add its leading axes."""
-    a = np.array(rows)
-    return a if a.ndim == 2 else np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+    a = np.array(rows)   # the axes moved by transpose: np.moveaxis costs 3x as much
+    return a if a.ndim == 2 else a.transpose(*range(2, a.ndim), 0, 1).copy()
 
 
 def bearing_vectors_2d(theta) -> tuple[np.ndarray, np.ndarray]:
@@ -207,47 +243,57 @@ def _bearing_rows(bearing: BearingObs) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Case builders
+# Case builders.  Records of N readings per field give y (N, k), H (N, k, d)
+# and a diagonal R (N, k, k), sighting i's rows those of the scalar call.
 # ---------------------------------------------------------------------------
+
+def _measurement(y_parts, H_parts, var_parts) -> VirtualMeasurement:
+    """Rows stacked along the row axis, with R the diagonal of the variances."""
+    var = np.concatenate(var_parts, axis=-1)
+    R = np.zeros(var.shape + var.shape[-1:])   # var on its diagonal
+    R.reshape(var.shape[:-1] + (-1,))[..., ::var.shape[-1] + 1] = var
+    return VirtualMeasurement._derived(np.concatenate(y_parts, axis=-1),
+                                       np.concatenate(H_parts, axis=-2), R)
+
 
 def case1(bearing: BearingObs) -> VirtualMeasurement:
     """Bearing only: the angular error becomes a tangential position error."""
     h, _ = _bearing_rows(bearing)
-    R = noisecal.tangential_R(bearing, noisecal.R_MAX)
-    return VirtualMeasurement._derived(np.zeros(h.shape[0]), h, R)
+    return _measurement([np.zeros(h.shape[:-1])], [h],
+                        [noisecal.tangential_R(bearing, noisecal.R_MAX)])
 
 
 def case2(bearing: BearingObs, rng: RangeObs) -> VirtualMeasurement:
     """Bearing plus range: tangential rows and the radial constraint h* x = r."""
     h, h_star = _bearing_rows(bearing)
     rstar = noisecal.r_star(rng.r, rng.sigma_r)
-    H = np.vstack([h, h_star])
-    y = np.concatenate([np.zeros(h.shape[0]), [rng.r]])
-    R = noisecal.block_diag_R(noisecal.tangential_R(bearing, rstar),
-                              noisecal.range_row_R(rng))
-    return VirtualMeasurement._derived(y, H, R)
+    return _measurement([np.zeros(h.shape[:-1]), np.asarray(rng.r, float)[..., None]],
+                        [h, h_star], [noisecal.tangential_R(bearing, rstar),
+                                      noisecal.range_row_R(rng)])
 
 
 def case3(bearing: BearingObs, rate: BearingRateObs, inputs: RobotInputs,
-          *, r_hint: float | None = None) -> VirtualMeasurement:
+          *, r_hint=None) -> VirtualMeasurement:
     """Bearing plus bearing-rate: adds the tangential-velocity constraint.
 
     Its rows are [h; M] x = [0; -h u], with M from :func:`_rate_rows`.
 
-    ``r_hint`` (e.g. the current range estimate) sharpens the rate-row
-    noise calibration, whose residual scales with the true range; without
-    it the conservative R_MAX bound applies.
+    ``r_hint`` (the current range estimate, one per sighting; 0 for none)
+    sharpens the rate-row noise calibration, whose residual scales with
+    the true range; without it the conservative R_MAX bound applies.  The
+    calibration is looked up once per sighting (:func:`noisecal.rate_row_R`).
     """
+    phi_dot = 0.0 if rate.phi_dot is None else rate.phi_dot
     h, y2, M = _rate_rows(bearing.theta, bearing.phi, rate.theta_dot,
-                          rate.phi_dot or 0.0, inputs.u, inputs.omega.matrix)
-    H = np.vstack([h, M])
-    y = np.concatenate([np.zeros(h.shape[0]), y2])
-    rate_rstar = noisecal.r_star(r_hint, 0.0) if r_hint else noisecal.R_MAX
-    R = noisecal.block_diag_R(
-        noisecal.tangential_R(bearing, noisecal.R_MAX),
-        noisecal.rate_row_R(bearing, rate, inputs, rate_rstar),
-    )
-    return VirtualMeasurement._derived(y, H, R)
+                          phi_dot, inputs.u, inputs.omega.matrix)
+    shape = np.shape(bearing.theta)
+    hints = np.zeros(shape) if r_hint is None else np.asarray(r_hint, dtype=float)
+    rstars = np.where(hints > 0.0, noisecal.r_star(hints, 0.0), noisecal.R_MAX)
+    sightings = zip(_each(bearing), _each(rate)) if shape else [(bearing, rate)]
+    rate_var = np.array([noisecal.rate_row_R(b, r, inputs, rs) for (b, r), rs
+                         in zip(sightings, rstars.ravel().tolist())]).reshape(shape + (-1,))
+    return _measurement([np.zeros(h.shape[:-1]), y2], [h, M],
+                        [noisecal.tangential_R(bearing, noisecal.R_MAX), rate_var])
 
 
 def _rate_rows(theta, phi, theta_dot, phi_dot, u: np.ndarray, Om: np.ndarray
@@ -275,23 +321,23 @@ def case4(bearing: BearingObs, ttc: TimeToContactObs | None, inputs: RobotInputs
           ) -> VirtualMeasurement:
     """Bearing plus time-to-contact: |tau h* u| estimates the radial distance.
 
-    When there is no time-to-contact reading (the range is not changing),
-    or the radial speed |h* u| is below EPS_U so that the reading is
-    unreliable, the radial row is dropped (Case I fallback).
+    A sighting with no time-to-contact reading (``ttc`` None, or tau nan
+    in a stack: the range is not changing), or with |h* u| < EPS_U (an
+    unreliable reading), keeps only its Case I rows: all of them do, and
+    the result is :func:`case1`'s, or its radial row gets infinite
+    variance, which :func:`kept_rows` leaves out.
     """
     h, h_star = _bearing_rows(bearing)
-    radial_speed = float((h_star @ inputs.u)[0])
-    if ttc is None or abs(radial_speed) < EPS_U:
+    radial_speed = (h_star @ inputs.u)[..., 0]
+    case1_only = np.abs(radial_speed) < EPS_U
+    if ttc is None or (case1_only := case1_only | np.isnan(ttc.tau)).all():
         return case1(bearing)
-    y4 = abs(ttc.tau * radial_speed)
-    rstar = noisecal.r_star(y4, 0.0)
-    H = np.vstack([h, h_star])
-    y = np.concatenate([np.zeros(h.shape[0]), [y4]])
-    R = noisecal.block_diag_R(
-        noisecal.tangential_R(bearing, rstar),
-        noisecal.ttc_row_R(ttc, radial_speed),
-    )
-    return VirtualMeasurement._derived(y, H, R)
+    y4 = np.where(case1_only, 0.0, np.abs(ttc.tau * radial_speed))
+    rstar = np.where(case1_only, noisecal.R_MAX, noisecal.r_star(y4, 0.0))
+    radial_var = np.where(case1_only[..., None], math.inf,
+                          noisecal.ttc_row_R(ttc, radial_speed))
+    return _measurement([np.zeros(h.shape[:-1]), y4[..., None]], [h, h_star],
+                        [noisecal.tangential_R(bearing, rstar), radial_var])
 
 
 def case5(doppler: DopplerObs, inputs: RobotInputs) -> VirtualMeasurement | None:
@@ -302,33 +348,72 @@ def case5(doppler: DopplerObs, inputs: RobotInputs) -> VirtualMeasurement | None
     """
     if float(np.linalg.norm(inputs.u)) < EPS_U:
         return None
-    H = -inputs.u[np.newaxis, :]
-    y = np.array([doppler.r * doppler.r_dot])
+    y = np.asarray(doppler.r * doppler.r_dot)[..., None]
+    H = np.tile(-inputs.u, y.shape + (1,))
     var = (doppler.r_dot * doppler.sigma_r)**2 \
         + (doppler.r * doppler.sigma_r_dot)**2 \
         + (doppler.sigma_r * doppler.sigma_r_dot)**2
-    R = np.array([[max(var, noisecal.VAR_FLOOR)]])
-    return VirtualMeasurement._derived(y, H, R)
+    return _measurement([y], [H],
+                        [np.maximum(var, noisecal.VAR_FLOOR)[..., None]])
 
 
-def build_measurement(case: int, bundle: SensorBundle, inputs: RobotInputs,
-                      r_hint: float | None = None) -> VirtualMeasurement | None:
-    """Virtual measurement for the given sensor case, or None if unusable.
+def build_measurement(case: int, bundles: list[SensorBundle], inputs: RobotInputs,
+                      r_hints=None) -> VirtualMeasurement | None:
+    """Virtual measurement of one robot's N sightings of a tick, or None if unusable.
 
-    ``r_hint`` is an optional current range estimate used to sharpen
-    noise calibration in the range-free cases.
+    Gives y (N, k), H (N, k, d) and a diagonal R (N, k, k), sighting i's
+    rows those of the scalar case call.  ``r_hints`` holds an optional
+    current range estimate per sighting (0 for none), used to sharpen noise
+    calibration in the range-free cases.  A Case IV R may hold
+    infinite-variance rows: take the rows through :func:`sighting_rows` or
+    :func:`flat_rows`, which keep only :func:`kept_rows`.
     """
+    if not bundles:
+        return None
+
+    def readings(name):   # one unchecked record: per field an array, nan if unset
+        records = [getattr(b, name) for b in bundles]
+        kind = next((type(r) for r in records if r is not None), None)
+        if kind is None:
+            return None
+        names = list(kind.__dataclass_fields__)
+        get, unset = attrgetter(*names), (None,) * len(names)
+        cols = zip(*[unset if r is None else get(r) for r in records])
+        return _record(kind, {n: None if c.count(None) == len(c) else np.array(c, float)
+                              for n, c in zip(names, cols)})
+
     if case == 1:
-        return case1(bundle.bearing)
+        return case1(readings("bearing"))
     if case == 2:
-        return case2(bundle.bearing, bundle.range)
+        return case2(readings("bearing"), readings("range"))
     if case == 3:
-        return case3(bundle.bearing, bundle.rate, inputs, r_hint=r_hint)
+        return case3(readings("bearing"), readings("rate"), inputs, r_hint=r_hints)
     if case == 4:
-        return case4(bundle.bearing, bundle.ttc, inputs)
+        return case4(readings("bearing"), readings("ttc"), inputs)
     if case == 5:
-        return case5(bundle.doppler, inputs)
+        return case5(readings("doppler"), inputs)
     raise ValueError(f"unknown case {case}")
+
+
+def _record(kind, fields):
+    """A reading record of ``kind`` holding ``fields`` as given, unchecked."""
+    rec = object.__new__(kind)
+    rec.__dict__.update(fields)
+    return rec
+
+
+def _each(record) -> list:
+    """Each sighting's readings of a stacked record, as a record of the
+    Python floats it was stacked from."""
+    fields = vars(record)
+    cols = [repeat(None) if v is None else v.tolist() for v in fields.values()]
+    return [_record(type(record), zip(fields, c)) for c in zip(*cols)]
+
+
+def range_hints(xs) -> np.ndarray:
+    """|x| of each vector, as the float np.linalg.norm(x) gives (one dot each)."""
+    X = np.array(xs, dtype=float, ndmin=2)
+    return np.sqrt(X[:, None, :] @ X[:, :, None]).ravel()
 
 
 def pinhole(obs: PinholeObs) -> VirtualMeasurement:
@@ -345,16 +430,15 @@ def _lift(vm: VirtualMeasurement, T: np.ndarray, n: int, landmark,
           vehicle: int) -> VirtualMeasurement:
     """Rows on T (x_landmark - x_vehicle), placed in an n-column state.
 
-    M = H T fills the columns of block ``landmark`` (one for all rows, or a
-    list of one per row) and -M those of block ``vehicle``; each block is as
-    wide as T.
+    M = H T fills block ``landmark``'s columns (one block, or one per row)
+    and -M block ``vehicle``'s, each as wide as T; leading axes are kept.
     """
     M = vm.H @ T
-    k, d = M.shape
-    H = np.zeros((k, n // d, d))
-    H[np.arange(k), landmark] = M
-    H[:, vehicle] = -M
-    return VirtualMeasurement._derived(vm.y, H.reshape(k, n), vm.R)
+    *lead, k, d = M.shape
+    H = np.zeros((*lead, k, n // d, d))
+    H[..., np.arange(k), landmark, :] = M
+    H[..., vehicle, :] = -M
+    return VirtualMeasurement._derived(vm.y, H.reshape(*lead, k, n), vm.R)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,19 @@ def exact_bundle(x_body, inputs, noise=None, diameter=2.0):
     )
 
 
+def scalar_rows(case, bundle, inputs, r_hint=None):
+    """One sighting's rows from the scalar case builder its case names."""
+    if case == 1:
+        return vmeas.case1(bundle.bearing)
+    if case == 2:
+        return vmeas.case2(bundle.bearing, bundle.range)
+    if case == 3:
+        return vmeas.case3(bundle.bearing, bundle.rate, inputs, r_hint=r_hint)
+    if case == 4:
+        return vmeas.case4(bundle.bearing, bundle.ttc, inputs)
+    return vmeas.case5(bundle.doppler, inputs)
+
+
 def random_state_and_inputs(rng, dim=2, r_lo=1.0, r_hi=50.0, u_min=0.2):
     """Random relative position and twist with non-degenerate speeds."""
     x = rng.uniform(-1.0, 1.0, size=dim)

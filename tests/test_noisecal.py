@@ -8,6 +8,8 @@ import pytest
 from ltvslam import noisecal, vmeas
 from ltvslam.core import RobotInputs, skew
 
+from conftest import random_state_and_inputs, scalar_rows
+
 
 def test_bias_bearing_2d_is_zero():
     assert noisecal.bias_bearing_2d(math.radians(5)) == 0.0
@@ -91,11 +93,39 @@ def test_monte_carlo_port_3d_matches_analytic_radial_bias():
         noisecal.bias_3d(2, 0.05, 0.08, r, ph)[2], abs=1e-3)
 
 
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_monte_carlo_port_equals_the_per_sample_loop(case, dim):
+    # one build over all samples gives the mean and variance of building
+    # each sample's rows on its own, bit for bit
+    rng = np.random.default_rng(dim * 10 + case)
+    x, inputs = random_state_and_inputs(rng, dim=dim, r_hi=20.0)
+    spec = noisecal.NoiseSpec(sigma_theta=0.02, sigma_phi=0.03, sigma_r=0.1,
+                              sigma_theta_dot=0.05, sigma_phi_dot=0.04,
+                              sigma_r_dot=0.2, sigma_alpha=0.01)
+    ported = noisecal.monte_carlo_port(case, x, inputs, spec, n=300, seed=7)
+    true = vmeas.observe_true(x, inputs, diameter=2.0)
+    sample_rng = np.random.default_rng(7)
+    res = np.array([scalar_rows(case, vmeas.noisy_bundle(true, spec, sample_rng),
+                                inputs).residual(x) for _ in range(300)])
+    assert np.array_equal(ported.mean, res.mean(axis=0))
+    assert np.array_equal(ported.variance, res.var(axis=0))
+
+
 def test_monte_carlo_port_case5_needs_a_moving_robot():
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.3))
     with pytest.raises(ValueError, match="stationary"):
         noisecal.monte_carlo_port(5, np.array([1.0, 3.0]), inputs,
                                   noisecal.NoiseSpec(sigma_r=0.1), n=100)
+
+
+def test_monte_carlo_port_case4_needs_the_radial_row_in_every_sample():
+    # radial speed 1e-3 (EPS_U): bearing noise puts some samples under it
+    x = np.array([4.0, 4e-3])
+    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
+    with pytest.raises(ValueError, match="Case IV"):
+        noisecal.monte_carlo_port(4, x, inputs, noisecal.NoiseSpec(sigma_theta=0.01),
+                                  n=200)
 
 
 def test_noise_spec_rejects_negative():
@@ -105,16 +135,17 @@ def test_noise_spec_rejects_negative():
 
 def test_tangential_R_floors_zero_sigma():
     bearing = vmeas.BearingObs(theta=0.0, sigma_theta=0.0)
-    R = noisecal.tangential_R(bearing, 10.0)
-    assert R[0, 0] == pytest.approx(noisecal.SIGMA_THETA_FLOOR**2 * 100.0)
+    var = noisecal.tangential_R(bearing, 10.0)   # the rows' variances
+    assert var.shape == (1,)
+    assert var[0] == pytest.approx(noisecal.SIGMA_THETA_FLOOR**2 * 100.0)
 
 
 def test_rate_row_R_tracks_range_bucket():
     bearing = vmeas.BearingObs(theta=0.3, sigma_theta=0.02)
     rate = vmeas.BearingRateObs(theta_dot=0.4, sigma_theta_dot=0.0873)
     inputs = RobotInputs(u=np.array([0.0, 2.0]), omega=skew(0.5))
-    near = noisecal.rate_row_R(bearing, rate, inputs, 5.0)[0, 0]
-    far = noisecal.rate_row_R(bearing, rate, inputs, 100.0)[0, 0]
+    near = noisecal.rate_row_R(bearing, rate, inputs, 5.0)[0]
+    far = noisecal.rate_row_R(bearing, rate, inputs, 100.0)[0]
     # the rate residual scales with range, so the far bucket is far noisier
     assert far > 50.0 * near
     # dominated by sigma_theta_dot * r at this geometry
@@ -124,8 +155,8 @@ def test_rate_row_R_tracks_range_bucket():
 def test_ttc_row_R_positive_and_scales_with_tau():
     ttc_small = vmeas.TimeToContactObs(tau=1.0, alpha=0.2, sigma_alpha=0.01)
     ttc_large = vmeas.TimeToContactObs(tau=20.0, alpha=0.2, sigma_alpha=0.01)
-    small = noisecal.ttc_row_R(ttc_small, radial_speed=1.0)[0, 0]
-    large = noisecal.ttc_row_R(ttc_large, radial_speed=1.0)[0, 0]
+    small = noisecal.ttc_row_R(ttc_small, radial_speed=1.0)[0]
+    large = noisecal.ttc_row_R(ttc_large, radial_speed=1.0)[0]
     assert 0.0 < small < large
 
 
@@ -152,6 +183,46 @@ def test_rate_rows_have_one_route(monkeypatch):
     # one call carries all 512 calibration samples
     assert len(calls) == 1
     assert np.shape(calls[0][0]) == (512,)
+
+
+def test_case3_tick_looks_up_each_sightings_bucket(monkeypatch):
+    # one cache lookup per sighting, keyed as the scalar rule
+    # q(v, step) = round(v / step) * step keys it, bucket edges and -0 included
+    rng = np.random.default_rng(99)
+    keys, cached = [], noisecal._rate_row_var_cached
+    monkeypatch.setattr(noisecal, "_rate_row_var_cached",
+                        lambda *key: keys.append(key) or cached(*key))
+
+    def q(v, step):
+        return round(float(v) / step) * step
+
+    for dim in (2, 3):
+        n = 7
+        theta = np.r_[0.05, -0.04, 0.15, rng.uniform(-3.0, 3.0, n - 3)]
+        theta_dot = np.r_[0.01, -0.009, rng.uniform(-1.0, 1.0, n - 2)]
+        phi, phi_dot = np.c_[[-0.01, -0.005], rng.uniform(-1.0, 1.0, (2, n - 1))]
+        bundles = [vmeas.SensorBundle(
+            bearing=vmeas.BearingObs(theta=theta[i], phi=phi[i] if dim == 3 else None,
+                                     sigma_theta=float(rng.choice([0.0, 0.01])),
+                                     sigma_phi=float(rng.choice([0.0, 0.03]))),
+            rate=vmeas.BearingRateObs(theta_dot=theta_dot[i],
+                                      phi_dot=phi_dot[i] if dim == 3 else None,
+                                      sigma_theta_dot=0.05)) for i in range(n)]
+        inputs = RobotInputs(u=rng.uniform(-2, 2, dim),
+                             omega=skew(*rng.uniform(-1, 1, 1 if dim == 2 else 3)))
+        hints = np.r_[0.4, 2.5, 0.0, 300.0, rng.uniform(0.0, 100.0, n - 4)]
+        keys.clear()
+        vmeas.build_measurement(3, bundles, inputs, hints)
+        assert keys == [
+            (dim, q(b.bearing.theta, 0.1), q(b.bearing.phi or 0.0, 0.1),
+             q(b.rate.theta_dot, 0.02), q(b.rate.phi_dot or 0.0, 0.02),
+             tuple(q(v, 0.25) for v in inputs.u),
+             tuple(q(v, 0.05) for v in inputs.omega.omega),
+             max(b.bearing.sigma_theta, noisecal.SIGMA_THETA_FLOOR),
+             max(b.bearing.sigma_phi, noisecal.SIGMA_THETA_FLOOR),
+             0.05, noisecal.SIGMA_RATE_FLOOR,
+             q(min(h, noisecal.R_MAX) if h else noisecal.R_MAX, 1.0) or 1.0)
+            for b, h in zip(bundles, hints)]
 
 
 def _rate_row_var_loop(dim, theta, phi, theta_dot, phi_dot, u_key, omega_key,

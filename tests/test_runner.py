@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 import ltvslam
 from ltvslam import runner as runner_mod
+from ltvslam import vmeas
 from ltvslam.cli import main as cli_main, run_cmd
 from ltvslam.core import rotation2d
 from ltvslam.kalman import DivergenceError
@@ -32,7 +33,10 @@ def test_run_config_validation():
     with pytest.raises(ConfigError, match="case 2"):
         RunConfig(mode="coop-robots", case=4)   # robot sightings: bearing + range
     for bad in (dict(duration=0.0), dict(duration=-5.0), dict(seed=-1),
-                dict(duration=math.inf), dict(duration=math.nan)):
+                dict(duration=math.inf), dict(duration=math.nan),
+                # a bool or a float is no case or seed, and a bool no duration
+                dict(case=True), dict(case=2.0), dict(seed=True), dict(seed=1.5),
+                dict(duration=True)):
         with pytest.raises(ConfigError):
             RunConfig(**bad)
     # shorter than one step: nothing would run
@@ -310,6 +314,20 @@ def test_cli_rejects_an_unusable_output_path(tmp_path):
         assert out.exit_code == 2, out.output
         assert "config error" in out.output and str(out_path) in out.output
 
+
+@pytest.mark.parametrize("mode, module, per_tick", [
+    ("local", "slam_local", 1), ("global", "slam_global", 1),
+    ("dunk", "dunk", 1), ("coop-full", "dunk", 4)])
+def test_each_robot_builds_its_rows_once_per_tick(monkeypatch, mode, module, per_tick):
+    # one build_measurement call per robot per tick carries all its sightings
+    # (single-vehicle-2d: 3 landmarks; coop-full: 4 robots, 13 landmarks each)
+    real, sightings = vmeas.build_measurement, []
+    monkeypatch.setattr(f"ltvslam.{module}.build_measurement",
+                        lambda case, bundles, *args: sightings.append(len(bundles))
+                        or real(case, bundles, *args))
+    scenario = "coop-full" if mode == "coop-full" else "single-vehicle-2d"
+    run(RunConfig(mode=mode, scenario=scenario, duration=0.05))   # 5 ticks
+    assert sightings == [13 if per_tick == 4 else 3] * (5 * per_tick)
 
 @pytest.mark.parametrize("mode", ["local", "global", "dunk"])
 def test_case4_runs_with_a_landmark_at_the_circle_centre(tmp_path, mode):

@@ -161,7 +161,8 @@ def test_step_global_lifts_a_ticks_rows_once(monkeypatch):
            for lid, lm in world.items()}
     step_global(init_global(pos, beta0=beta), u=u, omega=omega,
                 observations=obs, case=4)
-    parts = [real_lift(vmeas.build_measurement(4, b, inputs), T, 8, k, 3)
+    parts = [real_lift(vmeas.flat_rows(vmeas.build_measurement(4, [b], inputs))[0],
+                       T, 8, k, 3)
              for k, b in enumerate(obs.values())]
     assert [p.rows for p in parts] == [2, 1, 2]
     ref = vmeas.stack_measurements(*parts)

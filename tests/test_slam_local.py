@@ -10,8 +10,7 @@ from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
 from ltvslam.kalman import FilterConfig
 from ltvslam.noisecal import NoiseSpec
 from ltvslam.slam_local import (LocalLandmarkFilter, LocalMap, SensorBundle,
-                                build_measurement, init_landmark,
-                                update_landmark)
+                                build_measurement, init_landmark)
 
 from conftest import exact_bundle
 
@@ -103,15 +102,16 @@ def test_init_landmark_case5_starts_at_origin_wide():
 
 def test_unobserved_landmark_gets_prediction_only():
     inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
-    f = LocalLandmarkFilter(FilterState(np.array([0.0, 5.0]), np.eye(2)))
-    f2 = update_landmark(f, 2, inputs, None, FilterConfig(dt=0.01))
-    assert np.allclose(f2.state.x, [0.0, 4.99])       # drifts by -u dt
+    lmap = LocalMap(case=2, cfg=FilterConfig(dt=0.01))
+    lmap.filters[7] = LocalLandmarkFilter(FilterState(np.array([0.0, 5.0]), np.eye(2)))
+    lmap.step(inputs, {})
+    assert np.allclose(lmap.filters[7].state.x, [0.0, 4.99])   # drifts by -u dt
 
 
 def test_build_measurement_rejects_unknown_case():
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
     with pytest.raises(ValueError):
-        build_measurement(9, SensorBundle(), inputs)
+        build_measurement(9, [SensorBundle()], inputs)
 
 
 def test_local_map_creates_filters_on_first_sight():
@@ -166,7 +166,7 @@ def test_3d_case3_on_a_helix_keeps_R_definite_and_states_finite(monkeypatch):
         lmap.step(inputs, obs)
         for f in lmap.filters.values():
             assert np.all(np.isfinite(f.state.x)) and np.all(np.isfinite(f.state.P))
-    assert len(seen) == 300 * len(landmarks)
+    assert len(seen) == 300   # one build per tick, all four sightings
     for R in seen:
-        assert R.shape == (4, 4) and np.all(np.isfinite(R))
+        assert R.shape == (4, 4, 4) and np.all(np.isfinite(R))
         assert np.linalg.eigvalsh(R).min() > 0.0

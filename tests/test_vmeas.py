@@ -1,14 +1,16 @@
 """Virtual measurement construction: exactness and noise policy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ltvslam import vmeas
 from ltvslam.core import RobotInputs, skew
+from ltvslam.noisecal import NoiseSpec
 
-from conftest import exact_bundle, random_state_and_inputs
+from conftest import exact_bundle, random_state_and_inputs, scalar_rows
 
 
 def test_bearing_vectors_2d_identities():
@@ -36,20 +38,96 @@ def test_case_residual_zero_at_truth(case, dim, rng):
     for _ in range(50):
         x, inputs = random_state_and_inputs(rng, dim=dim)
         bundle = exact_bundle(x, inputs)
-        if case == 1:
-            vm = vmeas.case1(bundle.bearing)
-        elif case == 2:
-            vm = vmeas.case2(bundle.bearing, bundle.range)
-        elif case == 3:
-            vm = vmeas.case3(bundle.bearing, bundle.rate, inputs)
-        elif case == 4:
-            if bundle.ttc is None:
-                continue
-            vm = vmeas.case4(bundle.bearing, bundle.ttc, inputs)
-        else:
-            vm = vmeas.case5(bundle.doppler, inputs)
+        if case == 4 and bundle.ttc is None:
+            continue
+        vm = scalar_rows(case, bundle, inputs)
         assert vm is not None
         assert np.abs(vm.residual(x)).max() < 1e-10
+
+
+def _sighting(rng, inputs, r, radial_speed=None):
+    """Exact readings of a random landmark at range r with random declared sigmas.
+
+    ``radial_speed`` places it where h* u, the speed along its ray, is that.
+    """
+    d = inputs.dim
+    x = rng.normal(size=d)
+    if radial_speed is not None:
+        u = inputs.u / np.linalg.norm(inputs.u)
+        x -= (x @ u) * u
+        x = x / np.linalg.norm(x) + radial_speed / np.linalg.norm(inputs.u) * u
+    noise = NoiseSpec(**{name: float(rng.choice([0.0, 0.001, 0.02, 0.3]))
+                         for name in NoiseSpec.__dataclass_fields__})
+    return exact_bundle(r * x / np.linalg.norm(x), inputs, noise=noise)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_build_per_tick_equals_the_scalar_builders(case, dim, rng):
+    # a tick's rows are every sighting's scalar rows, bit for bit, with each
+    # sighting's own sigmas and range hint (0: none)
+    for _ in range(10):
+        _, inputs = random_state_and_inputs(rng, dim=dim)
+        n = int(rng.integers(1, 9))
+        bundles = [_sighting(rng, inputs, rng.uniform(1.0, 120.0)) for _ in range(n)]
+        hints = rng.uniform(0.5, 150.0, size=n) * (rng.random(n) < 0.7)
+        if case == 4:   # no time to contact, then a radial speed under EPS_U
+            bundles[0] = replace(bundles[0], ttc=None)
+            bundles.append(_sighting(rng, inputs, 5.0, radial_speed=1e-4))
+            hints = np.append(hints, 3.0)
+        vm = vmeas.build_measurement(case, bundles, inputs, hints)
+        assert vm.H.shape[:2] == vm.y.shape == vm.R.shape[:2] == (len(bundles), vm.y.shape[1])
+        for bundle, hint, got in zip(bundles, hints, vmeas.sighting_rows(vm)):
+            ref = scalar_rows(case, bundle, inputs, hint)
+            for name in ("y", "H", "R"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        if case == 4:   # the fallbacks keep only their Case I rows
+            assert [r.rows for r in vmeas.sighting_rows(vm)][::n] == [dim - 1, dim - 1]
+            assert vmeas.flat_rows(vm)[0].rows == (n + 1) * dim - 2
+            # a tick without any radial row is Case I's
+            fallbacks = [bundles[0], bundles[-1], replace(bundles[-1], ttc=None)]
+            vm, ref = (vmeas.build_measurement(k, fallbacks, inputs) for k in (4, 1))
+            for name in ("y", "H", "R"):
+                assert np.array_equal(getattr(vm, name), getattr(ref, name)), name
+        if case == 5:   # a stationary robot's tick has no rows
+            still = RobotInputs(u=np.zeros(dim), omega=inputs.omega)
+            assert vmeas.build_measurement(5, bundles, still) is None
+
+
+_VALID_READINGS = {
+    vmeas.BearingObs: dict(theta=0.3, phi=0.1, sigma_theta=0.01, sigma_phi=0.01),
+    vmeas.RangeObs: dict(r=4.0, sigma_r=0.1),
+    vmeas.BearingRateObs: dict(theta_dot=0.2, phi_dot=-0.1, sigma_theta_dot=0.01,
+                               sigma_phi_dot=0.01),
+    vmeas.TimeToContactObs: dict(tau=3.0, alpha=0.2, sigma_alpha=0.001),
+    vmeas.DopplerObs: dict(r=4.0, r_dot=-1.0, sigma_r=0.1, sigma_r_dot=0.05),
+    vmeas.PinholeObs: dict(f=500.0, y1=3.0, y2=-2.0, sigma_img=0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record, field", [
+    (record, field) for record in _VALID_READINGS
+    for field in record.__dataclass_fields__])
+def test_reading_records_reject_non_finite_values(record, field, bad):
+    record(**_VALID_READINGS[record])
+    with pytest.raises(ValueError, match=field):
+        record(**{**_VALID_READINGS[record], field: bad})
+
+
+@pytest.mark.parametrize("record", list(_VALID_READINGS))
+def test_reading_records_bound_every_sigma_and_listed_field(record):
+    # every sigma is listed as >= 0; each listed field rejects a value
+    # under its bound and takes its bound's edge where that is allowed
+    fields = record.__dataclass_fields__
+    assert {f for f in fields if f.startswith("sigma")} <= set(record._NONNEG)
+    for field in record._NONNEG:
+        record(**{**_VALID_READINGS[record], field: 0.0})
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            record(**{**_VALID_READINGS[record], field: -1e-300})
+    for field in record._POSITIVE:
+        with pytest.raises(ValueError, match=f"{field} must be > 0"):
+            record(**{**_VALID_READINGS[record], field: 0.0})
 
 
 def test_case4_falls_back_to_bearing_only_when_radial_speed_tiny():

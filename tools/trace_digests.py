@@ -1,9 +1,12 @@
 """Print one digest per reference trace, to check that a refactor is bit-identical.
 
-Runs the 18 reference runs through ``runner.run``, 4 s each: ``local``,
+Runs the 21 reference runs through ``runner.run``, 4 s each: ``local``,
 ``global`` and ``dunk`` in Cases 1-5 on ``single-vehicle-2d``, and
 ``coop-full``, ``coop-partial`` and ``coop-robots`` on their builtin
-scenarios.  Prints ``name sha256[:16]`` of each run's ``trace.csv``, one
+scenarios; then ``local``, ``global`` and ``dunk`` in Case 4 on
+``single-vehicle-2d`` plus a landmark at the circle's centre, whose range
+never changes, so every tick mixes sightings with and without a
+time-to-contact reading.  Prints ``name sha256[:16]`` of each run's ``trace.csv``, one
 line per run.  BLAS runs on one thread, so the digests do not depend on
 the thread count.
 
@@ -19,6 +22,7 @@ Usage: python3 tools/trace_digests.py [--keep DIR] [--compare DIR]
 import argparse
 import csv
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -30,19 +34,32 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ltvslam.runner import COOP_MODES, RunConfig, run  # noqa: E402
+from ltvslam.sim import scenario_single_vehicle_2d  # noqa: E402
 
 DURATION_S = 4.0
 KEY = ("t", "robot", "entity", "id", "component")
 
 
-def reference_runs():
-    """(name, RunConfig) of every reference run, without an output directory."""
+def reference_runs(root: Path):
+    """(name, RunConfig) of every reference run, without an output directory.
+
+    The centre runs read their world from ``root / "centre.json"``.
+    """
     for mode in ("local", "global", "dunk"):
         for case in range(1, 6):
             yield f"{mode}-{case}", RunConfig(mode=mode, case=case,
                                               duration=DURATION_S)
     for mode in COOP_MODES:
         yield mode, RunConfig(mode=mode, scenario=mode, duration=DURATION_S)
+    world = json.loads(scenario_single_vehicle_2d().to_json())
+    world["landmarks"].append({"id": 9, "position_m": [0.0, 0.0],
+                               "diameter_m": 2.0})
+    centre = root / "centre.json"
+    centre.write_text(json.dumps(world))
+    for mode in ("local", "global", "dunk"):
+        yield f"{mode}-4-centre", RunConfig(mode=mode, case=4,
+                                            scenario=str(centre),
+                                            duration=DURATION_S)
 
 
 def deviation(trace: Path, kept: Path) -> str:
@@ -70,7 +87,8 @@ def main() -> None:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         root = args.keep or Path(tmp)
-        for name, cfg in reference_runs():
+        root.mkdir(parents=True, exist_ok=True)
+        for name, cfg in reference_runs(root):
             cfg.out_dir = str(root / name)
             run(cfg)
             trace = Path(cfg.out_dir, "trace.csv")
