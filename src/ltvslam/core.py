@@ -123,9 +123,18 @@ class FilterState:
         state.__dict__.update(x=x, P=P, t=t)
         return state
 
+    @classmethod
+    def _stack(cls, states, t: float, n: int) -> "FilterState":
+        """States of size n as one stack of filters at time t (a leading axis)."""
+        return cls._derived(np.array([s.x for s in states]).reshape(-1, n),
+                            np.array([s.P for s in states]).reshape(-1, n, n), t)
+
+    def _unstack(self) -> list["FilterState"]:
+        return [FilterState._derived(x, P, self.t) for x, P in zip(self.x, self.P)]
+
     @property
     def dim(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]   # each filter's, for a stack of filters
 
 
 class Estimates(NamedTuple):

@@ -27,8 +27,9 @@ from .vmeas import SensorBundle, build_measurement
 #: Tikhonov term added before inverting a virtual-vehicle covariance.
 REG = 1e-9
 
-#: Measurement std tying a robot's self pair to its own vehicle estimate.
-SELF_TIE_SIGMA = 1e-2
+#: Rows (std 1e-2) forcing a robot's planar self pair onto its vehicle estimate.
+SELF_TIE = vmeas.VirtualMeasurement(np.zeros(2), np.hstack([np.eye(2), -np.eye(2)]),
+                                    1e-2**2 * np.eye(2))
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,16 @@ class Consensus:
 def consensus(pairs: dict[int, LandmarkPairState],
               observed) -> Consensus | None:
     """x_vc = (sum Sigma_vi^-1)^-1 sum Sigma_vi^-1 x_vi over the observed set."""
-    observed = frozenset(observed) & set(pairs)
+    observed = sorted(frozenset(observed) & set(pairs))
     if not observed:
         return None
-    d = next(iter(pairs.values())).dim
-    info, weighted, reg = np.zeros((d, d)), np.zeros(d), REG * np.eye(d)
-    for lid in sorted(observed):
-        p = pairs[lid]
-        w = np.linalg.inv(p.sigma_vehicle + reg)
-        info += w
-        weighted += w @ p.x_vehicle
+    x = np.array([pairs[lid].state.x for lid in observed])
+    d = x.shape[1] // 2
+    W = np.linalg.inv(np.array([pairs[lid].state.P for lid in observed])[:, d:, d:]
+                      + REG * np.eye(d))
+    info = W.sum(axis=0)
     cov = np.linalg.inv(info)
+    weighted = (W @ x[:, d:, None]).sum(axis=0)[:, 0]
     return Consensus(x_vc=np.linalg.solve(info, weighted),
                      covariance=0.5 * (cov + cov.T))
 
@@ -95,24 +95,11 @@ def feedback_measurement(c: Consensus | None) -> vmeas.VirtualMeasurement | None
 
 def pair_measurement(case: int, bundles: list[SensorBundle], T: np.ndarray,
                      inputs: RobotInputs, r_hints=None
-                     ) -> list[vmeas.VirtualMeasurement] | None:
+                     ) -> vmeas.VirtualMeasurement | None:
     """A tick's case rows, built and lifted by its rotation T at once: M becomes
-    [M T, -M T]; one measurement per sighting, or None if the case gives none.
-
-    A sighting that drops a row (a Case IV fallback) is lifted on its kept
-    rows alone: the last bit of a row of H T depends on H's row count.
-    """
+    [M T, -M T], one stack of rows per sighting; None if the case gives none."""
     body = build_measurement(case, bundles, inputs, r_hints)
-    if body is None:
-        return None
-    n = 2 * T.shape[1]
-    rows = vmeas.sighting_rows(vmeas._lift(body, T, n, 0, 1))
-    partial = np.flatnonzero(~vmeas.kept_rows(body).all(axis=-1))
-    if partial.size:
-        own = vmeas.sighting_rows(body)
-        for i in partial:
-            rows[i] = vmeas._lift(own[i], T, n, 0, 1)
-    return rows
+    return None if body is None else vmeas._lift(body, T, 2 * T.shape[1], 0, 1)
 
 
 def init_pair(bundle: SensorBundle, prior: tuple[np.ndarray, np.ndarray],
@@ -171,13 +158,6 @@ def _self_pair(prior: tuple[np.ndarray, np.ndarray], t: float) -> LandmarkPairSt
     return LandmarkPairState(FilterState(np.concatenate([x_v0, x_v0]), P0, t))
 
 
-def _self_tie_measurement(dim: int) -> vmeas.VirtualMeasurement:
-    """Identity rows forcing a robot's self pair onto its vehicle estimate."""
-    H = np.hstack([np.eye(dim), -np.eye(dim)])
-    return vmeas.VirtualMeasurement._derived(np.zeros(dim), H,
-                                             SELF_TIE_SIGMA**2 * np.eye(dim))
-
-
 def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
               observations: dict[int, SensorBundle], drift: Drift | None = None,
               self_id: int | None = None,
@@ -185,10 +165,10 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
               ) -> Consensus | None:
     """One two-level tick of a pair-filter map: pair steps, then consensus and heading.
 
-    Observed pairs get [case rows; feedback rows]; unobserved pairs get
-    feedback-only (or prediction-only) steps.  The feedback uses the
-    consensus computed at the end of the previous tick.  Both blocks of
-    every pair follow the map's null-space ``drift`` (none by default);
+    All pairs step as one stack with [case rows; feedback rows] (an
+    unobserved pair's case rows carry zero information); the feedback is
+    the consensus computed at the end of the previous tick.  Both blocks
+    of every pair follow the map's null-space ``drift`` (none by default);
     the vehicle block also moves with u * forward(beta_hat).
 
     Every pair the tick creates starts from one prior: the consensus of
@@ -214,43 +194,36 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
 
     inputs = RobotInputs(u=np.array([0.0, u_speed]), omega=skew(omega))
     fb = feedback_measurement(net.last_consensus)
-
-    # heading residue and range hints read offsets at the sample instant
-    offsets = {lid: net.pairs[lid].x_landmark - net.pairs[lid].x_vehicle
-               for lid in observations}
-    visible = [(lid, b) for lid, b in observations.items() if b.bearing is not None]
-    beta_d = beta_d_closed_form_2d(
-        [offsets[lid] for lid, _ in visible],
-        np.zeros(2), [b.bearing.theta for _, b in visible], net.beta_hat)
-
-    measured = [lid for lid in observations if lid != self_id]   # one build for all
-    rows = pair_measurement(net.case, [observations[lid] for lid in measured],
-                            body_from_global(net.beta_hat), inputs,
-                            vmeas.range_hints([offsets[lid] for lid in measured]))
-    case_rows = dict(zip(measured, rows or ()))
-
     own_v = u_speed * heading_forward(net.beta_hat)
     d = own_v.size
-    if drift is None:
-        drift = Drift(np.zeros(d))
+    slot = {lid: i for i, lid in enumerate(sorted(net.pairs))}   # one stack, by id
+    states = FilterState._stack([net.pairs[lid].state for lid in slot], net.t, 2 * d)
+
+    # heading residue and range hints read offsets at the sample instant
+    bundles, at = list(observations.values()), [slot[lid] for lid in observations]
+    offsets = (states.x[:, :d] - states.x[:, d:])[at]
+    seen = [i for i, b in enumerate(bundles) if b.bearing is not None]
+    beta_d = beta_d_closed_form_2d(offsets[seen], np.zeros(2),
+                                   [bundles[i].bearing.theta for i in seen], net.beta_hat)
+    measured = [i for i, lid in enumerate(observations) if lid != self_id]
+    rows = pair_measurement(net.case, [bundles[i] for i in measured],   # one build
+                            body_from_global(net.beta_hat), inputs,
+                            vmeas.range_hints(offsets[measured]))
+
+    drift = drift or Drift(np.zeros(d))
     Om = skew(drift.omega).matrix   # turns both blocks of every pair
     base = drift.v - (Om @ drift.center if drift.center is not None else 0.0)
-    b = np.concatenate([base, base + own_v])
-    targets = target_velocities or {}
-    for lid in sorted(net.pairs):
-        pair = net.pairs[lid]
-        vm = vmeas.stack_measurements(_self_tie_measurement(d) if lid == self_id
-                                      else case_rows.get(lid), fb)
-        extra = own_v if lid == self_id else targets.get(lid)
-        b_lid = b if extra is None else np.concatenate([base + extra, b[d:]])
-        new_state = ode_step(pair.state, Om, b_lid, vm, None, net.cfg)
-        net.pairs[lid] = LandmarkPairState(new_state)
+    b = np.tile(np.concatenate([base, base + own_v]), (len(slot), 1))
+    for lid, v in {**(target_velocities or {}), self_id: own_v}.items():
+        if lid in slot:   # a moving landmark, or the self pair's own vehicle
+            b[slot[lid], :d] += v
+    vm = vmeas.stack_measurements(vmeas.place_rows(
+        len(slot), ([at[i] for i in measured], rows), (slot.get(self_id), SELF_TIE)), fb)
+    new_states = ode_step(states, Om, b, vm, None, net.cfg)
+    net.pairs.update(zip(slot, map(LandmarkPairState, new_states._unstack())))
     net.t += net.cfg.dt
 
-    observed = set(observations)
-    if self_id is not None:
-        observed.add(self_id)
-    c = consensus(net.pairs, observed)
+    c = consensus(net.pairs, {*observations, self_id})   # self_id None: no pair
     net.last_consensus = c
     net.beta_hat = track_heading(net.beta_hat, omega + drift.omega, beta_d,
                                  net.cfg.dt)

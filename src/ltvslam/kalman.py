@@ -19,6 +19,11 @@ I(t) = I0 + t H^T R^{-1} H, which is a discrete Kalman update with
 R_d = R / dt -- stable for any P/R ratio, however stiff.  Then the exact
 zero-order-hold transition of the prediction, Phi = e^{A_d dt} by
 Rodrigues' formula; process noise Q needs A = 0, where it adds Q dt.
+
+One call steps one filter, or a map's N filters stacked along a leading
+axis (x (N, n), P (N, n, n), rows (N, k, n); A and Q shared, b either):
+the axis-less call is the same code.  A filter's missing rows are
+zero-information rows (H 0, y 0, R 1), which change nothing.
 """
 
 from __future__ import annotations
@@ -57,19 +62,21 @@ def _predict(x, P, A, b, Q, dt):
     """
     if not A.any():   # P is symmetric, so P + sym(Q) dt is exactly symmetric
         return x + b * dt, P if Q is None else P + 0.5 * (Q + Q.T) * dt
-    d, k, eye = len(A), x.size // len(A), np.eye(len(A))
+    d, n, lead = len(A), x.shape[-1], x.shape[:-1]
+    k, eye = n // d, np.eye(d)
     w = math.sqrt(0.5 * np.vdot(A, A))
     K, th = A / w, w * dt
     K2, s, h = K @ K, math.sin(th), 2.0 * math.sin(0.5 * th) ** 2
     Phi = eye + s * K + h * K2
     G = dt * eye + h / w * K + (dt - s / w) * K2
-    if k == 1:
-        x, P = Phi @ x + G @ b, Phi @ P @ Phi.T
+    if k == 1:   # matrix-vector products, as for an axis-less x
+        x, P = (Phi @ x[..., None])[..., 0] + (G @ b[..., None])[..., 0], Phi @ P @ Phi.T
     else:   # F = I_k (x) Phi, applied block by block
-        x = (x.reshape(k, d) @ Phi.T + b.reshape(k, d) @ G.T).ravel()
-        P = (Phi @ P.reshape(k, d, -1)).reshape(-1, k, d) @ Phi.T
-        P = P.reshape(x.size, x.size)
-    return x, 0.5 * (P + P.T)
+        x = (x.reshape(*lead, k, d) @ Phi.T
+             + b.reshape(*b.shape[:-1], k, d) @ G.T).reshape(*lead, n)
+        P = (Phi @ P.reshape(*lead, k, d, n)).reshape(*lead, n, k, d) @ Phi.T
+        P = P.reshape(*lead, n, n)
+    return x, 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def _correct(x, P, vm: VirtualMeasurement, dt: float):
@@ -78,14 +85,14 @@ def _correct(x, P, vm: VirtualMeasurement, dt: float):
     Equivalent to a discrete Kalman update with R_d = R / dt; the Joseph
     form keeps P symmetric positive semidefinite.
     """
-    Rd = vm.R / dt
-    PHt = P @ vm.H.T
-    S = vm.H @ PHt + Rd
-    K = np.linalg.solve(S, PHt.T).T
-    x = x + K @ (vm.y - vm.H @ x)
-    I_KH = np.eye(x.size) - K @ vm.H
-    P = I_KH @ P @ I_KH.T + K @ Rd @ K.T
-    return x, 0.5 * (P + P.T)
+    H, Rd = vm.H, vm.R / dt
+    PHt = P @ H.swapaxes(-1, -2)
+    S = H @ PHt + Rd
+    K = np.linalg.solve(S, PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
+    x = x + (K @ (vm.y - (H @ x[..., None])[..., 0])[..., None])[..., 0]
+    I_KH = np.eye(x.shape[-1]) - K @ H
+    P = I_KH @ P @ I_KH.swapaxes(-1, -2) + K @ Rd @ K.swapaxes(-1, -2)
+    return x, 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
@@ -97,30 +104,34 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
     any skew matrix turns about one axis); Q needs A = 0.  ``vm`` is held
     over the step (None: no measurement).  The correction is applied
     first, at the instant the measurement was sampled, then the exact
-    transition over the full step.
+    transition over the full step.  A state with a leading filter axis
+    steps every filter at once: ``b`` and ``vm`` are then shared or hold
+    one entry per filter, and a divergence names the first filter at fault.
     """
     n = state.dim
     A = np.asarray(A, dtype=float)
-    b = np.zeros(n) if b is None else np.asarray(b, dtype=float).ravel()
+    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
     Q = None if Q is None else np.asarray(Q, dtype=float)
     d = A.shape[-1] if A.ndim else 0
-    if (A.shape != (d, d) or not 0 < d <= 3 or n % d or b.shape != (n,)
+    if (A.shape != (d, d) or not 0 < d <= 3 or n % d or b.shape not in ((n,), state.x.shape)
             or (Q is not None and Q.shape != (n, n))):
         raise ValueError("A must be d x d with d <= 3 dividing the state "
                          "dimension; b and Q must match the state")
     if (A + A.T).any() or (Q is not None and A.any()):
         raise ValueError("A must be skew, and zero when Q is given")
-    if vm is not None and vm.H.shape[1] != n:
+    if vm is not None and vm.H.shape[-1] != n:
         raise ValueError(
-            f"measurement has {vm.H.shape[1]} columns for state size {n}")
+            f"measurement has {vm.H.shape[-1]} columns for state size {n}")
 
     x, P = state.x, state.P
     if vm is not None:
         x, P = _correct(x, P, vm, cfg.dt)
     x, P = _predict(x, P, A, b, Q, cfg.dt)
 
-    if not (np.isfinite(x).all() and np.isfinite(P).all()):
-        raise DivergenceError(f"filter diverged at t={state.t + cfg.dt:g}")
+    finite = np.isfinite(x).all(axis=-1) & np.isfinite(P).all(axis=(-2, -1))
+    if not finite.all():
+        which = f" {np.flatnonzero(~finite)[0]}" if finite.ndim else ""
+        raise DivergenceError(f"filter{which} diverged at t={state.t + cfg.dt:g}")
     return FilterState._derived(x, P, state.t + cfg.dt)
 
 

@@ -141,7 +141,7 @@ def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
     vm = vmeas.build_measurement(case, bundles, inputs)
     if vm is None:
         raise ValueError("Case V undefined for a stationary robot")
-    if not vmeas.kept_rows(vm).all():
+    if not vm.H.any(axis=-1).all():   # a zero-information radial row
         raise ValueError("Case IV radial row undefined for some samples")
     res = vm.residual(x_true)
     return PortedNoise(mean=res.mean(axis=0), variance=res.var(axis=0))

@@ -57,7 +57,8 @@ class LocalMap:
 
     def step(self, inputs: RobotInputs,
              observations: dict[int, SensorBundle]) -> None:
-        """Advance every filter by dt, all rows from one build; start new ids."""
+        """Advance every filter by dt, all rows from one build and one step;
+        start new ids."""
         for lid, bundle in observations.items():
             if lid not in self.filters:
                 self.filters[lid] = init_landmark(
@@ -65,10 +66,11 @@ class LocalMap:
         vm = build_measurement(self.case, list(observations.values()), inputs,
                                vmeas.range_hints([self.filters[lid].state.x
                                                   for lid in observations]))
-        rows = {} if vm is None else dict(zip(observations, vmeas.sighting_rows(vm)))
-        for lid, f in self.filters.items():
-            self.filters[lid] = LocalLandmarkFilter(
-                step(f.state, inputs, rows.get(lid), self.cfg))
+        slot = {lid: i for i, lid in enumerate(self.filters)}
+        rows = vmeas.place_rows(len(slot), ([slot[lid] for lid in observations], vm))
+        new = step(FilterState._stack([f.state for f in self.filters.values()], self.t,
+                                      inputs.dim), inputs, rows, self.cfg)
+        self.filters.update(zip(slot, map(LocalLandmarkFilter, new._unstack())))
         self.t += self.cfg.dt
 
     def estimates(self) -> Estimates:

@@ -158,49 +158,55 @@ class VirtualMeasurement:
 
     @property
     def rows(self) -> int:
-        return self.y.size
+        return self.y.shape[-1]   # each filter's, for a stack of filters
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.y - self.H @ np.asarray(x, dtype=float)
 
 
 def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement | None:
-    """The given row sets (None skipped) as one, with a block-diagonal R."""
+    """The given row sets (None skipped) as one, with a block-diagonal R;
+    leading filter axes broadcast, so rows shared by a map's filters stack
+    onto each filter's own."""
     parts = [vm for vm in vms if vm is not None]
     if not parts:
         return None
     if len(parts) == 1:
         return parts[0]
-    y = np.concatenate([vm.y for vm in parts])
-    H = np.vstack([vm.H for vm in parts])
-    R, k = np.zeros((y.size, y.size)), 0
+    lead = np.broadcast_shapes(*(vm.y.shape[:-1] for vm in parts))
+    y = np.concatenate([np.broadcast_to(vm.y, lead + vm.y.shape[-1:]) for vm in parts], -1)
+    H = np.concatenate([np.broadcast_to(vm.H, lead + vm.H.shape[-2:]) for vm in parts], -2)
+    R, k = np.zeros(y.shape + y.shape[-1:]), 0
     for vm in parts:
-        R[k:k + vm.rows, k:k + vm.rows] = vm.R
+        R[..., k:k + vm.rows, k:k + vm.rows] = vm.R
         k += vm.rows
     return VirtualMeasurement._derived(y, H, R)
 
 
-def kept_rows(vm: VirtualMeasurement) -> np.ndarray:
-    """Mask of the rows that carry information: all but the infinite-variance
-    radial row of a Case IV sighting that keeps only its Case I rows."""
-    return vm.R.diagonal(axis1=-2, axis2=-1) < math.inf
+def place_rows(n: int, *placed) -> VirtualMeasurement | None:
+    """The rows of an n-filter map: each ``(index, vm)`` (either None:
+    skipped) gives filter index[j] the rows vm[j] (index an int: vm itself).
 
-
-def sighting_rows(vm: VirtualMeasurement) -> list[VirtualMeasurement]:
-    """Each sighting's kept rows of a tick's stack (:func:`kept_rows`)."""
-    keep = kept_rows(vm)
-    if keep.all():
-        return [VirtualMeasurement._derived(*r) for r in zip(vm.y, vm.H, vm.R)]
-    return [VirtualMeasurement._derived(y[k], H[k], R[np.ix_(k, k)])
-            for y, H, R, k in zip(vm.y, vm.H, vm.R, keep)]
+    Every filter has as many rows as the widest vm; the rest are
+    zero-information rows (H 0, y 0, R 1), which leave a filter as it is.
+    """
+    placed = [(i, vm) for i, vm in placed if i is not None and vm is not None]
+    if not placed:
+        return None
+    k = max(vm.rows for _, vm in placed)
+    y, H = np.zeros((n, k)), np.zeros((n, k, placed[0][1].H.shape[-1]))
+    R = np.zeros((n, k, k)) + np.eye(k)
+    for i, vm in placed:
+        y[i, :vm.rows], H[i, :vm.rows], R[i, :vm.rows, :vm.rows] = vm.y, vm.H, vm.R
+    return VirtualMeasurement._derived(y, H, R)
 
 
 def flat_rows(vm: VirtualMeasurement) -> tuple[VirtualMeasurement, np.ndarray]:
-    """A tick's kept rows (:func:`kept_rows`) as one measurement, and each
+    """A tick's rows (N, k) as one measurement of its N k rows, and each
     row's sighting."""
-    keep = kept_rows(vm)
-    var = vm.R.diagonal(axis1=-2, axis2=-1)[keep]
-    return _measurement([vm.y[keep]], [vm.H[keep]], [var]), np.nonzero(keep)[0]
+    (N, k), var = vm.y.shape, vm.R.diagonal(axis1=-2, axis2=-1)
+    return (_measurement([vm.y.ravel()], [vm.H.reshape(N * k, -1)], [var.ravel()]),
+            np.repeat(np.arange(N), k))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +330,8 @@ def case4(bearing: BearingObs, ttc: TimeToContactObs | None, inputs: RobotInputs
     A sighting with no time-to-contact reading (``ttc`` None, or tau nan
     in a stack: the range is not changing), or with |h* u| < EPS_U (an
     unreliable reading), keeps only its Case I rows: all of them do, and
-    the result is :func:`case1`'s, or its radial row gets infinite
-    variance, which :func:`kept_rows` leaves out.
+    the result is :func:`case1`'s, or its radial row is a zero-information
+    row (H 0, y 0, R 1).
     """
     h, h_star = _bearing_rows(bearing)
     radial_speed = (h_star @ inputs.u)[..., 0]
@@ -334,9 +340,9 @@ def case4(bearing: BearingObs, ttc: TimeToContactObs | None, inputs: RobotInputs
         return case1(bearing)
     y4 = np.where(case1_only, 0.0, np.abs(ttc.tau * radial_speed))
     rstar = np.where(case1_only, noisecal.R_MAX, noisecal.r_star(y4, 0.0))
-    radial_var = np.where(case1_only[..., None], math.inf,
-                          noisecal.ttc_row_R(ttc, radial_speed))
-    return _measurement([np.zeros(h.shape[:-1]), y4[..., None]], [h, h_star],
+    radial_var = np.where(case1_only[..., None], 1.0, noisecal.ttc_row_R(ttc, radial_speed))
+    return _measurement([np.zeros(h.shape[:-1]), y4[..., None]],
+                        [h, np.where(case1_only[..., None, None], 0.0, h_star)],
                         [noisecal.tangential_R(bearing, rstar), radial_var])
 
 
@@ -364,9 +370,8 @@ def build_measurement(case: int, bundles: list[SensorBundle], inputs: RobotInput
     Gives y (N, k), H (N, k, d) and a diagonal R (N, k, k), sighting i's
     rows those of the scalar case call.  ``r_hints`` holds an optional
     current range estimate per sighting (0 for none), used to sharpen noise
-    calibration in the range-free cases.  A Case IV R may hold
-    infinite-variance rows: take the rows through :func:`sighting_rows` or
-    :func:`flat_rows`, which keep only :func:`kept_rows`.
+    calibration in the range-free cases.  A Case IV fallback sighting in a
+    tick with full ones has a zero-information radial row (:func:`case4`).
     """
     if not bundles:
         return None

@@ -178,10 +178,11 @@ def test_robots_only_self_pair_starts_correlated_and_stays_tied(monkeypatch):
         medium = coop_step(maps, ticks, "robots_only", medium)
         if n == 0:
             monkeypatch.undo()
-            # robot 1's first pair step is its self pair, from the prior
+            # robot 1's first step holds its self pair (id 1, the first of
+            # its sorted pairs) at the prior
             P_v = maps[1].net.vehicle_prior_P
-            assert np.array_equal(stepped[0].x, np.zeros(4))
-            assert np.array_equal(stepped[0].P, np.block(
+            assert np.array_equal(stepped[0].x[0], np.zeros(4))
+            assert np.array_equal(stepped[0].P[0], np.block(
                 [[P_v, 0.9 * P_v], [0.9 * P_v, P_v]]))
         for i, m in maps.items():
             assert sorted(m.net.pairs) == [1, 2]

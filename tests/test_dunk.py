@@ -106,9 +106,9 @@ def test_pair_measurement_relative_reduction():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=4.0))
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
-    vm, = pair_measurement(2, [bundle], body_from_global(0.0), inputs)
+    vm = pair_measurement(2, [bundle], body_from_global(0.0), inputs)
     x = np.array([1.0, 6.0, 1.0, 2.0])   # x_i - x_vi = (0, 4)
-    assert np.abs(vm.residual(x)).max() < 1e-12
+    assert np.abs(vm.y[0] - vm.H[0] @ x).max() < 1e-12
 
 
 def test_pair_measurement_rotates_with_heading(rng):
@@ -117,25 +117,33 @@ def test_pair_measurement_rotates_with_heading(rng):
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
     beta = 1.1
     T = body_from_global(beta)
-    vm0, = pair_measurement(2, [bundle], np.eye(2), inputs)
-    vmb, = pair_measurement(2, [bundle], T, inputs)
-    assert np.allclose(vmb.H[:, :2], vm0.H[:, :2] @ T, atol=1e-12)
+    vm0 = pair_measurement(2, [bundle], np.eye(2), inputs)
+    vmb = pair_measurement(2, [bundle], T, inputs)
+    assert np.allclose(vmb.H[0, :, :2], vm0.H[0, :, :2] @ T, atol=1e-12)
 
 
 def test_pair_measurement_lifts_each_sighting_as_its_own_build_would():
     # a Case IV tick mixing fallback sightings (no time-to-contact reading)
-    # with full ones: each pair's lifted rows are those of lifting its own
-    # build, bit for bit, the fallback's one row included
+    # with full ones: a full sighting's lifted rows are those of lifting its
+    # own build, bit for bit; a fallback's are its own one lifted row, to
+    # 1e-15 (its row is lifted as one of two, the last bit of a row of H T
+    # depends on H's row count), plus a zero-information row
     rng = np.random.default_rng(5)
     inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.2))
     bundles = [SensorBundle(bearing=vmeas.BearingObs(theta=theta, sigma_theta=0.01),
                             ttc=None if i % 3 == 1 else vmeas.TimeToContactObs(tau=3.0))
                for i, theta in enumerate(rng.uniform(-1.0, 1.0, 12))]
     T = body_from_global(rng.uniform(-3.0, 3.0))
-    for vm, b in zip(pair_measurement(4, bundles, T, inputs), bundles):
+    vm = pair_measurement(4, bundles, T, inputs)
+    for i, b in enumerate(bundles):
         ref = vmeas._lift(vmeas.case4(b.bearing, b.ttc, inputs), T, 4, 0, 1)
-        for rows in ("y", "H", "R"):
-            assert np.array_equal(getattr(vm, rows), getattr(ref, rows)), rows
+        k = ref.rows
+        assert np.array_equal(vm.y[i, :k], ref.y)
+        assert np.array_equal(vm.R[i, :k, :k], ref.R)
+        assert np.abs(vm.H[i, :k] - ref.H).max() <= (1e-15 if b.ttc is None else 0.0)
+        if b.ttc is None:
+            assert not vm.y[i, 1:].any() and not vm.H[i, 1:].any()
+            assert np.array_equal(vm.R[i], np.diag([ref.R[0, 0], 1.0]))
 
 
 def _capture_init_pair(monkeypatch):

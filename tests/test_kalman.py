@@ -138,6 +138,73 @@ def test_closed_form_matches_expm_of_the_augmented_generator(rng, d, k):
             assert np.allclose(P, F @ P0 @ F.T, rtol=1e-12, atol=0.0)
 
 
+def _filters(rng, N, n, k):
+    """N random filters of size n, each with its own k random rows."""
+    M = rng.normal(size=(N, n, n))
+    state = FilterState._derived(rng.normal(size=(N, n)),
+                                 M @ M.swapaxes(1, 2) + np.eye(n), 0.3)
+    rows = vmeas.VirtualMeasurement._derived(
+        rng.normal(size=(N, k)), rng.normal(size=(N, k, n)),
+        np.eye(k) * rng.uniform(0.1, 2.0, size=(N, k, 1)))
+    return state, rows
+
+
+@pytest.mark.parametrize("n, A", [
+    (2, -skew(0.7).matrix), (4, skew(0.7).matrix), (4, np.zeros((2, 2))),
+    (3, skew(0.3, -0.2, 0.7).matrix)], ids=["2d-minus-omega", "pair-omega",
+                                            "pair-zero", "3d-block"])
+@pytest.mark.parametrize("per_filter_b", [False, True])
+def test_one_step_of_stacked_filters_equals_a_step_of_each(rng, n, A, per_filter_b):
+    N, cfg = 5, FilterConfig(dt=0.01)
+    state, rows = _filters(rng, N, n, 2)
+    b = rng.normal(size=(N, n) if per_filter_b else n)
+    stacked = ode_step(state, A, b, rows, None, cfg)
+    assert stacked.dim == n and stacked.t == state.t + cfg.dt
+    for i in range(N):
+        one = ode_step(FilterState._derived(state.x[i], state.P[i], state.t), A,
+                       b[i] if per_filter_b else b,
+                       vmeas.VirtualMeasurement._derived(rows.y[i], rows.H[i],
+                                                         rows.R[i]), None, cfg)
+        assert np.array_equal(stacked.x[i], one.x)
+        assert np.array_equal(stacked.P[i], one.P)
+
+
+def test_a_zero_information_row_leaves_a_filter_as_it_is(rng):
+    # H 0, y 0, R 1 padded onto a filter's rows moves x and P by <= 1e-14
+    cfg = FilterConfig(dt=0.01)
+    for _ in range(20):
+        state, rows = _filters(rng, 1, 4, 2)
+        state = FilterState._derived(state.x[0], state.P[0], 0.0)
+        rows = vmeas.VirtualMeasurement._derived(rows.y[0], rows.H[0], rows.R[0])
+        pad = vmeas.VirtualMeasurement(y=[0.0], H=np.zeros((1, 4)), R=[[1.0]])
+        ref = ode_step(state, skew(0.4).matrix, np.ones(4), rows, None, cfg)
+        got = ode_step(state, skew(0.4).matrix, np.ones(4),
+                       vmeas.stack_measurements(rows, pad), None, cfg)
+        assert np.abs(got.x - ref.x).max() <= 1e-14 * np.abs(ref.x).max()
+        assert np.abs(got.P - ref.P).max() <= 1e-14 * np.abs(ref.P).max()
+
+
+def test_dim_of_a_stack_is_each_filters():
+    assert FilterState._derived(np.zeros((7, 4)), np.zeros((7, 4, 4)), 0.0).dim == 4
+
+
+@pytest.mark.parametrize("n, A", [(2, skew(0.3).matrix), (4, skew(0.3).matrix),
+                                  (4, np.zeros((2, 2)))])
+def test_an_empty_map_steps_to_an_empty_map(n, A):
+    # a map without filters (no sightings yet) still makes its one step
+    empty = FilterState._stack([], 0.0, n)
+    new = ode_step(empty, A, np.zeros((0, n)), None, None, FilterConfig(dt=0.01))
+    assert new.x.shape == (0, n) and new.P.shape == (0, n, n)
+
+
+def test_divergence_names_the_first_filter_at_fault(rng):
+    state, _ = _filters(rng, 4, 2, 1)
+    b = np.zeros((4, 2))
+    b[2, 1] = b[3, 0] = math.nan
+    with pytest.raises(DivergenceError, match=r"^filter 2 diverged at t=0\.31$"):
+        ode_step(state, np.zeros((2, 2)), b, None, None)
+
+
 def test_shape_validation():
     st = FilterState(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):

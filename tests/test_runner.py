@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import ltvslam
 from ltvslam import runner as runner_mod
-from ltvslam import vmeas
+from ltvslam import dunk, slam_local, vmeas
 from ltvslam.cli import main as cli_main, run_cmd
 from ltvslam.core import rotation2d
 from ltvslam.kalman import DivergenceError
@@ -328,6 +328,21 @@ def test_each_robot_builds_its_rows_once_per_tick(monkeypatch, mode, module, per
     scenario = "coop-full" if mode == "coop-full" else "single-vehicle-2d"
     run(RunConfig(mode=mode, scenario=scenario, duration=0.05))   # 5 ticks
     assert sightings == [13 if per_tick == 4 else 3] * (5 * per_tick)
+
+
+@pytest.mark.parametrize("mode, module, name, per_tick", [
+    ("local", slam_local, "step", 1), ("dunk", dunk, "ode_step", 1),
+    ("coop-full", dunk, "ode_step", 4)], ids=["local", "dunk", "coop-full"])
+def test_each_map_steps_its_filters_once_per_tick(monkeypatch, mode, module, name,
+                                                  per_tick):
+    # one filter step per map per tick carries all of the map's filters
+    real, steps = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda state, *args: steps.append(state.x.ndim)
+                        or real(state, *args))
+    scenario = "coop-full" if mode == "coop-full" else "single-vehicle-2d"
+    run(RunConfig(mode=mode, scenario=scenario, duration=0.05))   # 5 ticks
+    assert steps == [2] * (5 * per_tick)
+
 
 @pytest.mark.parametrize("mode", ["local", "global", "dunk"])
 def test_case4_runs_with_a_landmark_at_the_circle_centre(tmp_path, mode):

@@ -145,8 +145,9 @@ def test_new_landmarks_grow_p_without_an_eigvalsh(monkeypatch):
 
 
 def test_step_global_lifts_a_ticks_rows_once(monkeypatch):
-    # Case IV gives two rows where the range changes and falls back to the
-    # one Case I row for the landmark at the circle's centre, where it does not
+    # Case IV gives two rows where the range changes and, for the landmark at
+    # the circle's centre, where it does not, the one Case I row plus one
+    # zero-information row
     real_lift, real_ode_step = vmeas._lift, slam_global.ode_step
     lifts, rows = [], []
     monkeypatch.setattr(vmeas, "_lift",
@@ -165,6 +166,8 @@ def test_step_global_lifts_a_ticks_rows_once(monkeypatch):
                        T, 8, k, 3)
              for k, b in enumerate(obs.values())]
     assert [p.rows for p in parts] == [2, 1, 2]
+    parts[1] = vmeas.stack_measurements(parts[1], vmeas.VirtualMeasurement(
+        y=[0.0], H=np.zeros((1, 8)), R=[[1.0]]))
     ref = vmeas.stack_measurements(*parts)
     vm, = rows
     assert len(lifts) == 1

@@ -76,14 +76,19 @@ def test_one_build_per_tick_equals_the_scalar_builders(case, dim, rng):
             bundles.append(_sighting(rng, inputs, 5.0, radial_speed=1e-4))
             hints = np.append(hints, 3.0)
         vm = vmeas.build_measurement(case, bundles, inputs, hints)
-        assert vm.H.shape[:2] == vm.y.shape == vm.R.shape[:2] == (len(bundles), vm.y.shape[1])
-        for bundle, hint, got in zip(bundles, hints, vmeas.sighting_rows(vm)):
+        assert vm.H.shape[:2] == vm.y.shape == vm.R.shape[:2] == (len(bundles), vm.rows)
+        for i, (bundle, hint) in enumerate(zip(bundles, hints)):
             ref = scalar_rows(case, bundle, inputs, hint)
-            for name in ("y", "H", "R"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-        if case == 4:   # the fallbacks keep only their Case I rows
-            assert [r.rows for r in vmeas.sighting_rows(vm)][::n] == [dim - 1, dim - 1]
-            assert vmeas.flat_rows(vm)[0].rows == (n + 1) * dim - 2
+            k = ref.rows   # a Case IV fallback: its Case I rows ...
+            assert np.array_equal(vm.y[i, :k], ref.y)
+            assert np.array_equal(vm.H[i, :k], ref.H)
+            assert np.array_equal(vm.R[i, :k, :k], ref.R)
+            assert k == vm.rows or (case == 4 and i in (0, n) and k == dim - 1)
+            # ... plus one zero-information row
+            assert not vm.y[i, k:].any() and not vm.H[i, k:].any()
+            assert np.array_equal(vm.R[i, k:], np.eye(vm.rows)[k:])
+        if case == 4:
+            assert vmeas.flat_rows(vm)[0].rows == (n + 1) * vm.rows
             # a tick without any radial row is Case I's
             fallbacks = [bundles[0], bundles[-1], replace(bundles[-1], ttc=None)]
             vm, ref = (vmeas.build_measurement(k, fallbacks, inputs) for k in (4, 1))
