@@ -48,7 +48,8 @@ class RobotMap:
     net: DunkNetwork
 
     def landmark_positions(self) -> dict[int, np.ndarray]:
-        return {k: p.x_landmark for k, p in self.net.pairs.items()}
+        est = self.net.estimates()
+        return dict(zip(est.ids, est.X))
 
 
 @dataclass(frozen=True)

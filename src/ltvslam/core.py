@@ -123,15 +123,6 @@ class FilterState:
         state.__dict__.update(x=x, P=P, t=t)
         return state
 
-    @classmethod
-    def _stack(cls, states, t: float, n: int) -> "FilterState":
-        """States of size n as one stack of filters at time t (a leading axis)."""
-        return cls._derived(np.array([s.x for s in states]).reshape(-1, n),
-                            np.array([s.P for s in states]).reshape(-1, n, n), t)
-
-    def _unstack(self) -> list["FilterState"]:
-        return [FilterState._derived(x, P, self.t) for x, P in zip(self.x, self.P)]
-
     @property
     def dim(self) -> int:
         return self.x.shape[-1]   # each filter's, for a stack of filters
@@ -145,11 +136,6 @@ class Estimates(NamedTuple):
     X: np.ndarray                 # (N, d) landmark positions
     P: np.ndarray                 # (N, d, d) their covariance blocks
     vehicle: tuple | None = None  # (x, P) of the vehicle, where there is one
-
-    @classmethod
-    def stack(cls, t, ids, xs, Ps, d: int, vehicle=None) -> "Estimates":
-        return cls(float(t), list(ids), np.reshape(xs, (-1, d)),
-                   np.reshape(Ps, (-1, d, d)), vehicle)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import vmeas
 from .core import Estimates, FilterState, RobotInputs, heading_forward, skew
-from .kalman import FilterConfig, ode_step
+from .kalman import DivergenceError, FilterConfig, ode_step
 from .slam_global import (beta_d_closed_form_2d, body_from_global,
                           first_sighting_offset, track_heading)
 from .vmeas import SensorBundle, build_measurement
@@ -34,29 +34,9 @@ SELF_TIE = vmeas.VirtualMeasurement(np.zeros(2), np.hstack([np.eye(2), -np.eye(2
 
 @dataclass(frozen=True)
 class LandmarkPairState:
-    """Joint (landmark, virtual vehicle) estimate with 2d x 2d block covariance."""
+    """A pair's row of its map: (landmark, virtual vehicle) estimate, 2d x 2d P."""
 
     state: FilterState  # x = [x_i; x_vi]
-
-    def __post_init__(self):
-        if self.state.dim % 2:
-            raise ValueError("pair state must stack two equal-size blocks")
-
-    @property
-    def dim(self) -> int:
-        return self.state.dim // 2
-
-    @property
-    def x_landmark(self) -> np.ndarray:
-        return self.state.x[:self.dim]
-
-    @property
-    def x_vehicle(self) -> np.ndarray:
-        return self.state.x[self.dim:]
-
-    @property
-    def sigma_vehicle(self) -> np.ndarray:
-        return self.state.P[self.dim:, self.dim:]
 
 
 @dataclass(frozen=True)
@@ -67,16 +47,15 @@ class Consensus:
     covariance: np.ndarray   # (sum of Sigma_vi^-1 over the observed set)^-1
 
 
-def consensus(pairs: dict[int, LandmarkPairState],
-              observed) -> Consensus | None:
-    """x_vc = (sum Sigma_vi^-1)^-1 sum Sigma_vi^-1 x_vi over the observed set."""
-    observed = sorted(frozenset(observed) & set(pairs))
-    if not observed:
+def consensus(net: DunkNetwork, observed) -> Consensus | None:
+    """x_vc = (sum Sigma_vi^-1)^-1 sum Sigma_vi^-1 x_vi over the observed set,
+    whose rows are read off the map's stack in sorted-id order."""
+    rows = [net.ids[lid] for lid in sorted(net.ids.keys() & set(observed))]
+    if not rows:
         return None
-    x = np.array([pairs[lid].state.x for lid in observed])
+    x = net.state.x[rows]
     d = x.shape[1] // 2
-    W = np.linalg.inv(np.array([pairs[lid].state.P for lid in observed])[:, d:, d:]
-                      + REG * np.eye(d))
+    W = np.linalg.inv(net.state.P[rows, d:, d:] + REG * np.eye(d))
     info = W.sum(axis=0)
     cov = np.linalg.inv(info)
     weighted = (W @ x[:, d:, None]).sum(axis=0)[:, 0]
@@ -103,8 +82,8 @@ def pair_measurement(case: int, bundles: list[SensorBundle], T: np.ndarray,
 
 
 def init_pair(bundle: SensorBundle, prior: tuple[np.ndarray, np.ndarray],
-              beta_hat: float, t: float = 0.0) -> LandmarkPairState:
-    """New pair: virtual vehicle at the ``prior`` (x, P), landmark offset by the obs."""
+              beta_hat: float) -> FilterState:
+    """New pair's row: virtual vehicle at the ``prior`` (x, P), landmark offset by the obs."""
     x_v0, P_v0 = prior
     d = x_v0.size
     offset = first_sighting_offset(bundle, beta_hat)
@@ -112,30 +91,40 @@ def init_pair(bundle: SensorBundle, prior: tuple[np.ndarray, np.ndarray],
     P = np.zeros((2 * d, 2 * d))
     P[:d, :d] = 100.0 * np.eye(d)
     P[d:, d:] = P_v0
-    return LandmarkPairState(FilterState(x, P, t))
+    return FilterState(x, P)
 
 
 @dataclass
 class DunkNetwork:
-    """All pair filters plus the shared heading and last consensus."""
+    """A map's pair filters as one stack, plus the shared heading and last consensus.
+
+    Row ``ids[lid]`` of ``state`` (x (N, 4), P (N, 4, 4), at the map's time
+    t) is landmark lid's pair, the rows in first-sighting order.
+    """
 
     case: int = 2
     cfg: FilterConfig = field(default_factory=FilterConfig)
     beta_hat: float = 0.0
     vehicle_prior_x: np.ndarray = field(default_factory=lambda: np.zeros(2))
     vehicle_prior_P: np.ndarray = field(default_factory=lambda: 100.0 * np.eye(2))
-    pairs: dict[int, LandmarkPairState] = field(default_factory=dict)
     last_consensus: Consensus | None = None
-    t: float = 0.0
+    ids: dict[int, int] = field(init=False, default_factory=dict)
+    state: FilterState = field(init=False, default_factory=lambda: FilterState._derived(
+        np.zeros((0, 4)), np.zeros((0, 4, 4)), 0.0))
+
+    @property
+    def pairs(self) -> dict[int, LandmarkPairState]:
+        """Each pair as a record over its row of the stack, built on each read."""
+        x, P, t = self.state.x, self.state.P, self.state.t
+        return {lid: LandmarkPairState(FilterState._derived(x[i], P[i], t))
+                for lid, i in self.ids.items()}
 
     def estimates(self) -> Estimates:
         """Landmark blocks of every pair; the vehicle is the last consensus."""
-        pairs = self.pairs.values()
-        c = self.last_consensus
-        return Estimates.stack(
-            self.t, self.pairs, [p.x_landmark for p in pairs],
-            [p.state.P[:p.dim, :p.dim] for p in pairs], len(self.vehicle_prior_x),
-            vehicle=None if c is None else (c.x_vc, c.covariance))
+        d, c = self.state.dim // 2, self.last_consensus
+        return Estimates(self.state.t, list(self.ids), self.state.x[:, :d],
+                         self.state.P[:, :d, :d],
+                         None if c is None else (c.x_vc, c.covariance))
 
 
 @dataclass(frozen=True)
@@ -151,11 +140,11 @@ class Drift:
     center: np.ndarray | None = None
 
 
-def _self_pair(prior: tuple[np.ndarray, np.ndarray], t: float) -> LandmarkPairState:
-    """A robot's own entry: both blocks at the ``prior`` (x, P), 0.9 correlated."""
+def _self_pair(prior: tuple[np.ndarray, np.ndarray]) -> FilterState:
+    """A robot's own row: both blocks at the ``prior`` (x, P), 0.9 correlated."""
     x_v0, P_v0 = prior
     P0 = np.block([[P_v0, 0.9 * P_v0], [0.9 * P_v0, P_v0]])
-    return LandmarkPairState(FilterState(np.concatenate([x_v0, x_v0]), P0, t))
+    return FilterState(np.concatenate([x_v0, x_v0]), P0)
 
 
 def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
@@ -165,43 +154,46 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
               ) -> Consensus | None:
     """One two-level tick of a pair-filter map: pair steps, then consensus and heading.
 
-    All pairs step as one stack with [case rows; feedback rows] (an
+    The map's stack steps at once with [case rows; feedback rows] (an
     unobserved pair's case rows carry zero information); the feedback is
     the consensus computed at the end of the previous tick.  Both blocks
     of every pair follow the map's null-space ``drift`` (none by default);
     the vehicle block also moves with u * forward(beta_hat).
 
     Every pair the tick creates starts from one prior: the consensus of
-    the pairs the tick began with, else the map's vehicle prior.
+    the pairs the tick began with, else the map's vehicle prior; its row
+    goes at the end of the stack.
 
     ``self_id`` names the pair whose "landmark" is the robot itself: it
     starts from :func:`_self_pair`, is measured by tie rows instead of
     case rows, and its landmark block moves with the vehicle.
     ``target_velocities`` gives the global velocity of landmarks that
-    are moving robots.
+    are moving robots.  A divergence names the landmark at fault.
     """
-    new = [lid for lid in observations if lid not in net.pairs]
-    new_self = self_id is not None and self_id not in net.pairs
+    ids = net.ids
+    new = [lid for lid in observations if lid not in ids]
+    new_self = self_id is not None and self_id not in ids
     if new or new_self:
-        c = consensus(net.pairs, net.pairs.keys())
+        c = consensus(net, ids)
         prior = ((c.x_vc, c.covariance) if c is not None else
                  (np.asarray(net.vehicle_prior_x, float),
                   np.asarray(net.vehicle_prior_P, float)))
-        for lid in new:
-            net.pairs[lid] = init_pair(observations[lid], prior, net.beta_hat, net.t)
+        made = [init_pair(observations[lid], prior, net.beta_hat) for lid in new]
         if new_self:
-            net.pairs[self_id] = _self_pair(prior, net.t)
+            new, made = [*new, self_id], [*made, _self_pair(prior)]
+        ids.update({lid: len(ids) + i for i, lid in enumerate(new)})
+        net.state = FilterState._derived(
+            np.concatenate([net.state.x, [s.x for s in made]]),
+            np.concatenate([net.state.P, [s.P for s in made]]), net.state.t)
 
     inputs = RobotInputs(u=np.array([0.0, u_speed]), omega=skew(omega))
     fb = feedback_measurement(net.last_consensus)
     own_v = u_speed * heading_forward(net.beta_hat)
     d = own_v.size
-    slot = {lid: i for i, lid in enumerate(sorted(net.pairs))}   # one stack, by id
-    states = FilterState._stack([net.pairs[lid].state for lid in slot], net.t, 2 * d)
 
     # heading residue and range hints read offsets at the sample instant
-    bundles, at = list(observations.values()), [slot[lid] for lid in observations]
-    offsets = (states.x[:, :d] - states.x[:, d:])[at]
+    bundles, at = list(observations.values()), [ids[lid] for lid in observations]
+    offsets = net.state.x[at, :d] - net.state.x[at, d:]
     seen = [i for i, b in enumerate(bundles) if b.bearing is not None]
     beta_d = beta_d_closed_form_2d(offsets[seen], np.zeros(2),
                                    [bundles[i].bearing.theta for i in seen], net.beta_hat)
@@ -213,17 +205,19 @@ def pair_tick(net: DunkNetwork, u_speed: float, omega: float,
     drift = drift or Drift(np.zeros(d))
     Om = skew(drift.omega).matrix   # turns both blocks of every pair
     base = drift.v - (Om @ drift.center if drift.center is not None else 0.0)
-    b = np.tile(np.concatenate([base, base + own_v]), (len(slot), 1))
+    b = np.tile(np.concatenate([base, base + own_v]), (len(ids), 1))
     for lid, v in {**(target_velocities or {}), self_id: own_v}.items():
-        if lid in slot:   # a moving landmark, or the self pair's own vehicle
-            b[slot[lid], :d] += v
+        if lid in ids:   # a moving landmark, or the self pair's own vehicle
+            b[ids[lid], :d] += v
     vm = vmeas.stack_measurements(vmeas.place_rows(
-        len(slot), ([at[i] for i in measured], rows), (slot.get(self_id), SELF_TIE)), fb)
-    new_states = ode_step(states, Om, b, vm, None, net.cfg)
-    net.pairs.update(zip(slot, map(LandmarkPairState, new_states._unstack())))
-    net.t += net.cfg.dt
+        len(ids), ([at[i] for i in measured], rows), (ids.get(self_id), SELF_TIE)), fb)
+    try:
+        net.state = ode_step(net.state, Om, b, vm, None, net.cfg)
+    except DivergenceError as err:   # the row at fault is a landmark id's
+        raise DivergenceError(f"landmark {list(ids)[err.row]} diverged at "
+                              f"t={net.state.t + net.cfg.dt:g}", err.row) from None
 
-    c = consensus(net.pairs, {*observations, self_id})   # self_id None: no pair
+    c = consensus(net, {*observations, self_id})   # self_id None: no pair
     net.last_consensus = c
     net.beta_hat = track_heading(net.beta_hat, omega + drift.omega, beta_d,
                                  net.cfg.dt)

@@ -38,7 +38,12 @@ from .vmeas import VirtualMeasurement
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the state or covariance stops being finite."""
+    """Raised when the state or covariance stops being finite; ``row`` is
+    the first filter at fault in a stack of filters (None for one filter)."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,9 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
 
     finite = np.isfinite(x).all(axis=-1) & np.isfinite(P).all(axis=(-2, -1))
     if not finite.all():
-        which = f" {np.flatnonzero(~finite)[0]}" if finite.ndim else ""
-        raise DivergenceError(f"filter{which} diverged at t={state.t + cfg.dt:g}")
+        row = int(np.flatnonzero(~finite)[0]) if finite.ndim else None
+        which = "" if row is None else f" {row}"
+        raise DivergenceError(f"filter{which} diverged at t={state.t + cfg.dt:g}", row)
     return FilterState._derived(x, P, state.t + cfg.dt)
 
 

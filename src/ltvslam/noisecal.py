@@ -141,8 +141,9 @@ def monte_carlo_port(case: int, x_true: np.ndarray, inputs, noise: NoiseSpec,
     vm = vmeas.build_measurement(case, bundles, inputs)
     if vm is None:
         raise ValueError("Case V undefined for a stationary robot")
-    if not vm.H.any(axis=-1).all():   # a zero-information radial row
-        raise ValueError("Case IV radial row undefined for some samples")
+    if not vm.H.any(axis=-1).all() or (case == 4 and vm.rows < x_true.size):
+        # a zero-information radial row, or none at all (Case I's rows)
+        raise ValueError("Case IV radial row undefined for some or all samples")
     res = vm.residual(x_true)
     return PortedNoise(mean=res.mean(axis=0), variance=res.var(axis=0))
 

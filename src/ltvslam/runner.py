@@ -196,7 +196,7 @@ def _setup(scenario, cfg: RunConfig):
             est = np.array([medium.x_ck[k] for k in ids])
             true = np.array([world[k] for k in ids])
             R, t, _ = align_procrustes(est, true)
-            t_end = next(iter(maps.values())).net.t
+            t_end = next(iter(maps.values())).net.state.t
             for k, err in zip(ids, np.linalg.norm(est @ R.T + t - true, axis=1)):
                 metrics.landmark_errors[k] = [(t_end, float(err))]
 

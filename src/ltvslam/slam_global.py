@@ -109,20 +109,18 @@ class GlobalState:
     def n_landmarks(self) -> int:
         return len(self.landmark_ids)
 
-    def _block(self, index: int) -> slice:
-        return slice(self.dim * index, self.dim * (index + 1))
-
     @property
     def vehicle(self) -> np.ndarray:
-        return self.state.x[self._block(self.n_landmarks)]
+        return self.state.x[self.dim * self.n_landmarks:]
 
     def estimates(self) -> Estimates:
         """Landmark and vehicle positions with their diagonal covariance blocks."""
-        n, P = self.n_landmarks, self.state.P
-        blocks = [P[self._block(i), self._block(i)] for i in range(n + 1)]
-        return Estimates.stack(self.state.t, self.landmark_ids,
-                               self.state.x[:self.dim * n], blocks[:n], self.dim,
-                               vehicle=(self.vehicle, blocks[n]))
+        n, d = self.n_landmarks, self.dim
+        i = np.arange(n + 1)
+        blocks = self.state.P.reshape(n + 1, d, n + 1, d)[i, :, i]   # (n + 1, d, d)
+        return Estimates(self.state.t, list(self.landmark_ids),
+                         self.state.x[:d * n].reshape(n, d), blocks[:n],
+                         (self.vehicle, blocks[n]))
 
 
 def init_global(x_v0: np.ndarray, beta0: float = 0.0) -> GlobalState:

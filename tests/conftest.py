@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltvslam import vmeas
-from ltvslam.core import RobotInputs, skew
+from ltvslam.core import FilterState, RobotInputs, skew
 from ltvslam.slam_local import SensorBundle
 
 
@@ -48,6 +48,16 @@ def scalar_rows(case, bundle, inputs, r_hint=None):
     if case == 4:
         return vmeas.case4(bundle.bearing, bundle.ttc, inputs)
     return vmeas.case5(bundle.doppler, inputs)
+
+
+def seed_map(est, states):
+    """Give a pair or local map the filters ``{id: FilterState}``: its id
+    table in the given order and one stack of their rows, at the map's time."""
+    n = est.state.dim
+    est.ids = {lid: i for i, lid in enumerate(states)}
+    est.state = FilterState._derived(
+        np.array([s.x for s in states.values()]).reshape(-1, n),
+        np.array([s.P for s in states.values()]).reshape(-1, n, n), est.state.t)
 
 
 def random_state_and_inputs(rng, dim=2, r_lo=1.0, r_hi=50.0, u_min=0.2):

@@ -11,18 +11,19 @@ from ltvslam.coop import (NNFeature, RobotMap, RobotTick, coop_step,
                           coordinate_k_star, medium_update, nn_features,
                           null_rotation_full, null_translation)
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
-from ltvslam.dunk import DunkNetwork, LandmarkPairState, dunk_step
+from ltvslam.dunk import DunkNetwork, dunk_step
 from ltvslam.kalman import FilterConfig
 from ltvslam.runner import RunConfig, make_coop_maps
 
-from conftest import exact_bundle
+from conftest import exact_bundle, seed_map
 
 
 def seeded_map(positions, vehicle=(0.0, 0.0)):
     net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
-    for k, p in positions.items():
-        x = np.concatenate([np.asarray(p, float), np.asarray(vehicle, float)])
-        net.pairs[k] = LandmarkPairState(FilterState(x, np.eye(4)))
+    seed_map(net, {k: FilterState(np.concatenate([np.asarray(p, float),
+                                                  np.asarray(vehicle, float)]),
+                                  np.eye(4))
+                   for k, p in positions.items()})
     return RobotMap(net=net)
 
 
@@ -178,16 +179,17 @@ def test_robots_only_self_pair_starts_correlated_and_stays_tied(monkeypatch):
         medium = coop_step(maps, ticks, "robots_only", medium)
         if n == 0:
             monkeypatch.undo()
-            # robot 1's first step holds its self pair (id 1, the first of
-            # its sorted pairs) at the prior
-            P_v = maps[1].net.vehicle_prior_P
-            assert np.array_equal(stepped[0].x[0], np.zeros(4))
-            assert np.array_equal(stepped[0].P[0], np.block(
+            # robot 1's first step holds its self pair (id 1, made after
+            # the pair of the robot it sees) at the prior
+            P_v, row = maps[1].net.vehicle_prior_P, maps[1].net.ids[1]
+            assert row == 1
+            assert np.array_equal(stepped[0].x[row], np.zeros(4))
+            assert np.array_equal(stepped[0].P[row], np.block(
                 [[P_v, 0.9 * P_v], [0.9 * P_v, P_v]]))
         for i, m in maps.items():
             assert sorted(m.net.pairs) == [1, 2]
             own = m.net.pairs[i]
-            assert np.linalg.norm(own.x_landmark - own.x_vehicle) < 1e-6
+            assert np.linalg.norm(own.state.x[:2] - own.state.x[2:]) < 1e-6
             P = own.state.P
             corr = P[0, 2] / math.sqrt(P[0, 0] * P[2, 2])
             assert corr > 0.999

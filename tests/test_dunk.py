@@ -10,48 +10,63 @@ from ltvslam.coop import coop_step
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
 from ltvslam.dunk import (Consensus, DunkNetwork, LandmarkPairState, consensus,
                           dunk_step, feedback_measurement, init_pair,
-                          pair_measurement)
-from ltvslam.kalman import FilterConfig
+                          pair_measurement, pair_tick)
+from ltvslam.kalman import DivergenceError, FilterConfig
 from ltvslam.runner import RunConfig, make_coop_maps
 from ltvslam.slam_local import SensorBundle
 
-from conftest import exact_bundle
+from conftest import exact_bundle, seed_map
 
 
 def make_pair(x_lm, x_v, sigma_v=1.0):
     P = np.eye(4)
     P[2:, 2:] = sigma_v * np.eye(2)
-    return LandmarkPairState(FilterState(np.concatenate([x_lm, x_v]), P))
+    return FilterState(np.concatenate([x_lm, x_v]), P)
 
 
-def test_pair_state_block_accessors():
-    p = make_pair(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.allclose(p.x_landmark, [1.0, 2.0])
-    assert np.allclose(p.x_vehicle, [3.0, 4.0])
-    assert p.sigma_vehicle.shape == (2, 2)
-    with pytest.raises(ValueError):
-        LandmarkPairState(FilterState(np.zeros(3), np.eye(3)))
+def make_net(pairs, **kwargs):
+    """A pair map holding ``pairs`` ({id: pair FilterState}) as its rows."""
+    net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01), **kwargs)
+    seed_map(net, pairs)
+    return net
+
+
+def test_pairs_view_the_stack_rows():
+    # each pair record holds its id's row of the stack, in first-sighting
+    # order; the dict is built on each read, so editing it changes no map
+    net = make_net({7: make_pair(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
+                    3: make_pair(np.zeros(2), np.array([5.0, 6.0]), sigma_v=2.0)})
+    pairs = net.pairs
+    assert list(pairs) == [7, 3]
+    for lid, p in pairs.items():
+        assert isinstance(p, LandmarkPairState)
+        assert np.array_equal(p.state.x, net.state.x[net.ids[lid]])
+        assert np.array_equal(p.state.P, net.state.P[net.ids[lid]])
+        assert p.state.t == net.state.t
+    pairs[9] = pairs.pop(7)
+    assert list(net.pairs) == [7, 3] and net.ids == {7: 0, 3: 1}
+    assert net.state.x.shape == (2, 4)
 
 
 def test_consensus_equal_weights_is_midpoint():
-    pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
-             2: make_pair(np.zeros(2), np.array([2.0, 0.0]))}
-    c = consensus(pairs, {1, 2})
+    net = make_net({1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
+                    2: make_pair(np.zeros(2), np.array([2.0, 0.0]))})
+    c = consensus(net, {1, 2})
     assert np.allclose(c.x_vc, [1.0, 0.0], atol=1e-8)
 
 
 def test_consensus_information_weighted():
-    pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0]), sigma_v=1.0),
-             2: make_pair(np.zeros(2), np.array([5.0, 0.0]), sigma_v=4.0)}
-    c = consensus(pairs, {1, 2})
+    net = make_net({1: make_pair(np.zeros(2), np.array([0.0, 0.0]), sigma_v=1.0),
+                    2: make_pair(np.zeros(2), np.array([5.0, 0.0]), sigma_v=4.0)})
+    c = consensus(net, {1, 2})
     assert np.allclose(c.x_vc, [1.0, 0.0], atol=1e-6)
 
 
 def test_consensus_single_pair_and_empty():
-    pairs = {1: make_pair(np.zeros(2), np.array([7.0, -1.0]))}
-    c = consensus(pairs, {1})
+    net = make_net({1: make_pair(np.zeros(2), np.array([7.0, -1.0]))})
+    c = consensus(net, {1})
     assert np.allclose(c.x_vc, [7.0, -1.0], atol=1e-8)
-    assert consensus(pairs, set()) is None
+    assert consensus(net, set()) is None
 
 
 def test_consensus_is_quadratic_minimizer(rng):
@@ -62,14 +77,14 @@ def test_consensus_is_quadratic_minimizer(rng):
         P = np.eye(4)
         P[2:, 2:] = M @ M.T + 0.1 * np.eye(2)
         x = rng.normal(size=4)
-        pairs[lid] = LandmarkPairState(FilterState(x, P))
-    c = consensus(pairs, pairs.keys())
+        pairs[lid] = FilterState(x, P)
+    c = consensus(make_net(pairs), pairs.keys())
     A = np.zeros((2, 2))
     b = np.zeros(2)
     for p in pairs.values():
-        W = np.linalg.inv(p.sigma_vehicle)
+        W = np.linalg.inv(p.P[2:, 2:])
         A += W
-        b += W @ p.x_vehicle
+        b += W @ p.x[2:]
     assert np.allclose(c.x_vc, np.linalg.solve(A, b), atol=1e-8)
     assert np.allclose(c.covariance, np.linalg.inv(A), atol=1e-8)
 
@@ -80,17 +95,19 @@ def test_consensus_covariance_is_exactly_symmetric(rng):
         M = rng.normal(size=(2, 2))
         P = np.eye(4)
         P[2:, 2:] = M @ M.T + 0.1 * np.eye(2)
-        pairs[lid] = LandmarkPairState(FilterState(rng.normal(size=4), P))
-    cov = consensus(pairs, pairs.keys()).covariance
+        pairs[lid] = FilterState(rng.normal(size=4), P)
+    cov = consensus(make_net(pairs), pairs.keys()).covariance
     assert np.array_equal(cov, cov.T)
 
 
 def test_consensus_permutation_invariant():
+    # the sums run in id order, whatever the observed order or the row order
     pairs = {i: make_pair(np.zeros(2), np.array([float(i), 0.0]),
                           sigma_v=1.0 + i) for i in range(4)}
-    a = consensus(pairs, [0, 1, 2, 3])
-    b = consensus(pairs, [3, 1, 0, 2])
-    assert np.array_equal(a.x_vc, b.x_vc)
+    a = consensus(make_net(pairs), [0, 1, 2, 3])
+    b = consensus(make_net(pairs), [3, 1, 0, 2])
+    c = consensus(make_net(dict(reversed(pairs.items()))), [0, 1, 2, 3])
+    assert np.array_equal(a.x_vc, b.x_vc) and np.array_equal(a.x_vc, c.x_vc)
 
 
 def test_feedback_measurement_rows():
@@ -160,27 +177,35 @@ def _capture_init_pair(monkeypatch):
 
 def test_init_pair_uses_all_pairs_consensus(monkeypatch):
     # a tick's new pairs start at the consensus of the pairs it began with
-    net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
-    net.pairs = {1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
-                 2: make_pair(np.zeros(2), np.array([4.0, 0.0]))}
+    net = make_net({1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
+                    2: make_pair(np.zeros(2), np.array([4.0, 0.0]))})
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=2.0))
     made = _capture_init_pair(monkeypatch)
     dunk_step(net, 0.0, 0.0, {3: bundle, 4: bundle})
     assert len(made) == 2
     for p in made:
-        assert np.allclose(p.x_vehicle, [2.0, 0.0], atol=1e-6)
-        assert np.allclose(p.x_landmark, [2.0, 2.0], atol=1e-6)
-        assert np.allclose(p.sigma_vehicle, 0.5 * np.eye(2), atol=1e-6)
+        assert np.allclose(p.x[2:], [2.0, 0.0], atol=1e-6)
+        assert np.allclose(p.x[:2], [2.0, 2.0], atol=1e-6)
+        assert np.allclose(p.P[2:, 2:], 0.5 * np.eye(2), atol=1e-6)
+    assert list(net.ids) == [1, 2, 3, 4]   # new rows go after the map's own
 
 
 def test_init_pair_first_ever_uses_prior():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=5.0))
     p = init_pair(bundle, (np.array([1.0, 1.0]), np.eye(2)), beta_hat=0.0)
-    assert np.allclose(p.x_vehicle, [1.0, 1.0])
-    assert np.allclose(p.x_landmark, [1.0, 6.0])
-    assert np.array_equal(p.sigma_vehicle, np.eye(2))
+    assert np.allclose(p.x[2:], [1.0, 1.0])
+    assert np.allclose(p.x[:2], [1.0, 6.0])
+    assert np.array_equal(p.P[2:, 2:], np.eye(2))
+
+
+def test_init_pair_checks_the_new_row():
+    # a new row enters the map through the checked FilterState constructor
+    bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
+                          range=vmeas.RangeObs(r=5.0))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        init_pair(bundle, (np.zeros(2), -np.eye(2)), beta_hat=0.0)
 
 
 def test_every_pair_of_a_tick_starts_at_one_prior(monkeypatch):
@@ -192,8 +217,9 @@ def test_every_pair_of_a_tick_starts_at_one_prior(monkeypatch):
     dunk_step(net, 1.0, 0.2, obs)
     assert len(made) == 6
     for p in made:
-        assert np.array_equal(p.x_vehicle, net.vehicle_prior_x)
-        assert np.array_equal(p.sigma_vehicle, net.vehicle_prior_P)
+        assert np.array_equal(p.x[2:], net.vehicle_prior_x)
+        assert np.array_equal(p.P[2:, 2:], net.vehicle_prior_P)
+    assert net.state.x.shape == (6, 4) and net.state.t == 0.01   # new rows, one step
 
 
 def test_consensus_runs_at_most_twice_per_map_per_tick(monkeypatch):
@@ -253,12 +279,10 @@ def test_identical_pairs_stay_identical():
 
 
 def test_dunk_step_no_observations_no_motion_is_identity():
-    net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
-    net.pairs[1] = make_pair(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+    net = make_net({1: make_pair(np.array([1.0, 2.0]), np.array([0.5, 0.5]))})
     x_before = net.pairs[1].state.x.copy()
     dunk_step(net, 0.0, 0.0, {})
-    assert np.allclose(net.pairs[1].x_landmark, x_before[:2], atol=1e-12)
-    assert np.allclose(net.pairs[1].x_vehicle, x_before[2:], atol=1e-12)
+    assert np.allclose(net.pairs[1].state.x, x_before, atol=1e-12)
 
 
 def test_unobserved_pairs_follow_the_consensus():
@@ -268,11 +292,12 @@ def test_unobserved_pairs_follow_the_consensus():
     inputs_bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                                  range=vmeas.RangeObs(r=4.0))
     dunk_step(net, 0.0, 0.0, {1: inputs_bundle, 2: inputs_bundle})
-    net.pairs[2] = make_pair(np.array([9.0, 9.0]), np.array([5.0, 5.0]),
-                             sigma_v=100.0)
+    seed_map(net, {1: net.pairs[1].state,
+                   2: make_pair(np.array([9.0, 9.0]), np.array([5.0, 5.0]),
+                                sigma_v=100.0)})
     for _ in range(300):
         dunk_step(net, 0.0, 0.0, {1: inputs_bundle})
-    gap = np.linalg.norm(net.pairs[2].x_vehicle - net.pairs[1].x_vehicle)
+    gap = np.linalg.norm(net.pairs[2].state.x[2:] - net.pairs[1].state.x[2:])
     assert gap < 0.05
 
 
@@ -293,4 +318,43 @@ def test_dunk_noise_free_scene_converges():
                for lid, lm in landmarks.items()}
         dunk_step(net, u, omega_m, obs)
     for lid, lm in landmarks.items():
-        assert np.linalg.norm(net.pairs[lid].x_landmark - lm) < 0.05
+        assert np.linalg.norm(net.pairs[lid].state.x[:2] - lm) < 0.05
+
+
+def test_a_divergence_names_the_landmark_not_its_row():
+    net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
+    bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
+                          range=vmeas.RangeObs(r=4.0))
+    obs = {7: bundle, 3: bundle, 5: bundle}
+    dunk_step(net, 1.0, 0.0, obs)
+    with pytest.raises(DivergenceError, match=r"^landmark 5 diverged at t=0\.02$"):
+        pair_tick(net, 1.0, 0.0, obs, target_velocities={5: np.array([math.nan, 0.0])})
+
+
+def _count_filter_states(monkeypatch):
+    """Count the FilterState objects made, checked or derived."""
+    made = []
+    derived, post_init = FilterState._derived.__func__, FilterState.__post_init__
+    monkeypatch.setattr(FilterState, "_derived", classmethod(
+        lambda cls, *args: made.append(1) or derived(cls, *args)))
+    monkeypatch.setattr(FilterState, "__post_init__",
+                        lambda self: made.append(1) or post_init(self))
+    return made
+
+
+def test_a_steady_tick_makes_as_many_filter_states_at_any_map_size(monkeypatch):
+    # the map keeps the stack it steps: no record is made per pair
+    rng = np.random.default_rng(2)
+    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.3))
+    counts = []
+    for n in (10, 100):
+        angles, radii = rng.uniform(0.0, 2 * math.pi, n), rng.uniform(3.0, 20.0, n)
+        obs = {k: exact_bundle(r * np.array([math.sin(a), math.cos(a)]), inputs)
+               for k, (a, r) in enumerate(zip(angles, radii))}
+        net = DunkNetwork(case=2, cfg=FilterConfig(dt=0.01))
+        dunk_step(net, 1.0, 0.3, obs)   # creates every pair
+        made = _count_filter_states(monkeypatch)
+        dunk_step(net, 1.0, 0.3, obs)
+        monkeypatch.undo()
+        counts.append(len(made))
+    assert counts[0] == counts[1] > 0

@@ -192,7 +192,7 @@ def test_dim_of_a_stack_is_each_filters():
                                   (4, np.zeros((2, 2)))])
 def test_an_empty_map_steps_to_an_empty_map(n, A):
     # a map without filters (no sightings yet) still makes its one step
-    empty = FilterState._stack([], 0.0, n)
+    empty = FilterState._derived(np.zeros((0, n)), np.zeros((0, n, n)), 0.0)
     new = ode_step(empty, A, np.zeros((0, n)), None, None, FilterConfig(dt=0.01))
     assert new.x.shape == (0, n) and new.P.shape == (0, n, n)
 

@@ -128,6 +128,15 @@ def test_monte_carlo_port_case4_needs_the_radial_row_in_every_sample():
                                   n=200)
 
 
+def test_monte_carlo_port_case4_rejects_samples_that_all_lack_the_radial_row():
+    # the range to (3, 0) is not changing under u = (0, 1): no sample has a
+    # time-to-contact reading, and Case I's statistics are not Case IV's
+    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
+    with pytest.raises(ValueError, match="Case IV"):
+        noisecal.monte_carlo_port(4, np.array([3.0, 0.0]), inputs,
+                                  noisecal.NoiseSpec(sigma_theta=0.01), n=200)
+
+
 def test_noise_spec_rejects_negative():
     with pytest.raises(ValueError):
         noisecal.NoiseSpec(sigma_theta=-0.1)

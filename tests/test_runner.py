@@ -364,7 +364,7 @@ def test_diverged_run_still_writes_metrics(tmp_path, monkeypatch):
     def diverge_on_tick_50(net, *args):
         calls.append(None)
         if len(calls) == 50:
-            raise DivergenceError(f"filter diverged at t={net.t:g}")
+            raise DivergenceError(f"filter diverged at t={net.state.t:g}")
         return real_step(net, *args)
 
     monkeypatch.setattr(runner_mod, "dunk_step", diverge_on_tick_50)

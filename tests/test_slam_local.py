@@ -7,12 +7,12 @@ import pytest
 
 from ltvslam import noisecal, vmeas
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
-from ltvslam.kalman import FilterConfig
+from ltvslam.kalman import DivergenceError, FilterConfig
 from ltvslam.noisecal import NoiseSpec
 from ltvslam.slam_local import (LocalLandmarkFilter, LocalMap, SensorBundle,
                                 build_measurement, init_landmark)
 
-from conftest import exact_bundle
+from conftest import exact_bundle, seed_map
 
 
 def circle_pose(t, radius=5.0, omega=0.5):
@@ -32,7 +32,7 @@ def run_noise_free(case, landmarks, duration=10.0, dt=0.01):
             x_body = body_from_global(beta) @ (np.asarray(lm) - pos)
             obs[lid] = exact_bundle(x_body, inputs)
         lmap.step(inputs, obs)
-    pos, beta, _ = circle_pose(lmap.t)
+    pos, beta, _ = circle_pose(lmap.state.t)
     T = body_from_global(beta)
     return {lid: np.linalg.norm(lmap.filters[lid].state.x
                                 - T @ (np.asarray(lm) - pos))
@@ -71,7 +71,7 @@ def test_noisy_convergence_below_decimeter():
                     r=max(clean.range.r + rng.normal(0, noise.sigma_r), 0.0),
                     sigma_r=noise.sigma_r))
         lmap.step(inputs, obs)
-    pos, beta, _ = circle_pose(lmap.t)
+    pos, beta, _ = circle_pose(lmap.state.t)
     T = body_from_global(beta)
     for lid, lm in LANDMARKS.items():
         err = np.linalg.norm(lmap.filters[lid].state.x - T @ (np.asarray(lm) - pos))
@@ -81,31 +81,60 @@ def test_noisy_convergence_below_decimeter():
 def test_init_landmark_bearing_prior_on_the_ray():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.3))
     f = init_landmark(case=1, bundle=bundle)
-    r0 = np.linalg.norm(f.state.x)
+    r0 = np.linalg.norm(f.x)
     assert r0 == pytest.approx(noisecal.R_MAX / 2)      # 50 m
-    assert math.atan2(f.state.x[0], f.state.x[1]) == pytest.approx(0.3)
+    assert math.atan2(f.x[0], f.x[1]) == pytest.approx(0.3)
 
 
 def test_init_landmark_with_range_uses_it():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=7.0, sigma_r=0.5))
     f = init_landmark(case=2, bundle=bundle)
-    assert np.allclose(f.state.x, [0.0, 7.0])
-    assert f.state.P[0, 0] == pytest.approx(0.25)
+    assert np.allclose(f.x, [0.0, 7.0])
+    assert f.P[0, 0] == pytest.approx(0.25)
 
 
 def test_init_landmark_case5_starts_at_origin_wide():
     f = init_landmark(case=5, bundle=None)
-    assert np.allclose(f.state.x, 0.0)
-    assert f.state.P[0, 0] == 100.0
+    assert np.allclose(f.x, 0.0)
+    assert f.P[0, 0] == 100.0
 
 
 def test_unobserved_landmark_gets_prediction_only():
     inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
     lmap = LocalMap(case=2, cfg=FilterConfig(dt=0.01))
-    lmap.filters[7] = LocalLandmarkFilter(FilterState(np.array([0.0, 5.0]), np.eye(2)))
+    seed_map(lmap, {7: FilterState(np.array([0.0, 5.0]), np.eye(2))})
     lmap.step(inputs, {})
     assert np.allclose(lmap.filters[7].state.x, [0.0, 4.99])   # drifts by -u dt
+
+
+def test_filters_view_the_stack_rows():
+    # each filter record holds its id's row of the stack, in first-sighting
+    # order; the dict is built on each read, so editing it changes no map
+    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.2))
+    lmap = LocalMap(case=2, cfg=FilterConfig(dt=0.01))
+    lmap.step(inputs, {5: exact_bundle(np.array([1.0, 4.0]), inputs)})
+    lmap.step(inputs, {2: exact_bundle(np.array([-2.0, 3.0]), inputs),
+                       5: exact_bundle(np.array([1.0, 4.0]), inputs)})
+    filters = lmap.filters
+    assert list(filters) == [5, 2] and lmap.ids == {5: 0, 2: 1}
+    for lid, f in filters.items():
+        assert isinstance(f, LocalLandmarkFilter)
+        assert np.array_equal(f.state.x, lmap.state.x[lmap.ids[lid]])
+        assert np.array_equal(f.state.P, lmap.state.P[lmap.ids[lid]])
+        assert f.state.t == lmap.state.t == 0.02
+    del filters[5]
+    assert list(lmap.filters) == [5, 2] and lmap.state.x.shape == (2, 2)
+
+
+def test_a_divergence_names_the_landmark_not_its_row():
+    # landmark 3's row (row 1) has a non-finite estimate
+    inputs = RobotInputs(u=np.array([0.0, 1.0]), omega=skew(0.0))
+    lmap = LocalMap(case=2, cfg=FilterConfig(dt=0.01))
+    seed_map(lmap, {8: FilterState(np.array([0.0, 5.0]), np.eye(2)),
+                    3: FilterState._derived(np.array([math.nan, 5.0]), np.eye(2), 0.0)})
+    with pytest.raises(DivergenceError, match=r"^landmark 3 diverged at t=0\.01$"):
+        lmap.step(inputs, {})
 
 
 def test_build_measurement_rejects_unknown_case():
