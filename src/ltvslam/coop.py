@@ -20,13 +20,13 @@ robots) and hands it to the shared pair tick.  Three modes:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import heading_forward
 from .dunk import DunkNetwork, Drift, pair_tick
+from .kalman import DivergenceError
 
 #: 90-degree rotation used in every heading-error descent formula.
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -70,6 +70,12 @@ class MediumState:
     x_ck: dict          # landmark id -> average position over observers
     c_k: dict           # landmark id -> average NN feature over agreeing robots
     k_star: dict        # landmark id -> coordinated nearest-neighbor id
+    rows: dict          # robot id -> its row of the stack (landmark_stack)
+    X: np.ndarray       # (R, K, 2) the stack's positions
+    seen: np.ndarray    # (R, K) which robot holds which landmark
+    xck: np.ndarray     # (K, 2) x_ck by column
+    agreeing: np.ndarray  # (R, K, 2) NN features agreeing with k*, else 0
+    ck: np.ndarray      # (K, 2) c_k by column, 0 where none
     features: dict = field(default_factory=dict)  # robot id -> its NN features
     e_c: float = 0.0
     e_h: float = 0.0
@@ -90,159 +96,139 @@ class RobotTick:
 # Medium variables
 # ---------------------------------------------------------------------------
 
-def nn_features(pos: dict[int, np.ndarray]) -> dict[int, NNFeature]:
-    """Per landmark of one map's positions, the vector to its nearest neighbor."""
-    if len(pos) < 2:
-        return {}
-    ids = sorted(pos)   # ties go to the lowest id
-    X = np.array([pos[k] for k in ids])
-    dist = np.linalg.norm(X[:, None] - X[None], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    nearest = dict(zip(ids, np.argmin(dist, axis=1)))
-    return {k: NNFeature(neighbor=ids[nearest[k]], a=x - X[nearest[k]])
-            for k, x in pos.items()}
+def landmark_stack(maps: dict[int, RobotMap]
+                   ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+    """Read each map once: ``(positions, ids, X, seen)``.
 
-
-def coordinate_k_star(all_feats: dict[int, dict[int, NNFeature]]) -> dict[int, int]:
-    """The medium's ruling on each landmark's true nearest neighbor.
-
-    Among all robots reporting a feature for landmark k, the neighbor
-    claimed by the robot with the smallest ||a_ik|| wins; ties break
-    toward the lowest robot id.
+    ``positions`` maps each robot id, in sorted order, to its landmark
+    positions.  The stack has one row per robot in that order and one
+    column per mapped landmark: ``ids`` (K,) holds the landmark ids,
+    sorted; ``X`` (R, K, 2) the positions, 0 where the robot lacks the
+    landmark; and ``seen`` (R, K) marks which robot holds which landmark.
     """
-    k_star = {}
-    claims: dict[int, list] = {}
-    for i in sorted(all_feats):
-        for k, f in all_feats[i].items():
-            claims.setdefault(k, []).append((float(np.linalg.norm(f.a)), i, f.neighbor))
-    for k, entries in claims.items():
-        entries.sort()
-        k_star[k] = entries[0][2]
-    return k_star
+    positions = {i: maps[i].landmark_positions() for i in sorted(maps)}
+    ids = np.array(sorted(set().union(*positions.values())), dtype=int)
+    X = np.zeros((len(positions), ids.size, 2))
+    seen = np.zeros(X.shape[:2], dtype=bool)
+    for r, pos in enumerate(positions.values()):
+        if pos:
+            cols = ids.searchsorted(list(pos))
+            X[r, cols], seen[r, cols] = list(pos.values()), True
+    return positions, ids, X, seen
+
+
+def nn_features(X: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of the stack, the column of the nearest other landmark in the
+    same robot's map (ties to the lowest id) and the vector a to it.
+
+    A cell has no feature, column -1 and a = 0, where its robot lacks the
+    landmark or holds fewer than two.
+    """
+    K = X.shape[1]
+    dist = np.linalg.norm(X[:, :, None] - X[:, None], axis=3)
+    dist = np.where(seen[:, None, :] & ~np.eye(K, dtype=bool), dist, np.inf)
+    nearest = dist.argmin(axis=2)
+    has = seen & (seen.sum(axis=1) > 1)[:, None]
+    a = X - np.take_along_axis(X, nearest[..., None], axis=1)
+    return np.where(has, nearest, -1), np.where(has[..., None], a, 0.0)
 
 
 def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
-    """Recompute all medium variables from one read of each map's positions."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    positions = {i: m.landmark_positions() for i, m in maps.items()}
-    x_ic = {i: np.mean(list(pos.values()), axis=0)   # centers of non-empty maps
-            for i, pos in positions.items() if pos}
-    x_cc = np.mean(list(x_ic.values()), axis=0) if x_ic else None
-    observers: dict[int, list] = {}
-    for pos in positions.values():
-        for k, x in pos.items():
-            observers.setdefault(k, []).append(x)
-    x_ck = {k: np.mean(xs, axis=0) for k, xs in observers.items()}
-    feats, k_star, c_k = {}, {}, {}   # read by the partial mode only
-    if mode == "partial":
-        feats = {i: nn_features(pos) for i, pos in positions.items()}
-        k_star = coordinate_k_star(feats)
-        for k, kstar in k_star.items():
-            agreeing = [feats[i][k].a for i in sorted(feats)
-                        if k in feats[i] and feats[i][k].neighbor == kstar]
-            if agreeing:
-                c_k[k] = np.mean(agreeing, axis=0)
-    e_c, e_h = heading_errors(positions, x_ic, feats, mode)
-    return MediumState(positions=positions, x_ic=x_ic, x_cc=x_cc, x_ck=x_ck,
-                       c_k=c_k, k_star=k_star, features=feats, e_c=e_c, e_h=e_h)
+    """Recompute all medium variables from one read of each map's positions.
 
-
-def heading_errors(pos: dict, x_ic: dict, feats: dict,
-                   mode: str) -> tuple[float, float]:
-    """Center error e_c and heading error e_h over all robot pairs.
-
-    Takes per-robot landmark positions, map centers and NN features.
+    Each is a masked reduction over the stack of :func:`landmark_stack`.
+    The center error e_c and heading error e_h sum over all robot pairs.
     With partial visibility per-map centers differ even on a perfectly
     merged map (each robot averages a different landmark subset), so the
     partial-mode e_c compares commonly mapped landmarks instead; its e_h
     compares nearest-neighbor features only between robots agreeing on
-    the neighbor, since the features are undefined otherwise.
+    the neighbor, since the features are undefined otherwise.  The
+    partial mode also rules on each landmark's nearest neighbor k*: among
+    the robots with a feature for landmark k, the one with the smallest
+    ||a_ik|| wins, ties to the lowest robot id; c_k averages the features
+    that agree with it.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    positions, ids, X, seen = landmark_stack(maps)
+    n = seen.sum(axis=1)
+    xic = X.sum(axis=1) / np.maximum(n, 1)[:, None]
+    xck = X.sum(axis=0) / seen.sum(axis=0)[:, None]   # every column has an observer
+    rows = {i: r for r, i in enumerate(positions)}
+    x_ic = {i: xic[r] for i, r in rows.items() if n[r]}   # centers of non-empty maps
+    x_cc = xic[n > 0].mean(axis=0) if n.any() else None
+    keys = ids.tolist()
+    row = np.arange(len(rows))
+    a, b = np.nonzero(row[:, None] < row)   # robot pairs
+    common = seen[a] & seen[b]
     e_c = e_h = 0.0
-    for i, j in itertools.combinations(sorted(pos), 2):
-        if mode == "partial":
-            for k in set(pos[i]) & set(pos[j]):
-                e_c += float(np.sum((pos[i][k] - pos[j][k]) ** 2))
-            for k in set(feats[i]) & set(feats[j]):
-                fi, fj = feats[i][k], feats[j][k]
-                if fi.neighbor == fj.neighbor:
-                    e_h += float(np.sum((fi.a - fj.a) ** 2))
-        elif i in x_ic and j in x_ic:
-            e_c += float(np.sum((x_ic[i] - x_ic[j]) ** 2))
-            for k in set(pos[i]) & set(pos[j]):
-                di = pos[i][k] - x_ic[i]
-                dj = pos[j][k] - x_ic[j]
-                e_h += float(np.sum((di - dj) ** 2))
-    return e_c, e_h
+    feats, k_star, c_k = {}, {}, {}
+    agreeing, ck = np.zeros_like(X), np.zeros_like(xck)   # read in partial mode only
+    if mode != "partial":
+        both = (n[a] > 0) & (n[b] > 0)
+        e_c = float(np.sum((xic[a] - xic[b])[both] ** 2))
+        D = X - xic[:, None]
+        e_h = float(np.sum((D[a] - D[b])[common] ** 2))
+    elif ids.size:   # the argmins need a landmark
+        e_c = float(np.sum((X[a] - X[b])[common] ** 2))
+        nearest, feat = nn_features(X, seen)
+        has = nearest >= 0
+        norm = np.where(has, np.linalg.norm(feat, axis=2), np.inf)
+        kstar = np.take_along_axis(nearest, norm.argmin(axis=0)[None], axis=0)[0]
+        agree = has & (nearest == kstar)
+        agreeing = np.where(agree[..., None], feat, 0.0)
+        ck = agreeing.sum(axis=0) / np.maximum(agree.sum(axis=0), 1)[:, None]
+        same = has[a] & has[b] & (nearest[a] == nearest[b])
+        e_h = float(np.sum((feat[a] - feat[b])[same] ** 2))
+        claimed = np.flatnonzero(has.any(axis=0))
+        k_star = {keys[c]: keys[kstar[c]] for c in claimed}
+        c_k = {keys[c]: ck[c] for c in claimed}
+        feats = {i: {keys[c]: NNFeature(keys[nearest[r, c]], feat[r, c])
+                     for c in np.flatnonzero(has[r])} for i, r in rows.items()}
+    return MediumState(positions=positions, x_ic=x_ic, x_cc=x_cc,
+                       x_ck=dict(zip(keys, xck)), c_k=c_k, k_star=k_star,
+                       features=feats, e_c=e_c, e_h=e_h, rows=rows, X=X,
+                       seen=seen, xck=xck, agreeing=agreeing, ck=ck)
 
 
 # ---------------------------------------------------------------------------
 # Null-space inputs
 # ---------------------------------------------------------------------------
 
-def null_translation(i: int, medium: MediumState, mode: str) -> np.ndarray:
-    """Translation input pulling robot i's map toward the medium."""
-    if mode in ("full", "robots_only"):
-        if medium.x_cc is None or i not in medium.x_ic:
-            return np.zeros(2)
-        return GAMMA_V * (medium.x_cc - medium.x_ic[i])
-    v = np.zeros(2)
-    for k, x_ik in medium.positions[i].items():
-        if k in medium.x_ck:
-            v += medium.x_ck[k] - x_ik
-    return GAMMA_V * v
-
-
-def _descent_rate(pairs) -> float:
-    """GAMMA_OMEGA * Sum a^T J c / Sum ||a|| ||c|| over (a, c) pairs; 0 if none."""
-    w, moment = 0.0, 0.0
-    for a, c in pairs:
-        w += float(a @ J @ c)
-        moment += float(np.linalg.norm(a) * np.linalg.norm(c))
-    return GAMMA_OMEGA * w / moment if moment > 0.0 else 0.0
-
-
-def null_rotation_full(i: int, medium: MediumState) -> float:
-    """Heading-error descent omega_i ~ Sum_k (x_ik - x_ic)^T J x_ck.
-
-    The raw torque scales with the squared map extent, so it is
-    normalized by the moment Sum ||x_ik - x_ic|| ||x_ck||: for a small
-    misalignment angle delta the result is about GAMMA_OMEGA * sin(delta),
-    an angular rate independent of map size (and stable for
-    GAMMA_OMEGA * dt << 1).
-    """
-    if i not in medium.x_ic:
-        return 0.0
-    x_ic = medium.x_ic[i]
-    return _descent_rate([
-        (x_ik - x_ic, medium.x_ck[k])
-        for k, x_ik in medium.positions[i].items() if k in medium.x_ck])
-
-
-def null_rotation_partial(i: int, medium: MediumState) -> float:
-    """omega_i ~ Sum_k a_ik^T J c_k over features agreeing with k*.
-
-    Uses the features the medium computed for robot i's map.  Normalized by
-    Sum ||a_ik|| ||c_k|| for the same scale-free angular rate as
-    :func:`null_rotation_full`.
-    """
-    return _descent_rate([
-        (f.a, medium.c_k[k])
-        for k, f in medium.features.get(i, {}).items()
-        if medium.k_star.get(k) == f.neighbor and k in medium.c_k])
+def _descent_rate(a: np.ndarray, c: np.ndarray) -> float:
+    """GAMMA_OMEGA * Sum a^T J c / Sum ||a|| ||c|| over the rows of a and c; 0 if none."""
+    moment = float(np.hypot(*a.T) @ np.hypot(*c.T))
+    return GAMMA_OMEGA * float(np.sum((a @ J) * c)) / moment if moment > 0.0 else 0.0
 
 
 def null_drift(i: int, medium: MediumState, mode: str) -> Drift:
-    """Robot i's null-space input: v_i, saturated omega_i and the rotation center."""
+    """Robot i's null-space input, read off its row of the medium's stack.
+
+    The translation v_i pulls the map toward the medium: by x_cc - x_ic,
+    or in the partial mode by Sum_k (x_ck - x_ik) over its landmarks.  The
+    rotation rate descends the heading error: omega_i ~ Sum_k
+    (x_ik - x_ic)^T J x_ck about the map center, or in the partial mode
+    Sum_k a_ik^T J c_k over its features agreeing with k* (the row's other
+    cells are 0 and add nothing) about the origin.  The raw torque scales
+    with the squared map extent, so it is normalized by the moment
+    Sum ||x_ik - x_ic|| ||x_ck|| (Sum ||a_ik|| ||c_k||): for a small
+    misalignment angle delta the rate is about GAMMA_OMEGA * sin(delta),
+    independent of map size (and stable for GAMMA_OMEGA * dt << 1).  It
+    saturates at OMEGA_MAX.
+    """
+    r = medium.rows[i]
+    s = medium.seen[r]
+    center = medium.x_ic.get(i)
     if mode == "partial":
-        w = null_rotation_partial(i, medium)
-        center = None   # partial-information rotation acts about the origin
+        v = np.sum(medium.xck[s] - medium.X[r, s], axis=0)
+        w = _descent_rate(medium.agreeing[r], medium.ck)
+        center = None
+    elif center is None:   # an empty map
+        v, w = np.zeros(2), 0.0
     else:
-        w = null_rotation_full(i, medium)
-        center = medium.x_ic.get(i)
-    return Drift(v=null_translation(i, medium, mode),
-                 omega=float(np.clip(w, -OMEGA_MAX, OMEGA_MAX)),
+        v = medium.x_cc - center
+        w = _descent_rate(medium.X[r, s] - center, medium.xck[s])
+    return Drift(v=GAMMA_V * v, omega=min(max(w, -OMEGA_MAX), OMEGA_MAX),
                  center=center)
 
 
@@ -267,13 +253,16 @@ def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
     for i in sorted(maps):
         m, tick = maps[i], ticks[i]
         drift = null_drift(i, medium, mode) if multi else None
+        self_id = targets = None
         if mode == "robots_only":
+            self_id = i
             targets = {k: tick.speeds[k] * heading_forward(
                            m.net.beta_hat + tick.heading_diffs[k])
                        for k in tick.speeds if k in tick.heading_diffs}
+        try:
             pair_tick(m.net, tick.u, tick.omega_m, tick.observations, drift,
-                      self_id=i, target_velocities=targets)
-        else:
-            pair_tick(m.net, tick.u, tick.omega_m, tick.observations, drift)
+                      self_id=self_id, target_velocities=targets)
+        except DivergenceError as err:
+            raise DivergenceError(f"robot {i}: {err}", err.row) from None
 
     return medium_update(maps, mode)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -159,10 +158,11 @@ def make_coop_maps(scenario, cfg: RunConfig) -> dict[int, coop_mod.RobotMap]:
 
 def map_discrepancy(maps: dict[int, coop_mod.RobotMap]) -> float:
     """Largest inter-robot disagreement on any commonly mapped landmark."""
-    pos = {i: m.landmark_positions() for i, m in maps.items()}
-    return max((float(np.linalg.norm(pos[a][k] - pos[b][k]))
-                for a, b in itertools.combinations(sorted(pos), 2)
-                for k in set(pos[a]) & set(pos[b])), default=0.0)
+    _, _, X, seen = coop_mod.landmark_stack(maps)
+    r = np.arange(len(X))
+    a, b = np.nonzero(r[:, None] < r)   # robot pairs
+    gaps = np.linalg.norm(X[a] - X[b], axis=2)[seen[a] & seen[b]]
+    return float(gaps.max(initial=0.0))
 
 
 def _setup(scenario, cfg: RunConfig):

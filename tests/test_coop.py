@@ -1,6 +1,8 @@
 """Cooperative multi-robot mapping through a shared medium."""
 
 import copy
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +10,12 @@ import pytest
 
 from ltvslam import coop, dunk, sim
 from ltvslam.coop import (NNFeature, RobotMap, RobotTick, coop_step,
-                          coordinate_k_star, medium_update, nn_features,
-                          null_rotation_full, null_translation)
+                          landmark_stack, medium_update, nn_features,
+                          null_drift)
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
 from ltvslam.dunk import DunkNetwork, dunk_step
-from ltvslam.kalman import FilterConfig
-from ltvslam.runner import RunConfig, make_coop_maps
+from ltvslam.kalman import DivergenceError, FilterConfig
+from ltvslam.runner import RunConfig, make_coop_maps, map_discrepancy
 
 from conftest import exact_bundle, seed_map
 
@@ -41,11 +43,13 @@ def test_centers_and_empty_maps():
 
 def test_nn_features():
     m = seeded_map({1: (0.0, 0.0), 2: (1.0, 0.0), 3: (5.0, 0.0)})
-    feats = nn_features(m.landmark_positions())
-    assert feats[1].neighbor == 2
-    assert feats[3].neighbor == 2
-    assert np.allclose(feats[3].a, [4.0, 0.0])
-    assert nn_features({1: np.zeros(2)}) == {}
+    _, ids, X, seen = landmark_stack({1: m, 2: seeded_map({4: (0.0, 0.0)})})
+    nearest, a = nn_features(X, seen)
+    assert list(ids[nearest[0, :3]]) == [2, 1, 2]
+    assert np.allclose(a[0, 2], [4.0, 0.0])
+    # robot 1 lacks landmark 4; robot 2 holds one landmark: no features
+    assert nearest[0, 3] == -1 and list(nearest[1]) == [-1, -1, -1, -1]
+    assert not a[0, 3].any() and not a[1].any()
 
 
 def test_nn_features_match_the_pairwise_loop(rng):
@@ -54,26 +58,190 @@ def test_nn_features_match_the_pairwise_loop(rng):
     # an exact tie, far from the rest: 20's neighbor is the lower id, 21
     pos.update({22: np.array([99.0, 100.0]), 20: np.array([100.0, 100.0]),
                 21: np.array([101.0, 100.0])})
-    feats = nn_features(pos)
-    assert list(feats) == list(pos)
-    for k, xk in pos.items():
-        best = min((kp for kp in sorted(pos) if kp != k),
-                   key=lambda kp: float(np.linalg.norm(xk - pos[kp])))
-        assert feats[k].neighbor == best
-        assert np.array_equal(feats[k].a, xk - pos[best])
+    other = {k: rng.uniform(-10.0, 10.0, size=2) for k in (9, 4, 20, 2)}
+    _, ids, X, seen = landmark_stack({1: seeded_map(pos), 2: seeded_map(other)})
+    nearest, a = nn_features(X, seen)
+    for r, p in enumerate((pos, other)):
+        for k, xk in p.items():
+            best = min((kp for kp in sorted(p) if kp != k),
+                       key=lambda kp: float(np.linalg.norm(xk - p[kp])))
+            c = list(ids).index(k)
+            assert ids[nearest[r, c]] == best
+            assert np.array_equal(a[r, c], xk - p[best])
 
 
 def test_coordinate_k_star_shortest_claim_wins_then_lowest_robot():
-    all_feats = {
-        1: {7: NNFeature(8, np.array([3.0, 0.0]))},
-        2: {7: NNFeature(9, np.array([1.0, 0.0]))},
-    }
-    assert coordinate_k_star(all_feats)[7] == 9
-    tie = {
-        2: {7: NNFeature(8, np.array([1.0, 0.0]))},
-        1: {7: NNFeature(9, np.array([1.0, 0.0]))},
-    }
-    assert coordinate_k_star(tie)[7] == 9   # robot 1's claim breaks the tie
+    maps = {1: seeded_map({7: (0.0, 0.0), 8: (3.0, 0.0)}),
+            2: seeded_map({7: (0.0, 0.0), 9: (1.0, 0.0)})}
+    assert medium_update(maps, "partial").k_star[7] == 9
+    tie = {2: seeded_map({7: (0.0, 0.0), 8: (1.0, 0.0)}),
+           1: seeded_map({7: (0.0, 0.0), 9: (0.0, 1.0)})}
+    assert medium_update(tie, "partial").k_star[7] == 9   # robot 1's claim breaks the tie
+
+
+# ---------------------------------------------------------------------------
+# The medium as per-landmark loops, kept as the reference for the stack
+# ---------------------------------------------------------------------------
+
+def loop_nn_features(pos):
+    if len(pos) < 2:
+        return {}
+    ids = sorted(pos)
+    X = np.array([pos[k] for k in ids])
+    dist = np.linalg.norm(X[:, None] - X[None], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    nearest = dict(zip(ids, np.argmin(dist, axis=1)))
+    return {k: NNFeature(neighbor=ids[nearest[k]], a=x - X[nearest[k]])
+            for k, x in pos.items()}
+
+
+def loop_medium(positions, mode):
+    """The medium variables from per-robot dicts, one landmark at a time."""
+    x_ic = {i: np.mean(list(pos.values()), axis=0)
+            for i, pos in positions.items() if pos}
+    x_cc = np.mean(list(x_ic.values()), axis=0) if x_ic else None
+    observers = {}
+    for pos in positions.values():
+        for k, x in pos.items():
+            observers.setdefault(k, []).append(x)
+    x_ck = {k: np.mean(xs, axis=0) for k, xs in observers.items()}
+    feats, k_star, c_k = {}, {}, {}
+    if mode == "partial":
+        feats = {i: loop_nn_features(pos) for i, pos in positions.items()}
+        claims = {}
+        for i in sorted(feats):
+            for k, f in feats[i].items():
+                claims.setdefault(k, []).append(
+                    (float(np.linalg.norm(f.a)), i, f.neighbor))
+        k_star = {k: sorted(entries)[0][2] for k, entries in claims.items()}
+        for k, kstar in k_star.items():
+            c_k[k] = np.mean([feats[i][k].a for i in sorted(feats)
+                              if k in feats[i] and feats[i][k].neighbor == kstar],
+                             axis=0)
+    e_c = e_h = 0.0
+    for i, j in itertools.combinations(sorted(positions), 2):
+        pi, pj = positions[i], positions[j]
+        if mode == "partial":
+            for k in set(pi) & set(pj):
+                e_c += float(np.sum((pi[k] - pj[k]) ** 2))
+            for k in set(feats[i]) & set(feats[j]):
+                fi, fj = feats[i][k], feats[j][k]
+                if fi.neighbor == fj.neighbor:
+                    e_h += float(np.sum((fi.a - fj.a) ** 2))
+        elif i in x_ic and j in x_ic:
+            e_c += float(np.sum((x_ic[i] - x_ic[j]) ** 2))
+            for k in set(pi) & set(pj):
+                e_h += float(np.sum(((pi[k] - x_ic[i]) - (pj[k] - x_ic[j])) ** 2))
+    return dict(positions=positions, x_ic=x_ic, x_cc=x_cc, x_ck=x_ck, c_k=c_k,
+                k_star=k_star, features=feats, e_c=e_c, e_h=e_h)
+
+
+def loop_descent_rate(pairs):
+    w, moment = 0.0, 0.0
+    for a, c in pairs:
+        w += float(a @ coop.J @ c)
+        moment += float(np.linalg.norm(a) * np.linalg.norm(c))
+    return coop.GAMMA_OMEGA * w / moment if moment > 0.0 else 0.0
+
+
+def loop_drift(i, med, mode):
+    """Robot i's (v, omega, center) from the loop medium."""
+    if mode == "partial":
+        v = np.zeros(2)
+        for k, x_ik in med["positions"][i].items():
+            v += med["x_ck"][k] - x_ik
+        w = loop_descent_rate([(f.a, med["c_k"][k])
+                               for k, f in med["features"].get(i, {}).items()
+                               if med["k_star"].get(k) == f.neighbor])
+        center = None
+    else:
+        x_ic = med["x_ic"].get(i)
+        v = (np.zeros(2) if med["x_cc"] is None or x_ic is None
+             else med["x_cc"] - x_ic)
+        w = 0.0 if x_ic is None else loop_descent_rate(
+            [(x_ik - x_ic, med["x_ck"][k]) for k, x_ik in med["positions"][i].items()])
+        center = x_ic
+    return (coop.GAMMA_V * v, float(np.clip(w, -coop.OMEGA_MAX, coop.OMEGA_MAX)),
+            center)
+
+
+def assert_close(new, ref):
+    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12)
+
+
+def assert_dicts_close(new, ref):
+    assert sorted(new) == sorted(ref)
+    for k in ref:
+        assert_close(new[k], ref[k])
+
+
+def ragged_maps(rng, visible):
+    """Robot id -> a map of its landmarks at random positions, first
+    sighted in random order; the robots' maps do not agree."""
+    return {i: seeded_map({int(k): rng.uniform(-10.0, 10.0, size=2)
+                           for k in rng.permutation(sorted(ks))})
+            for i, ks in visible.items()}
+
+
+def tie_maps(rng):
+    # landmark 1: robot 2's neighbor 3 and robot 4's neighbor 2 are both
+    # 1 m away, and robot 4 is first in the dict: the lower robot id wins
+    return {4: seeded_map({1: (0.0, 0.0), 2: (1.0, 0.0), 5: (6.0, 6.0)}),
+            2: seeded_map({3: (0.0, 1.0), 1: (0.0, 0.0), 5: (-6.0, 5.0)}),
+            3: seeded_map({5: (2.0, 2.0)})}
+
+
+MAP_SETS = {
+    "overlapping": lambda rng: ragged_maps(rng, {1: range(1, 9), 3: range(4, 13),
+                                                 2: {1, 3, 5, 7, 9, 11}}),
+    "disjoint": lambda rng: ragged_maps(rng, {1: {1, 2, 3, 4}, 2: {5, 6, 7},
+                                              3: {8, 9, 10, 11, 12}}),
+    "one-empty": lambda rng: ragged_maps(rng, {1: range(1, 7), 2: set(),
+                                               3: range(3, 10)}),
+    "single": lambda rng: ragged_maps(rng, {1: range(1, 8)}),
+    "tie": tie_maps,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", coop.MODES)
+@pytest.mark.parametrize("maps_of", MAP_SETS.values(), ids=MAP_SETS.keys())
+def test_medium_and_drifts_match_the_landmark_loops(maps_of, mode, seed):
+    maps = maps_of(np.random.default_rng(seed))
+    med = medium_update(maps, mode)
+    ref = loop_medium({i: m.landmark_positions() for i, m in maps.items()}, mode)
+    assert med.positions.keys() == ref["positions"].keys()
+    for i, pos in ref["positions"].items():
+        assert_dicts_close(med.positions[i], pos)
+    for name in ("x_ic", "x_ck", "c_k"):
+        assert_dicts_close(getattr(med, name), ref[name])
+    if ref["x_cc"] is None:
+        assert med.x_cc is None
+    else:
+        assert_close(med.x_cc, ref["x_cc"])
+    assert med.k_star == ref["k_star"]
+    assert med.features.keys() == ref["features"].keys()
+    for i, feats in ref["features"].items():
+        assert {k: f.neighbor for k, f in med.features[i].items()} == {
+            k: f.neighbor for k, f in feats.items()}
+        assert_dicts_close({k: f.a for k, f in med.features[i].items()},
+                           {k: f.a for k, f in feats.items()})
+    assert_close([med.e_c, med.e_h], [ref["e_c"], ref["e_h"]])
+    for i in maps:
+        drift = null_drift(i, med, mode)
+        v, omega, center = loop_drift(i, ref, mode)
+        assert_close(drift.v, v)
+        assert_close(drift.omega, omega)
+        assert (drift.center is None) == (center is None)
+        if center is not None:
+            assert_close(drift.center, center)
+    if maps_of is tie_maps and mode == "partial":
+        assert med.k_star[1] == 3
+    pos = ref["positions"]
+    assert_close(map_discrepancy(maps), max(
+        (np.linalg.norm(pos[i][k] - pos[j][k])
+         for i, j in itertools.combinations(sorted(pos), 2)
+         for k in set(pos[i]) & set(pos[j])), default=0.0))
 
 
 def test_medium_update_averages_and_rejects_bad_mode():
@@ -113,15 +281,14 @@ def test_null_inputs_vanish_when_aligned_and_descend_otherwise():
     pos = {1: np.array([2.0, 0.0]), 2: np.array([-2.0, 0.0]),
            3: np.array([0.0, 2.0])}
     maps = {1: seeded_map(pos), 2: seeded_map(pos)}
-    med = medium_update(maps, "full")
-    assert np.allclose(null_translation(1, med, "full"), 0.0)
-    assert null_rotation_full(1, med) == pytest.approx(0.0, abs=1e-12)
+    drift = null_drift(1, medium_update(maps, "full"), "full")
+    assert np.allclose(drift.v, 0.0)
+    assert drift.omega == pytest.approx(0.0, abs=1e-12)
     # rotate map 2 slightly: its torque must oppose the misalignment
     delta = 0.1
     T = body_from_global(delta)   # clockwise by delta
     maps[2] = seeded_map({k: T @ p for k, p in pos.items()})
-    med = medium_update(maps, "full")
-    w = null_rotation_full(2, med)
+    w = null_drift(2, medium_update(maps, "full"), "full").omega
     assert w > 0.0                # counter-clockwise correction
     assert w == pytest.approx(coop.GAMMA_OMEGA * math.sin(delta / 2), rel=0.05)
 
@@ -200,7 +367,7 @@ def test_full_mode_builds_no_nn_features(monkeypatch):
     sc = sim.scenario_coop("full")
     maps = make_coop_maps(sc, RunConfig(mode="coop-full"))
     calls = []
-    monkeypatch.setattr(coop, "nn_features", lambda pos: calls.append(pos) or {})
+    monkeypatch.setattr(coop, "nn_features", lambda *stack: calls.append(stack))
     _, ticks = next(sim.ticks(sc, np.random.default_rng(0), sc.dt, 1))
     medium = coop_step(maps, ticks, "full")
     assert calls == []
@@ -225,6 +392,21 @@ def test_coop_step_reads_each_map_once(monkeypatch, mode):
         reads.clear()
         medium = coop_step(maps, ticks, mode, medium)
         assert sorted(map(id, reads)) == sorted(map(id, maps.values()))
+
+
+def test_a_coop_divergence_names_the_robot():
+    sc = sim.scenario_coop("robots_only")
+    maps = make_coop_maps(sc, RunConfig(mode="coop-robots"))
+    stream = sim.ticks(sc, np.random.default_rng(0), sc.dt, 2, robots_only=True)
+    medium = coop_step(maps, next(stream)[1], "robots_only")
+    _, ticks = next(stream)
+    i = sorted(ticks)[1]
+    k = next(iter(ticks[i].speeds))
+    ticks[i] = dataclasses.replace(ticks[i], speeds={**ticks[i].speeds, k: math.nan})
+    with pytest.raises(DivergenceError, match=rf"^robot {i}: landmark {k} "
+                                              rf"diverged at t={2 * sc.dt:g}$") as err:
+        coop_step(maps, ticks, "robots_only", medium)
+    assert err.value.row == maps[i].net.ids[k]
 
 
 def test_coop_step_rejects_unknown_mode():

@@ -14,7 +14,10 @@ the thread count.
 of a temporary directory.  ``--compare DIR`` reads the traces a kept
 directory holds and adds, per run, the largest |est - est_kept| in
 metres and the largest |var - var_kept| / |var_kept|, so the tolerance
-of a trace that moved can be stated and reproduced.
+of a trace that moved can be stated and reproduced.  It also adds the
+largest relative change of the non-timing floats of ``metrics.json``
+(``final_e_c``, ``final_e_h``, ``final_discrepancy_m`` and each landmark of
+``final_errors_m``) and the field it is in.
 
 Usage: python3 tools/trace_digests.py [--keep DIR] [--compare DIR]
 """
@@ -38,6 +41,7 @@ from ltvslam.sim import scenario_single_vehicle_2d  # noqa: E402
 
 DURATION_S = 4.0
 KEY = ("t", "robot", "entity", "id", "component")
+METRICS = ("final_e_c", "final_e_h", "final_discrepancy_m", "final_errors_m")
 
 
 def reference_runs(root: Path):
@@ -78,6 +82,25 @@ def deviation(trace: Path, kept: Path) -> str:
     return f"max|d est| {d_est:.2e} m  max rel|d var| {d_var:.2e}"
 
 
+def metrics_deviation(metrics: Path, kept: Path) -> str:
+    """Largest relative change of the ``METRICS`` floats against ``kept``."""
+    new, old = json.loads(metrics.read_text()), json.loads(kept.read_text())
+    worst, where = 0.0, ""
+    for key in METRICS:
+        a, b = new[key], old[key]
+        if isinstance(b, dict) and isinstance(a, dict) and a.keys() == b.keys():
+            pairs = [(f"{key}[{k}]", a[k], b[k]) for k in b]
+        elif isinstance(b, dict) or isinstance(a, dict) or (a is None) != (b is None):
+            return f"{key} differs in shape from the kept run"
+        else:
+            pairs = [] if b is None else [(key, a, b)]
+        for name, x, y in pairs:
+            rel = abs(x - y) / abs(y) if y else abs(x)
+            if rel > worst:
+                worst, where = rel, f" ({name})"
+    return f"max rel|d metric| {worst:.2e}{where}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", type=Path,
@@ -94,7 +117,10 @@ def main() -> None:
             trace = Path(cfg.out_dir, "trace.csv")
             line = f"{name} {hashlib.sha256(trace.read_bytes()).hexdigest()[:16]}"
             if args.compare is not None:
-                line += "  " + deviation(trace, args.compare / name / "trace.csv")
+                kept = args.compare / name
+                line += ("  " + deviation(trace, kept / "trace.csv") + "  "
+                         + metrics_deviation(Path(cfg.out_dir, "metrics.json"),
+                                             kept / "metrics.json"))
             print(line, flush=True)
 
 
