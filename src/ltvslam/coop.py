@@ -1,13 +1,13 @@
 """Multi-robot cooperative SLAM through a shared medium.
 
-Each robot runs its own pair-filter map in its own coordinate frame,
-stepped by :func:`ltvslam.dunk.pair_tick`.  Because no global
+Each robot runs its own pair-filter map in its own coordinate frame, all
+stepped at once by :func:`ltvslam.dunk.pair_tick`.  Because no global
 information exists, every map is free to translate and rotate: applying
 a common (v, Omega) drift to all states of one map changes nothing
 observable.  The algorithms here spend that freedom to make all maps
 converge to one shared frame: each tick :func:`coop_step` derives every
 robot's null-space drift from the medium variables (averages over
-robots) and hands it to the shared pair tick.  Three modes:
+robots) and hands them to the one fleet pair tick.  Three modes:
 
 * ``full``: every robot sees every landmark; medium holds per-map
   centers and their consensus.
@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import heading_forward
-from .dunk import DunkNetwork, Drift, pair_tick
-from .kalman import DivergenceError
+from .dunk import DunkNetwork, Drift, RobotStep, pair_tick
 
 #: 90-degree rotation used in every heading-error descent formula.
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -53,30 +52,19 @@ class RobotMap:
 
 
 @dataclass(frozen=True)
-class NNFeature:
-    """Nearest-neighbor feature vector of landmark k in one robot's map."""
-
-    neighbor: int
-    a: np.ndarray
-
-
-@dataclass(frozen=True)
 class MediumState:
     """Everything the central medium computed for one tick."""
 
-    positions: dict     # robot id -> its landmark positions
     x_ic: dict          # robot id -> map center
     x_cc: np.ndarray | None
     x_ck: dict          # landmark id -> average position over observers
-    c_k: dict           # landmark id -> average NN feature over agreeing robots
-    k_star: dict        # landmark id -> coordinated nearest-neighbor id
     rows: dict          # robot id -> its row of the stack (landmark_stack)
     X: np.ndarray       # (R, K, 2) the stack's positions
     seen: np.ndarray    # (R, K) which robot holds which landmark
     xck: np.ndarray     # (K, 2) x_ck by column
+    kstar: np.ndarray   # (K,) k*'s column by column, -1 where none (partial mode only)
     agreeing: np.ndarray  # (R, K, 2) NN features agreeing with k*, else 0
     ck: np.ndarray      # (K, 2) c_k by column, 0 where none
-    features: dict = field(default_factory=dict)  # robot id -> its NN features
     e_c: float = 0.0
     e_h: float = 0.0
 
@@ -157,13 +145,12 @@ def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
     rows = {i: r for r, i in enumerate(positions)}
     x_ic = {i: xic[r] for i, r in rows.items() if n[r]}   # centers of non-empty maps
     x_cc = xic[n > 0].mean(axis=0) if n.any() else None
-    keys = ids.tolist()
     row = np.arange(len(rows))
     a, b = np.nonzero(row[:, None] < row)   # robot pairs
     common = seen[a] & seen[b]
     e_c = e_h = 0.0
-    feats, k_star, c_k = {}, {}, {}
-    agreeing, ck = np.zeros_like(X), np.zeros_like(xck)   # read in partial mode only
+    kstar = np.full(ids.size, -1)   # read in partial mode only, as are these two
+    agreeing, ck = np.zeros_like(X), np.zeros_like(xck)
     if mode != "partial":
         both = (n[a] > 0) & (n[b] > 0)
         e_c = float(np.sum((xic[a] - xic[b])[both] ** 2))
@@ -180,15 +167,9 @@ def medium_update(maps: dict[int, RobotMap], mode: str) -> MediumState:
         ck = agreeing.sum(axis=0) / np.maximum(agree.sum(axis=0), 1)[:, None]
         same = has[a] & has[b] & (nearest[a] == nearest[b])
         e_h = float(np.sum((feat[a] - feat[b])[same] ** 2))
-        claimed = np.flatnonzero(has.any(axis=0))
-        k_star = {keys[c]: keys[kstar[c]] for c in claimed}
-        c_k = {keys[c]: ck[c] for c in claimed}
-        feats = {i: {keys[c]: NNFeature(keys[nearest[r, c]], feat[r, c])
-                     for c in np.flatnonzero(has[r])} for i, r in rows.items()}
-    return MediumState(positions=positions, x_ic=x_ic, x_cc=x_cc,
-                       x_ck=dict(zip(keys, xck)), c_k=c_k, k_star=k_star,
-                       features=feats, e_c=e_c, e_h=e_h, rows=rows, X=X,
-                       seen=seen, xck=xck, agreeing=agreeing, ck=ck)
+    return MediumState(x_ic=x_ic, x_cc=x_cc, x_ck=dict(zip(ids.tolist(), xck)),
+                       rows=rows, X=X, seen=seen, xck=xck, kstar=kstar,
+                       agreeing=agreeing, ck=ck, e_c=e_c, e_h=e_h)
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +223,27 @@ def coop_step(maps: dict[int, RobotMap], ticks: dict[int, RobotTick],
 
     The null-space drift v_i + Omega_i (x - x_ic) is applied uniformly to
     all states of robot i's map; with a single robot it vanishes and the
-    step is exactly the plain pair-filter step.
+    step is exactly the plain pair-filter step.  A divergence names the
+    robot and the landmark.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if medium is None:
         medium = medium_update(maps, mode)
-    multi = len(maps) > 1
-
-    for i in sorted(maps):
-        m, tick = maps[i], ticks[i]
-        drift = null_drift(i, medium, mode) if multi else None
-        self_id = targets = None
-        if mode == "robots_only":
-            self_id = i
-            targets = {k: tick.speeds[k] * heading_forward(
-                           m.net.beta_hat + tick.heading_diffs[k])
-                       for k in tick.speeds if k in tick.heading_diffs}
-        try:
-            pair_tick(m.net, tick.u, tick.omega_m, tick.observations, drift,
-                      self_id=self_id, target_velocities=targets)
-        except DivergenceError as err:
-            raise DivergenceError(f"robot {i}: {err}", err.row) from None
-
+    if maps:
+        pair_tick(_robot_steps(maps, ticks, mode, medium))
     return medium_update(maps, mode)
+
+
+def _robot_steps(maps: dict[int, RobotMap], ticks: dict[int, RobotTick], mode: str,
+                 medium: MediumState) -> list[RobotStep]:
+    """Each robot's share of the fleet tick, in robot id order."""
+    steps, robots = [], mode == "robots_only"
+    for i in sorted(maps):
+        net, tick = maps[i].net, ticks[i]
+        targets = ({k: tick.speeds[k] * heading_forward(net.beta_hat + tick.heading_diffs[k])
+                    for k in tick.speeds if k in tick.heading_diffs} if robots else None)
+        steps.append(RobotStep(net, tick.u, tick.omega_m, tick.observations,
+                               null_drift(i, medium, mode) if len(maps) > 1 else None,
+                               i if robots else None, targets, i))
+    return steps

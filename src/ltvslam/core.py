@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +58,11 @@ def body_from_global(beta: float) -> np.ndarray:
 def heading_forward(beta: float) -> np.ndarray:
     """Unit forward direction in global coordinates for heading beta."""
     return np.array([-math.sin(beta), math.cos(beta)])
+
+
+def run_sums(a: np.ndarray, counts) -> np.ndarray:
+    """Sums of a's runs of counts[j] items, each as ``a[run].sum(axis=0)`` forms it."""
+    return np.array([a[e - n:e].sum(axis=0) for n, e in zip(counts, accumulate(counts))])
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ R_d = R / dt -- stable for any P/R ratio, however stiff.  Then the exact
 zero-order-hold transition of the prediction, Phi = e^{A_d dt} by
 Rodrigues' formula; process noise Q needs A = 0, where it adds Q dt.
 
-One call steps one filter, or a map's N filters stacked along a leading
-axis (x (N, n), P (N, n, n), rows (N, k, n); A and Q shared, b either):
-the axis-less call is the same code.  A filter's missing rows are
-zero-information rows (H 0, y 0, R 1), which change nothing.
+One call steps one filter, or N filters stacked along a leading axis
+(x (N, n), P (N, n, n), rows (N, k, n); Q shared, A and b shared or one
+per filter): the axis-less call is the same code.  A filter's missing
+rows are zero-information rows (H 0, y 0, R 1), which change nothing.
 """
 
 from __future__ import annotations
@@ -64,22 +64,29 @@ def _predict(x, P, A, b, Q, dt):
     Q).  Otherwise Rodrigues, with w = sqrt(sum(A**2) / 2), K = A / w,
     th = w dt and h = 1 - cos th = 2 sin^2(th / 2), exact at small th:
     Phi = I + sin(th) K + h K^2, G = dt I + h / w K + (dt - sin(th) / w) K^2.
+    A per filter (N, d, d) has one w per filter; w = 0 reads as 1: K = 0, Phi = I, G = dt I.
     """
     if not A.any():   # P is symmetric, so P + sym(Q) dt is exactly symmetric
         return x + b * dt, P if Q is None else P + 0.5 * (Q + Q.T) * dt
-    d, n, lead = len(A), x.shape[-1], x.shape[:-1]
+    d, n, lead = A.shape[-1], x.shape[-1], x.shape[:-1]
     k, eye = n // d, np.eye(d)
-    w = math.sqrt(0.5 * np.vdot(A, A))
-    K, th = A / w, w * dt
-    K2, s, h = K @ K, math.sin(th), 2.0 * math.sin(0.5 * th) ** 2
+    per = A.ndim > 2   # one w per filter, each summed as np.vdot sums it
+    w = (np.sqrt(0.5 * (A.reshape(*lead, 1, d * d) @ A.reshape(*lead, d * d, 1))) if per
+         else math.sqrt(0.5 * np.vdot(A, A)))
+    th, sin = w * dt, np.sin if per else math.sin
+    w = np.where(w > 0.0, w, 1.0) if per else w
+    K = A / w
+    K2, s, h = K @ K, sin(th), 2.0 * sin(0.5 * th) ** 2
     Phi = eye + s * K + h * K2
     G = dt * eye + h / w * K + (dt - s / w) * K2
+    Ft = Phi.swapaxes(-1, -2)
     if k == 1:   # matrix-vector products, as for an axis-less x
-        x, P = (Phi @ x[..., None])[..., 0] + (G @ b[..., None])[..., 0], Phi @ P @ Phi.T
+        x, P = (Phi @ x[..., None])[..., 0] + (G @ b[..., None])[..., 0], Phi @ P @ Ft
     else:   # F = I_k (x) Phi, applied block by block
-        x = (x.reshape(*lead, k, d) @ Phi.T
-             + b.reshape(*b.shape[:-1], k, d) @ G.T).reshape(*lead, n)
-        P = (Phi @ P.reshape(*lead, k, d, n)).reshape(*lead, n, k, d) @ Phi.T
+        x = (x.reshape(*lead, k, d) @ Ft
+             + b.reshape(*b.shape[:-1], k, d) @ G.swapaxes(-1, -2)).reshape(*lead, n)
+        Phi, Ft = (Phi[..., None, :, :], Ft[..., None, :, :]) if per else (Phi, Ft)
+        P = (Phi @ P.reshape(*lead, k, d, n)).reshape(*lead, n, k, d) @ Ft
         P = P.reshape(*lead, n, n)
     return x, 0.5 * (P + P.swapaxes(-1, -2))
 
@@ -106,7 +113,8 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
     """Advance (x, P) by one step of dt under the generic LTV filter model.
 
     ``A`` is the skew d x d generator of every d-block of x (d <= 3, where
-    any skew matrix turns about one axis); Q needs A = 0.  ``vm`` is held
+    any skew matrix turns about one axis), shared or one per filter of a
+    stack (N, d, d); Q needs A = 0.  ``vm`` is held
     over the step (None: no measurement).  The correction is applied
     first, at the instant the measurement was sampled, then the exact
     transition over the full step.  A state with a leading filter axis
@@ -118,11 +126,11 @@ def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
     Q = None if Q is None else np.asarray(Q, dtype=float)
     d = A.shape[-1] if A.ndim else 0
-    if (A.shape != (d, d) or not 0 < d <= 3 or n % d or b.shape not in ((n,), state.x.shape)
-            or (Q is not None and Q.shape != (n, n))):
-        raise ValueError("A must be d x d with d <= 3 dividing the state "
-                         "dimension; b and Q must match the state")
-    if (A + A.T).any() or (Q is not None and A.any()):
+    if (A.shape not in ((d, d), state.x.shape[:-1] + (d, d)) or not 0 < d <= 3 or n % d
+            or b.shape not in ((n,), state.x.shape) or (Q is not None and Q.shape != (n, n))):
+        raise ValueError("A must be d x d, shared or one per filter, with d <= 3 "
+                         "dividing the state dimension; b and Q must match the state")
+    if (A + A.swapaxes(-1, -2)).any() or (Q is not None and A.any()):
         raise ValueError("A must be skew, and zero when Q is given")
     if vm is not None and vm.H.shape[-1] != n:
         raise ValueError(

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import noisecal, vmeas
 from .core import (Estimates, FilterState, RobotInputs, angle_diff,
-                   body_from_global, heading_forward, rotation2d, skew,
-                   wrap_angle)
+                   body_from_global, heading_forward, rotation2d, run_sums,
+                   skew, wrap_angle)
 from .kalman import FilterConfig, ode_step
 from .vmeas import SensorBundle, build_measurement
 
@@ -35,22 +35,16 @@ GAMMA_BETA = 1.0
 # Heading estimation
 # ---------------------------------------------------------------------------
 
-def _bearing_parts(beta: float, offsets: np.ndarray, thetas: np.ndarray):
-    """h(theta_i) T(beta) d_i and h*(theta_i) T(beta) d_i: tangential, radial."""
-    T = body_from_global(beta)
-    c, s = np.cos(thetas), np.sin(thetas)
-    body = offsets @ T.T
-    return c * body[:, 0] - s * body[:, 1], s * body[:, 0] + c * body[:, 1]
-
-
 def _heading_residue(beta: float, offsets: np.ndarray, thetas: np.ndarray) -> float:
-    return float(np.sum(_bearing_parts(beta, offsets, thetas)[0] ** 2))
+    """Sum of the squared tangential parts h(theta_i) T(beta) d_i."""
+    body = offsets @ body_from_global(beta).T
+    return float(np.sum((np.cos(thetas) * body[:, 0] - np.sin(thetas) * body[:, 1]) ** 2))
 
 
 def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
                           vehicle_estimate: np.ndarray,
                           bearings: np.ndarray,
-                          current_beta: float = 0.0) -> float:
+                          current_beta=0.0, counts=None):
     """Heading that minimizes the bearing-constraint residue.
 
     With each offset d_i = x_i - x_v written as |d_i| e^{i psi_i}, its
@@ -64,27 +58,34 @@ def beta_d_closed_form_2d(landmark_estimates: np.ndarray,
     range (true at the true heading) is returned; on an exact tie the one
     closer to ``current_beta``.  Falls back to ``current_beta`` when there
     are no landmarks or every landmark offset is negligible.
+
+    With ``counts`` the landmarks come in runs, counts[j] of map j, and
+    one heading per map is returned, each from its own run's sums (those
+    of a call on the run alone) and its ``current_beta[j]``.
     """
     xv = np.asarray(vehicle_estimate, dtype=float).ravel()
     lm = np.asarray(landmark_estimates, dtype=float).reshape(-1, xv.size)
     thetas = np.atleast_1d(np.asarray(bearings, dtype=float))
-    if lm.shape[0] != thetas.size:
+    runs = [lm.shape[0]] if counts is None else counts
+    if lm.shape[0] != thetas.size or sum(runs) != thetas.size:
         raise ValueError("one bearing per landmark estimate is required")
     offsets = lm - xv
     keep = np.linalg.norm(offsets, axis=1) > EPS_OFFSET
-    if not np.any(keep):
-        return wrap_angle(current_beta)
+    run = np.repeat(np.arange(len(runs)), runs)[keep]
+    n = np.bincount(run, minlength=len(runs))
     offsets, thetas = offsets[keep], thetas[keep]
     d1, d2 = offsets[:, 0], offsets[:, 1]
     two_t = 2.0 * thetas
-    C = float(np.sum((d1**2 - d2**2) * np.cos(two_t) - 2 * d1 * d2 * np.sin(two_t)))
-    S = float(np.sum((d1**2 - d2**2) * np.sin(two_t) + 2 * d1 * d2 * np.cos(two_t)))
-    base = 0.5 * math.atan2(S, C)
-    b1, b3 = (wrap_angle(base + k * math.pi / 2.0) for k in (1, 3))
-    ahead = float(np.sum(_bearing_parts(b1, offsets, thetas)[1]))
-    if ahead != 0.0:
-        return b1 if ahead > 0.0 else b3
-    return min((b1, b3), key=lambda b: abs(angle_diff(b, current_beta)))
+    C = run_sums((d1**2 - d2**2) * np.cos(two_t) - 2 * d1 * d2 * np.sin(two_t), n)
+    S = run_sums((d1**2 - d2**2) * np.sin(two_t) + 2 * d1 * d2 * np.cos(two_t), n)
+    base = [0.5 * math.atan2(s, c) for s, c in zip(S.tolist(), C.tolist())]
+    b1, b3 = ([wrap_angle(b + k * math.pi / 2.0) for b in base] for k in (1, 3))
+    phi = thetas - np.array(b1)[run]   # projected ranges at b1 sum to ahead
+    ahead = run_sums(d1 * np.sin(phi) + d2 * np.cos(phi), n).tolist()
+    betas = [wrap_angle(cur) if not m else (a if ah > 0.0 else b) if ah != 0.0 else
+             min((a, b), key=lambda x: abs(angle_diff(x, cur))) for m, a, b, ah, cur
+             in zip(n, b1, b3, ahead, [current_beta] if counts is None else current_beta)]
+    return betas[0] if counts is None else betas
 
 
 def track_heading(beta_hat: float, omega: float, beta_d: float, dt: float) -> float:

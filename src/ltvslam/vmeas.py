@@ -166,16 +166,14 @@ class VirtualMeasurement:
 
 def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement | None:
     """The given row sets (None skipped) as one, with a block-diagonal R;
-    leading filter axes broadcast, so rows shared by a map's filters stack
-    onto each filter's own."""
+    sets with a leading filter axis (all alike) stack filter by filter."""
     parts = [vm for vm in vms if vm is not None]
     if not parts:
         return None
     if len(parts) == 1:
         return parts[0]
-    lead = np.broadcast_shapes(*(vm.y.shape[:-1] for vm in parts))
-    y = np.concatenate([np.broadcast_to(vm.y, lead + vm.y.shape[-1:]) for vm in parts], -1)
-    H = np.concatenate([np.broadcast_to(vm.H, lead + vm.H.shape[-2:]) for vm in parts], -2)
+    y = np.concatenate([vm.y for vm in parts], -1)
+    H = np.concatenate([vm.H for vm in parts], -2)
     R, k = np.zeros(y.shape + y.shape[-1:]), 0
     for vm in parts:
         R[..., k:k + vm.rows, k:k + vm.rows] = vm.R
@@ -185,7 +183,7 @@ def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement 
 
 def place_rows(n: int, *placed) -> VirtualMeasurement | None:
     """The rows of an n-filter map: each ``(index, vm)`` (either None:
-    skipped) gives filter index[j] the rows vm[j] (index an int: vm itself).
+    skipped) gives filter index[j] the rows vm[j] (vm with no filter axis: vm itself).
 
     Every filter has as many rows as the widest vm; the rest are
     zero-information rows (H 0, y 0, R 1), which leave a filter as it is.

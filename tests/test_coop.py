@@ -4,16 +4,16 @@ import copy
 import dataclasses
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from ltvslam import coop, dunk, sim
-from ltvslam.coop import (NNFeature, RobotMap, RobotTick, coop_step,
-                          landmark_stack, medium_update, nn_features,
-                          null_drift)
+from ltvslam import coop, dunk, sim, vmeas
+from ltvslam.coop import (RobotMap, RobotTick, coop_step, landmark_stack,
+                          medium_update, nn_features, null_drift)
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
-from ltvslam.dunk import DunkNetwork, dunk_step
+from ltvslam.dunk import DunkNetwork, dunk_step, pair_tick
 from ltvslam.kalman import DivergenceError, FilterConfig
 from ltvslam.runner import RunConfig, make_coop_maps, map_discrepancy
 
@@ -70,18 +70,33 @@ def test_nn_features_match_the_pairwise_loop(rng):
             assert np.array_equal(a[r, c], xk - p[best])
 
 
+def by_id(med, values, cols):
+    """Landmark id -> ``values[c]`` over the medium's stack columns ``cols``."""
+    ids = sorted(med.x_ck)   # the columns, in order
+    return {ids[c]: values[c] for c in cols}
+
+
+def k_star(med):
+    """Landmark id -> the id of its k*, where the medium rules one."""
+    ids = sorted(med.x_ck)
+    return {ids[c]: ids[k] for c, k in enumerate(med.kstar) if k >= 0}
+
+
 def test_coordinate_k_star_shortest_claim_wins_then_lowest_robot():
     maps = {1: seeded_map({7: (0.0, 0.0), 8: (3.0, 0.0)}),
             2: seeded_map({7: (0.0, 0.0), 9: (1.0, 0.0)})}
-    assert medium_update(maps, "partial").k_star[7] == 9
+    assert k_star(medium_update(maps, "partial"))[7] == 9
     tie = {2: seeded_map({7: (0.0, 0.0), 8: (1.0, 0.0)}),
            1: seeded_map({7: (0.0, 0.0), 9: (0.0, 1.0)})}
-    assert medium_update(tie, "partial").k_star[7] == 9   # robot 1's claim breaks the tie
+    assert k_star(medium_update(tie, "partial"))[7] == 9   # robot 1's claim breaks the tie
 
 
 # ---------------------------------------------------------------------------
 # The medium as per-landmark loops, kept as the reference for the stack
 # ---------------------------------------------------------------------------
+
+NNFeature = namedtuple("NNFeature", "neighbor a")
+
 
 def loop_nn_features(pos):
     if len(pos) < 2:
@@ -210,22 +225,29 @@ def test_medium_and_drifts_match_the_landmark_loops(maps_of, mode, seed):
     maps = maps_of(np.random.default_rng(seed))
     med = medium_update(maps, mode)
     ref = loop_medium({i: m.landmark_positions() for i, m in maps.items()}, mode)
-    assert med.positions.keys() == ref["positions"].keys()
+    assert med.rows.keys() == ref["positions"].keys()
     for i, pos in ref["positions"].items():
-        assert_dicts_close(med.positions[i], pos)
-    for name in ("x_ic", "x_ck", "c_k"):
+        r = med.rows[i]
+        assert_dicts_close(by_id(med, med.X[r], np.flatnonzero(med.seen[r])), pos)
+    for name in ("x_ic", "x_ck"):
         assert_dicts_close(getattr(med, name), ref[name])
     if ref["x_cc"] is None:
         assert med.x_cc is None
     else:
         assert_close(med.x_cc, ref["x_cc"])
-    assert med.k_star == ref["k_star"]
-    assert med.features.keys() == ref["features"].keys()
-    for i, feats in ref["features"].items():
-        assert {k: f.neighbor for k, f in med.features[i].items()} == {
-            k: f.neighbor for k, f in feats.items()}
-        assert_dicts_close({k: f.a for k, f in med.features[i].items()},
-                           {k: f.a for k, f in feats.items()})
+    assert k_star(med) == ref["k_star"]
+    claimed = np.flatnonzero(med.kstar >= 0)
+    assert_dicts_close(by_id(med, med.ck, claimed), ref["c_k"])
+    assert not med.ck[med.kstar < 0].any()
+    if mode == "partial":   # the features k* and c_k are ruled from
+        nearest, a = nn_features(med.X, med.seen)
+        ids = sorted(med.x_ck)
+        for i, feats in ref["features"].items():
+            r = med.rows[i]
+            cols = np.flatnonzero(nearest[r] >= 0)
+            assert {k: ids[c] for k, c in by_id(med, nearest[r], cols).items()} == {
+                k: f.neighbor for k, f in feats.items()}
+            assert_dicts_close(by_id(med, a[r], cols), {k: f.a for k, f in feats.items()})
     assert_close([med.e_c, med.e_h], [ref["e_c"], ref["e_h"]])
     for i in maps:
         drift = null_drift(i, med, mode)
@@ -236,7 +258,7 @@ def test_medium_and_drifts_match_the_landmark_loops(maps_of, mode, seed):
         if center is not None:
             assert_close(drift.center, center)
     if maps_of is tie_maps and mode == "partial":
-        assert med.k_star[1] == 3
+        assert k_star(med)[1] == 3
     pos = ref["positions"]
     assert_close(map_discrepancy(maps), max(
         (np.linalg.norm(pos[i][k] - pos[j][k])
@@ -327,6 +349,98 @@ def test_single_robot_coop_matches_plain_pair_filter():
     assert net_a.beta_hat == net_b.beta_hat
 
 
+def _fleet_tick_and_alone(maps, ticks, mode, medium):
+    """Step ``maps`` as one fleet tick, and a copy of each robot's map as a
+    fleet of one with the same drift; return both (net, consensus) lists."""
+    steps = coop._robot_steps(maps, ticks, mode, medium)
+    alone = [step._replace(net=copy.deepcopy(step.net)) for step in steps]
+    fleet = pair_tick(steps)
+    return ([(s.net, c) for s, c in zip(steps, fleet)],
+            [(s.net, pair_tick([s])[0]) for s in alone])
+
+
+def assert_same_maps(fleet, alone, p_rtol=None):
+    """Bit for bit, but the P of map j to ``p_rtol[j]`` relative, where given."""
+    for j, ((net, c), (one, c1)) in enumerate(zip(fleet, alone)):
+        assert net.ids == one.ids and net.state.t == one.state.t
+        assert np.array_equal(net.state.x, one.state.x)
+        rtol = (p_rtol or {}).get(j, 0.0)
+        assert np.abs(net.state.P - one.state.P).max() <= rtol * np.abs(one.state.P).max()
+        assert net.beta_hat == one.beta_hat
+        assert (c is None) == (c1 is None)
+        if c is not None:
+            assert np.array_equal(c.x_vc, c1.x_vc)
+            assert np.array_equal(c.covariance, c1.covariance)
+
+
+def _no_ttc(tick, every=1):
+    """``tick`` with every ``every``-th sighting stripped of its time-to-contact reading."""
+    return dataclasses.replace(tick, observations={
+        k: dataclasses.replace(b, ttc=None) if n % every == 0 else b
+        for n, (k, b) in enumerate(tick.observations.items())})
+
+
+@pytest.mark.parametrize("case", range(1, 6))
+def test_a_fleet_tick_equals_its_robots_stepped_alone(case):
+    # bit for bit: the fleet's one stack, consensus and heading solve give
+    # each robot what stepping its map alone, with its drift, gives it.  The
+    # one exception is a robot whose case rows are narrower than the fleet's:
+    # every Case IV sighting of robot 1 falls back to its one Case I row, which
+    # the fleet lifts as one of two, and the last bit of a lifted row depends
+    # on the row count; its P then agrees to 1e-15 relative (6.6e-17 seen)
+    sc = sim.scenario_coop("full")
+    maps = make_coop_maps(sc, RunConfig(mode="coop-full", case=case))
+    stream = sim.ticks(sc, np.random.default_rng(3), sc.dt, 31)
+    medium = None
+    for _ in range(30):   # past the creating ticks, with consensus feedback
+        medium = coop_step(maps, next(stream)[1], "full", medium)
+    _, ticks = next(stream)
+    robots = sorted(ticks)
+    assert len(robots) == 4
+    if case == 4:   # full and fallback sightings in one robot; all fallback in another
+        ticks[robots[0]] = _no_ttc(ticks[robots[0]], every=3)
+        ticks[robots[1]] = _no_ttc(ticks[robots[1]])
+    if case == 5:   # a stationary robot: its Doppler rows carry no information
+        ticks[robots[2]] = dataclasses.replace(ticks[robots[2]], u=0.0)
+        assert vmeas.case5(next(iter(ticks[robots[2]].observations.values())).doppler,
+                           RobotInputs(u=np.zeros(2), omega=skew(0.0))) is None
+    assert_same_maps(*_fleet_tick_and_alone(maps, ticks, "full", medium),
+                     p_rtol={1: 1e-15} if case == 4 else None)
+
+
+def test_a_robots_only_fleet_tick_equals_its_robots_stepped_alone():
+    # self pairs (tie rows) and moving targets (velocities) alike
+    sc = sim.scenario_coop("robots_only")
+    maps = make_coop_maps(sc, RunConfig(mode="coop-robots"))
+    stream = sim.ticks(sc, np.random.default_rng(3), sc.dt, 31, robots_only=True)
+    medium = None
+    for _ in range(30):
+        medium = coop_step(maps, next(stream)[1], "robots_only", medium)
+    _, ticks = next(stream)
+    steps = coop._robot_steps(maps, ticks, "robots_only", medium)
+    assert all(s.self_id in s.net.ids and s.target_velocities for s in steps)
+    assert_same_maps(*_fleet_tick_and_alone(maps, ticks, "robots_only", medium))
+
+
+def test_a_coop_tick_makes_one_filter_step_and_one_consensus(monkeypatch):
+    # after the creating tick, the whole fleet is one ode_step and one
+    # consensus call, however many robots
+    sc = sim.scenario_coop("full")
+    maps = make_coop_maps(sc, RunConfig(mode="coop-full"))
+    stream = sim.ticks(sc, np.random.default_rng(sc.seed), sc.dt, 4)
+    medium = coop_step(maps, next(stream)[1], "full")   # creates every pair
+    calls = []
+    for name in ("ode_step", "consensus"):
+        real = getattr(dunk, name)
+        monkeypatch.setattr(dunk, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for _, ticks in stream:
+        calls.clear()
+        medium = coop_step(maps, ticks, "full", medium)
+        assert sorted(calls) == ["consensus", "ode_step"]
+    assert len(maps) == 4
+
+
 def test_robots_only_self_pair_starts_correlated_and_stays_tied(monkeypatch):
     sc = sim.scenario_coop("robots_only")
     sc.vehicles = sc.vehicles[:2]
@@ -387,7 +501,8 @@ def test_coop_step_reads_each_map_once(monkeypatch, mode):
     monkeypatch.setattr(RobotMap, "landmark_positions",
                         lambda m: reads.append(m) or real(m))
     for _, ticks in stream:
-        assert all(np.array_equal(x, medium.positions[i][k])
+        ids = sorted(medium.x_ck)
+        assert all(np.array_equal(x, medium.X[medium.rows[i], ids.index(k)])
                    for i, m in maps.items() for k, x in real(m).items())
         reads.clear()
         medium = coop_step(maps, ticks, mode, medium)

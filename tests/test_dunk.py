@@ -8,8 +8,8 @@ import pytest
 from ltvslam import dunk, sim, vmeas
 from ltvslam.coop import coop_step
 from ltvslam.core import FilterState, RobotInputs, body_from_global, skew
-from ltvslam.dunk import (Consensus, DunkNetwork, LandmarkPairState, consensus,
-                          dunk_step, feedback_measurement, init_pair,
+from ltvslam.dunk import (Consensus, DunkNetwork, LandmarkPairState, RobotStep,
+                          consensus, dunk_step, feedback_measurement, init_pair,
                           pair_measurement, pair_tick)
 from ltvslam.kalman import DivergenceError, FilterConfig
 from ltvslam.runner import RunConfig, make_coop_maps
@@ -22,6 +22,11 @@ def make_pair(x_lm, x_v, sigma_v=1.0):
     P = np.eye(4)
     P[2:, 2:] = sigma_v * np.eye(2)
     return FilterState(np.concatenate([x_lm, x_v]), P)
+
+
+def one_consensus(net, observed):
+    """The consensus of one map over its ``observed`` ids."""
+    return consensus([net], [observed])[0]
 
 
 def make_net(pairs, **kwargs):
@@ -51,22 +56,22 @@ def test_pairs_view_the_stack_rows():
 def test_consensus_equal_weights_is_midpoint():
     net = make_net({1: make_pair(np.zeros(2), np.array([0.0, 0.0])),
                     2: make_pair(np.zeros(2), np.array([2.0, 0.0]))})
-    c = consensus(net, {1, 2})
+    c = one_consensus(net, {1, 2})
     assert np.allclose(c.x_vc, [1.0, 0.0], atol=1e-8)
 
 
 def test_consensus_information_weighted():
     net = make_net({1: make_pair(np.zeros(2), np.array([0.0, 0.0]), sigma_v=1.0),
                     2: make_pair(np.zeros(2), np.array([5.0, 0.0]), sigma_v=4.0)})
-    c = consensus(net, {1, 2})
+    c = one_consensus(net, {1, 2})
     assert np.allclose(c.x_vc, [1.0, 0.0], atol=1e-6)
 
 
 def test_consensus_single_pair_and_empty():
     net = make_net({1: make_pair(np.zeros(2), np.array([7.0, -1.0]))})
-    c = consensus(net, {1})
+    c = one_consensus(net, {1})
     assert np.allclose(c.x_vc, [7.0, -1.0], atol=1e-8)
-    assert consensus(net, set()) is None
+    assert one_consensus(net, set()) is None
 
 
 def test_consensus_is_quadratic_minimizer(rng):
@@ -78,7 +83,7 @@ def test_consensus_is_quadratic_minimizer(rng):
         P[2:, 2:] = M @ M.T + 0.1 * np.eye(2)
         x = rng.normal(size=4)
         pairs[lid] = FilterState(x, P)
-    c = consensus(make_net(pairs), pairs.keys())
+    c = one_consensus(make_net(pairs), pairs.keys())
     A = np.zeros((2, 2))
     b = np.zeros(2)
     for p in pairs.values():
@@ -96,7 +101,7 @@ def test_consensus_covariance_is_exactly_symmetric(rng):
         P = np.eye(4)
         P[2:, 2:] = M @ M.T + 0.1 * np.eye(2)
         pairs[lid] = FilterState(rng.normal(size=4), P)
-    cov = consensus(make_net(pairs), pairs.keys()).covariance
+    cov = one_consensus(make_net(pairs), pairs.keys()).covariance
     assert np.array_equal(cov, cov.T)
 
 
@@ -104,9 +109,9 @@ def test_consensus_permutation_invariant():
     # the sums run in id order, whatever the observed order or the row order
     pairs = {i: make_pair(np.zeros(2), np.array([float(i), 0.0]),
                           sigma_v=1.0 + i) for i in range(4)}
-    a = consensus(make_net(pairs), [0, 1, 2, 3])
-    b = consensus(make_net(pairs), [3, 1, 0, 2])
-    c = consensus(make_net(dict(reversed(pairs.items()))), [0, 1, 2, 3])
+    a = one_consensus(make_net(pairs), [0, 1, 2, 3])
+    b = one_consensus(make_net(pairs), [3, 1, 0, 2])
+    c = one_consensus(make_net(dict(reversed(pairs.items()))), [0, 1, 2, 3])
     assert np.array_equal(a.x_vc, b.x_vc) and np.array_equal(a.x_vc, c.x_vc)
 
 
@@ -123,7 +128,7 @@ def test_pair_measurement_relative_reduction():
     bundle = SensorBundle(bearing=vmeas.BearingObs(theta=0.0),
                           range=vmeas.RangeObs(r=4.0))
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
-    vm = pair_measurement(2, [bundle], body_from_global(0.0), inputs)
+    vm = pair_measurement([(2, [bundle], inputs)], body_from_global(0.0)[None])
     x = np.array([1.0, 6.0, 1.0, 2.0])   # x_i - x_vi = (0, 4)
     assert np.abs(vm.y[0] - vm.H[0] @ x).max() < 1e-12
 
@@ -134,8 +139,8 @@ def test_pair_measurement_rotates_with_heading(rng):
     inputs = RobotInputs(u=np.zeros(2), omega=skew(0.0))
     beta = 1.1
     T = body_from_global(beta)
-    vm0 = pair_measurement(2, [bundle], np.eye(2), inputs)
-    vmb = pair_measurement(2, [bundle], T, inputs)
+    vm0 = pair_measurement([(2, [bundle], inputs)], np.eye(2)[None])
+    vmb = pair_measurement([(2, [bundle], inputs)], T[None])
     assert np.allclose(vmb.H[0, :, :2], vm0.H[0, :, :2] @ T, atol=1e-12)
 
 
@@ -151,7 +156,7 @@ def test_pair_measurement_lifts_each_sighting_as_its_own_build_would():
                             ttc=None if i % 3 == 1 else vmeas.TimeToContactObs(tau=3.0))
                for i, theta in enumerate(rng.uniform(-1.0, 1.0, 12))]
     T = body_from_global(rng.uniform(-3.0, 3.0))
-    vm = pair_measurement(4, bundles, T, inputs)
+    vm = pair_measurement([(4, bundles, inputs)], T[None])
     for i, b in enumerate(bundles):
         ref = vmeas._lift(vmeas.case4(b.bearing, b.ttc, inputs), T, 4, 0, 1)
         k = ref.rows
@@ -328,7 +333,8 @@ def test_a_divergence_names_the_landmark_not_its_row():
     obs = {7: bundle, 3: bundle, 5: bundle}
     dunk_step(net, 1.0, 0.0, obs)
     with pytest.raises(DivergenceError, match=r"^landmark 5 diverged at t=0\.02$"):
-        pair_tick(net, 1.0, 0.0, obs, target_velocities={5: np.array([math.nan, 0.0])})
+        pair_tick([RobotStep(net, 1.0, 0.0, obs,
+                             target_velocities={5: np.array([math.nan, 0.0])})])
 
 
 def _count_filter_states(monkeypatch):

@@ -277,3 +277,50 @@ def test_step_tracks_static_landmark_noise_free(w, u, x0):
     G = (t * eye - (1 - math.cos(th)) / rate * K
          + (t - math.sin(th) / rate) * K @ K)
     assert np.allclose(st.x, E @ x0 - G @ inputs.u, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, A", [
+    (2, -skew(0.7).matrix), (4, skew(-1.3).matrix), (3, skew(0.3, -0.2, 0.7).matrix),
+    (6, skew(0.3, -0.2, 0.7).matrix)], ids=["2d", "pair", "3d", "3d-blocks"])
+def test_a_per_filter_a_equal_on_every_row_gives_the_shared_bits(rng, n, A):
+    N, cfg = 5, FilterConfig(dt=0.01)
+    state, rows = _filters(rng, N, n, 2)
+    b = rng.normal(size=(N, n))
+    shared = ode_step(state, A, b, rows, None, cfg)
+    per = ode_step(state, np.repeat(A[None], N, axis=0), b, rows, None, cfg)
+    assert np.array_equal(per.x, shared.x) and np.array_equal(per.P, shared.P)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_rate_zero_row_among_rotating_rows_moves_by_b_dt_alone(rng, n):
+    # each rotating row is its own shared-A step; a rate-0 row is x + b dt, P
+    N, cfg = 6, FilterConfig(dt=0.01)
+    state, _ = _filters(rng, N, n, 1)
+    state = FilterState._derived(state.x, 0.5 * (state.P + state.P.swapaxes(1, 2)), state.t)
+    rates = [0.4, 0.0, -1.1, 0.0, 2.5, 0.0]
+    A = np.array([skew(w).matrix for w in rates])
+    b = rng.normal(size=(N, n))
+    new = ode_step(state, A, b, None, None, cfg)
+    for i, w in enumerate(rates):
+        if w == 0.0:
+            assert np.array_equal(new.x[i], state.x[i] + b[i] * cfg.dt)
+            assert np.array_equal(new.P[i], state.P[i])
+        else:
+            one = ode_step(FilterState._derived(state.x[i], state.P[i], state.t), A[i],
+                           b[i], None, None, cfg)
+            assert np.array_equal(new.x[i], one.x) and np.array_equal(new.P[i], one.P)
+
+
+def test_a_per_filter_a_is_checked_as_a_shared_one(rng):
+    state, _ = _filters(rng, 3, 4, 1)
+    A = np.repeat(skew(0.5).matrix[None], 3, axis=0)
+    bad = A.copy()
+    bad[1, 0, 1] = 2.0   # not skew
+    with pytest.raises(ValueError, match="skew"):
+        ode_step(state, bad, np.zeros(4), None, None)
+    for shape_bad in (A[:2], np.repeat(skew(0.5, 0.1, 0.2).matrix[None], 3, axis=0),
+                      A[:, None]):
+        with pytest.raises(ValueError, match="one per filter"):
+            ode_step(state, shape_bad, np.zeros(4), None, None)
+    with pytest.raises(ValueError, match="skew"):   # Q needs A = 0, per filter too
+        ode_step(state, A, np.zeros(4), None, np.eye(4))
