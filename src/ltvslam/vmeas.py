@@ -187,10 +187,15 @@ def place_rows(n: int, *placed) -> VirtualMeasurement | None:
 
     Every filter has as many rows as the widest vm; the rest are
     zero-information rows (H 0, y 0, R 1), which leave a filter as it is.
+    One per-filter vm that gives every filter its rows in order is the result.
     """
     placed = [(i, vm) for i, vm in placed if i is not None and vm is not None]
     if not placed:
         return None
+    if len(placed) == 1:
+        (i, vm), order = placed[0], list(range(n))
+        if vm.y.shape[:-1] == (n,) and (order[i] if isinstance(i, slice) else list(i)) == order:
+            return vm
     k = max(vm.rows for _, vm in placed)
     y, H = np.zeros((n, k)), np.zeros((n, k, placed[0][1].H.shape[-1]))
     R = np.zeros((n, k, k)) + np.eye(k)
@@ -382,8 +387,8 @@ def build_measurement(case: int, bundles: list[SensorBundle], inputs: RobotInput
         names = list(kind.__dataclass_fields__)
         get, unset = attrgetter(*names), (None,) * len(names)
         cols = zip(*[unset if r is None else get(r) for r in records])
-        return _record(kind, {n: None if c.count(None) == len(c) else np.array(c, float)
-                              for n, c in zip(names, cols)})
+        return _record(kind, *[None if c.count(None) == len(c) else np.array(c, float)
+                               for c in cols])
 
     if case == 1:
         return case1(readings("bearing"))
@@ -398,19 +403,23 @@ def build_measurement(case: int, bundles: list[SensorBundle], inputs: RobotInput
     raise ValueError(f"unknown case {case}")
 
 
-def _record(kind, fields):
-    """A reading record of ``kind`` holding ``fields`` as given, unchecked."""
+def _record(kind, *values):
+    """A record of ``kind`` holding ``values`` in field order, unchecked.
+
+    Set as the constructor sets them, so the record keeps no attribute dict.
+    """
     rec = object.__new__(kind)
-    rec.__dict__.update(fields)
+    for name, value in zip(kind.__dataclass_fields__, values):
+        object.__setattr__(rec, name, value)
     return rec
 
 
 def _each(record) -> list:
     """Each sighting's readings of a stacked record, as a record of the
     Python floats it was stacked from."""
-    fields = vars(record)
-    cols = [repeat(None) if v is None else v.tolist() for v in fields.values()]
-    return [_record(type(record), zip(fields, c)) for c in zip(*cols)]
+    values = [getattr(record, name) for name in record.__dataclass_fields__]
+    cols = [repeat(None) if v is None else v.tolist() for v in values]
+    return [_record(type(record), *c) for c in zip(*cols)]
 
 
 def range_hints(xs) -> np.ndarray:
@@ -465,22 +474,32 @@ class TrueObservation:
 
 def observe_true(x: np.ndarray, inputs: RobotInputs,
                  diameter: float | None = None) -> TrueObservation:
-    """All noise-free observables of a static landmark at relative position x."""
+    """All noise-free observables of a static landmark at relative position x.
+
+    The geometry runs on Python floats with numpy's bits: in 2D each row of
+    xdot = -Omega x - u is one product, and |x|^2 and x . xdot stay numpy
+    dots (a two-element one is fma(x1, y1, x0 y0), which a float sum is not).
+    """
     x = np.asarray(x, dtype=float).ravel()
-    xdot = -inputs.omega.matrix @ x - inputs.u
-    r = float(np.linalg.norm(x))
+    if x.size == 2:
+        (w,), (u0, u1), (x0, x1) = inputs.omega.omega.tolist(), inputs.u.tolist(), x.tolist()
+        xdot = [w * x1 - u0, -w * x0 - u1]
+    else:
+        xdot = (-inputs.omega.matrix @ x - inputs.u).tolist()
+        x0, x1, x2 = x.tolist()
+    r = math.sqrt(x.dot(x))   # as np.linalg.norm forms it
     if r == 0.0:
         raise ValueError("landmark coincides with the robot")
-    r_dot = float(x @ xdot) / r
-    theta = math.atan2(x[0], x[1])
-    rho2 = x[0]**2 + x[1]**2
-    theta_dot = (xdot[0] * x[1] - x[0] * xdot[1]) / rho2
+    r_dot = float(x.dot(xdot)) / r
+    theta = math.atan2(x0, x1)
+    rho2 = x0**2 + x1**2
+    theta_dot = (xdot[0] * x1 - x0 * xdot[1]) / rho2
     phi = phi_dot = None
     if x.size == 3:
         rho = math.sqrt(rho2)
-        phi = math.atan2(x[2], rho)
-        rho_dot = (x[0] * xdot[0] + x[1] * xdot[1]) / rho
-        phi_dot = (xdot[2] * rho - x[2] * rho_dot) / r**2
+        phi = math.atan2(x2, rho)
+        rho_dot = (x0 * xdot[0] + x1 * xdot[1]) / rho
+        phi_dot = (xdot[2] * rho - x2 * rho_dot) / r**2
     alpha = tau = None
     if diameter is not None:
         # tau is the exact range-over-closing-speed ratio the radial
@@ -489,39 +508,62 @@ def observe_true(x: np.ndarray, inputs: RobotInputs,
         alpha = math.atan2(diameter, r)
         if abs(r_dot) > 1e-12:
             tau = abs(r / r_dot)
-    return TrueObservation(theta=theta, r=r, theta_dot=theta_dot, r_dot=r_dot,
-                           phi=phi, phi_dot=phi_dot, alpha=alpha, tau=tau)
+    return TrueObservation(theta, r, theta_dot, r_dot, phi, phi_dot, alpha, tau)
 
 
 def noisy_bundle(true: TrueObservation, noise,
                  rng: np.random.Generator) -> SensorBundle:
     """Every reading of one sighting, drawn around ``true`` per ``noise``'s sigmas.
 
-    One normal each, in this order: theta, phi (3D only), r, theta_dot,
-    phi_dot (3D only), r_dot, alpha; the simulator's streams depend on it.
+    One standard-normal block z per sighting, in this order: theta, phi (3D
+    only), r, theta_dot, phi_dot (3D only), r_dot, alpha.  Each reading is
+    true + (0.0 + sigma z), the draw and arithmetic of one
+    ``rng.normal(0.0, sigma)`` per reading; the simulator's streams depend on it.
     ``true`` must come from :func:`observe_true` with a ``diameter``.
     The range is clipped at 0, and the visual-angle error enters tau
-    multiplicatively (tau ~ alpha/alphadot).
+    multiplicatively (tau ~ alpha/alphadot).  Every value is checked by its
+    record's rules in one pass; a value that breaks one raises the record's error.
     """
     is3d = true.phi is not None
-    theta = true.theta + rng.normal(0.0, noise.sigma_theta)
-    phi = true.phi + rng.normal(0.0, noise.sigma_phi) if is3d else None
-    r = max(true.r + rng.normal(0.0, noise.sigma_r), 0.0)
-    theta_dot = true.theta_dot + rng.normal(0.0, noise.sigma_theta_dot)
-    phi_dot = true.phi_dot + rng.normal(0.0, noise.sigma_phi_dot) if is3d else None
-    r_dot = true.r_dot + rng.normal(0.0, noise.sigma_r_dot)
-    alpha = true.alpha + rng.normal(0.0, noise.sigma_alpha)
+    sigmas = (noise.sigma_theta, noise.sigma_phi, noise.sigma_theta_dot, noise.sigma_phi_dot,
+              noise.sigma_r, noise.sigma_r_dot, noise.sigma_alpha)
+    s_theta, s_phi, s_theta_dot, s_phi_dot, s_r, s_r_dot, s_alpha = sigmas
+    z = iter(rng.standard_normal(7 if is3d else 5).tolist())
+    theta = true.theta + (0.0 + s_theta * next(z))
+    phi = true.phi + (0.0 + s_phi * next(z)) if is3d else None
+    r = max(true.r + (0.0 + s_r * next(z)), 0.0)
+    theta_dot = true.theta_dot + (0.0 + s_theta_dot * next(z))
+    phi_dot = true.phi_dot + (0.0 + s_phi_dot * next(z)) if is3d else None
+    r_dot = true.r_dot + (0.0 + s_r_dot * next(z))
+    alpha = true.alpha + (0.0 + s_alpha * next(z))
     tau = None
     if true.tau is not None and true.alpha and true.alpha > 0:
-        tau = true.tau * max(alpha / true.alpha, 1e-9)
-    return SensorBundle(
-        bearing=BearingObs(theta=theta, phi=phi, sigma_theta=noise.sigma_theta,
-                           sigma_phi=noise.sigma_phi),
-        range=RangeObs(r=r, sigma_r=noise.sigma_r),
-        rate=BearingRateObs(theta_dot=theta_dot, phi_dot=phi_dot,
-                            sigma_theta_dot=noise.sigma_theta_dot,
-                            sigma_phi_dot=noise.sigma_phi_dot),
-        ttc=None if tau is None else TimeToContactObs(
-            tau=max(tau, 1e-9), alpha=alpha, sigma_alpha=noise.sigma_alpha),
-        doppler=DopplerObs(r=r, r_dot=r_dot, sigma_r=noise.sigma_r,
-                           sigma_r_dot=noise.sigma_r_dot))
+        tau = max(true.tau * max(alpha / true.alpha, 1e-9), 1e-9)
+    # Each record holds its values as its constructor stores them (unrolled: a
+    # loop per record costs twice as much), and the five records' rules are
+    # checked at once (a finite sum has no nan or inf term).  Where that fails,
+    # or the sum overflows, each record checks itself and raises its own error.
+    new, put = object.__new__, object.__setattr__
+    bearing, range_, rate, doppler, bundle = map(new, (BearingObs, RangeObs, BearingRateObs,
+                                                       DopplerObs, SensorBundle))
+    put(bearing, "theta", theta), put(bearing, "phi", phi)
+    put(bearing, "sigma_theta", s_theta), put(bearing, "sigma_phi", s_phi)
+    put(range_, "r", r), put(range_, "sigma_r", s_r)
+    put(rate, "theta_dot", theta_dot), put(rate, "phi_dot", phi_dot)
+    put(rate, "sigma_theta_dot", s_theta_dot), put(rate, "sigma_phi_dot", s_phi_dot)
+    ttc = None
+    if tau is not None:
+        ttc = new(TimeToContactObs)
+        put(ttc, "tau", tau), put(ttc, "alpha", alpha), put(ttc, "sigma_alpha", s_alpha)
+    put(doppler, "r", r), put(doppler, "r_dot", r_dot)
+    put(doppler, "sigma_r", s_r), put(doppler, "sigma_r_dot", s_r_dot)
+    put(bundle, "bearing", bearing), put(bundle, "range", range_), put(bundle, "rate", rate)
+    put(bundle, "ttc", ttc), put(bundle, "doppler", doppler)
+    total = theta + r + theta_dot + r_dot + alpha + sum(sigmas) + (tau or 0.0)
+    if is3d:
+        total += phi + phi_dot
+    if not (math.isfinite(total) and min(r, *sigmas) >= 0.0 and (tau is None or tau > 0.0)):
+        for rec in (bearing, range_, rate, ttc, doppler):
+            if rec is not None:
+                rec.__post_init__()
+    return bundle

@@ -202,6 +202,22 @@ def test_stack_measurements_blocks():
     assert vmeas.stack_measurements(a) is a
 
 
+def test_place_rows_keeps_a_vm_that_fills_the_map_in_order(rng):
+    vm = vmeas.VirtualMeasurement._derived(rng.normal(size=(4, 2)), rng.normal(
+        size=(4, 2, 3)), np.tile(np.diag([1.0, 2.0]), (4, 1, 1)))
+    assert vmeas.place_rows(4, (slice(0, 4), vm)) is vm
+    assert vmeas.place_rows(4, ([0, 1, 2, 3], vm), (None, vm)) is vm
+    # the same rows placed in two parts: the padding path gives vm's bits
+    parts = [vmeas.VirtualMeasurement._derived(vm.y[s], vm.H[s], vm.R[s])
+             for s in (slice(0, 3), slice(3, 4))]
+    padded = vmeas.place_rows(4, ([0, 1, 2], parts[0]), ([3], parts[1]))
+    for name in ("y", "H", "R"):
+        assert np.array_equal(getattr(padded, name), getattr(vm, name))
+    assert vmeas.place_rows(5, (slice(1, 5), vm)) is not vm   # filter 0 has none
+    flipped = vmeas.place_rows(4, ([3, 2, 1, 0], vm))
+    assert flipped is not vm and np.array_equal(flipped.y, vm.y[::-1])
+
+
 def test_case2_r_uses_range_bound_not_r_max():
     bearing = vmeas.BearingObs(theta=0.2, sigma_theta=math.radians(2))
     vm_near = vmeas.case2(bearing, vmeas.RangeObs(r=4.0, sigma_r=0.2))

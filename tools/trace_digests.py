@@ -17,7 +17,9 @@ metres and the largest |var - var_kept| / |var_kept|, so the tolerance
 of a trace that moved can be stated and reproduced.  It also adds the
 largest relative change of the non-timing floats of ``metrics.json``
 (``final_e_c``, ``final_e_h``, ``final_discrepancy_m`` and each landmark of
-``final_errors_m``) and the field it is in.
+``final_errors_m``) and the field it is in, and each run's sensing time
+(``stage_seconds["sense"]``, kept -> now; a wall time, so it varies from run
+to run).
 
 Usage: python3 tools/trace_digests.py [--keep DIR] [--compare DIR]
 """
@@ -101,6 +103,12 @@ def metrics_deviation(metrics: Path, kept: Path) -> str:
     return f"max rel|d metric| {worst:.2e}{where}"
 
 
+def sense_seconds(metrics: Path, kept: Path) -> str:
+    """``stage_seconds["sense"]`` of the kept run and of this one."""
+    old, new = (json.loads(p.read_text())["stage_seconds"]["sense"] for p in (kept, metrics))
+    return f"sense {old:.3f} -> {new:.3f} s"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", type=Path,
@@ -118,9 +126,10 @@ def main() -> None:
             line = f"{name} {hashlib.sha256(trace.read_bytes()).hexdigest()[:16]}"
             if args.compare is not None:
                 kept = args.compare / name
-                line += ("  " + deviation(trace, kept / "trace.csv") + "  "
-                         + metrics_deviation(Path(cfg.out_dir, "metrics.json"),
-                                             kept / "metrics.json"))
+                metrics = Path(cfg.out_dir, "metrics.json")
+                line += "  ".join(["", deviation(trace, kept / "trace.csv"),
+                                   metrics_deviation(metrics, kept / "metrics.json"),
+                                   sense_seconds(metrics, kept / "metrics.json")])
             print(line, flush=True)
 
 
