@@ -20,6 +20,13 @@ R_d = R / dt -- stable for any P/R ratio, however stiff.  Then the exact
 zero-order-hold transition of the prediction, Phi = e^{A_d dt} by
 Rodrigues' formula; process noise Q needs A = 0, where it adds Q dt.
 
+The global filter's prediction (A = 0, no Q) leaves P unchanged, so its
+information matrix Y = P^{-1} changes only in the correction, and the
+global filter carries Y: `info_correct` adds H^T R_d^{-1} H to Y and
+inverts once.  Y is its PD prior plus PSD terms, so it stays PD, and so
+does P = Y^{-1}.  The stacked pair and local filters keep the Joseph
+form of `_correct`.
+
 One call steps one filter, or N filters stacked along a leading axis
 (x (N, n), P (N, n, n), rows (N, k, n); Q shared, A and b shared or one
 per filter): the axis-less call is the same code.  A filter's missing
@@ -105,6 +112,35 @@ def _correct(x, P, vm: VirtualMeasurement, dt: float):
     I_KH = np.eye(x.shape[-1]) - K @ H
     P = I_KH @ P @ I_KH.swapaxes(-1, -2) + K @ Rd @ K.swapaxes(-1, -2)
     return x, 0.5 * (P + P.swapaxes(-1, -2))
+
+
+def info_correct(x, Y, vm: VirtualMeasurement, dt: float, t: float):
+    """`_correct` in information form, for one filter: (x, Y) -> (x, Y, P).
+
+    Y' = Y + H^T R_d^{-1} H and P' = Y'^{-1}, each symmetrized once, and
+    x' = x + P' H^T R_d^{-1} (y - H x), with R_d = R / dt.  Only R's
+    diagonal is read, so R must be diagonal.  A non-finite or singular Y'
+    raises `DivergenceError` at t + dt, the end of the step from ``t``.
+    """
+    H, R = vm.H, vm.R
+    if H.shape[-1] != x.shape[-1]:
+        raise ValueError(
+            f"measurement has {H.shape[-1]} columns for state size {x.shape[-1]}")
+    r = np.diagonal(R)
+    if np.count_nonzero(R) != np.count_nonzero(r):
+        raise ValueError("R must be diagonal")
+    HtW = H.T * (dt / r)   # H^T R_d^{-1}
+    Y = Y + HtW @ H
+    Y = 0.5 * (Y + Y.T)
+    diverged = DivergenceError(f"filter diverged at t={t + dt:g}")
+    if not np.isfinite(Y).all():
+        raise diverged
+    try:
+        P = np.linalg.inv(Y)
+    except np.linalg.LinAlgError:
+        raise diverged from None
+    P = 0.5 * (P + P.T)
+    return x + P @ (HtW @ (vm.y - H @ x)), Y, P
 
 
 def ode_step(state: FilterState, A: np.ndarray, b: np.ndarray,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import noisecal, vmeas
 from .core import (Estimates, FilterState, RobotInputs, angle_diff,
                    body_from_global, heading_forward, rotation2d, run_sums,
                    skew, wrap_angle)
-from .kalman import FilterConfig, ode_step
+from .kalman import FilterConfig, info_correct, ode_step
 from .vmeas import SensorBundle, build_measurement
 
 #: Offsets below this are ignored when estimating the heading.
@@ -99,12 +99,28 @@ def track_heading(beta_hat: float, omega: float, beta_d: float, dt: float) -> fl
 
 @dataclass
 class GlobalState:
-    """Stacked landmark + vehicle estimate with full covariance and heading."""
+    """Stacked landmark + vehicle estimate with full covariance and heading.
+
+    ``Y`` is the information matrix P^{-1} that `step_global` corrects
+    through.  A state built without it forms it from P once, so P must
+    then be positive definite (`ValueError` otherwise).
+    """
 
     landmark_ids: list
     state: FilterState
     beta_hat: float
+    Y: np.ndarray | None = field(default=None, repr=False)
     dim: ClassVar[int] = 2
+
+    def __post_init__(self):
+        if self.Y is None:
+            P = self.state.P
+            try:
+                np.linalg.cholesky(P)
+            except np.linalg.LinAlgError:
+                raise ValueError("P must be positive definite to form Y = P^-1") from None
+            Y = np.linalg.inv(P)
+            self.Y = 0.5 * (Y + Y.T)
 
     @property
     def n_landmarks(self) -> int:
@@ -130,7 +146,7 @@ def init_global(x_v0: np.ndarray, beta0: float = 0.0) -> GlobalState:
     if x_v0.shape != (GlobalState.dim,):
         raise ValueError(f"vehicle start must be a 2-vector, got shape {x_v0.shape}")
     return GlobalState(landmark_ids=[], state=FilterState(x_v0, np.eye(2) * 1e-6),
-                       beta_hat=wrap_angle(beta0))
+                       beta_hat=wrap_angle(beta0), Y=np.eye(2) / 1e-6)
 
 
 def first_sighting_offset(bundle: SensorBundle, beta_hat: float) -> np.ndarray:
@@ -147,12 +163,16 @@ def _append_landmarks(gs: GlobalState, new: dict) -> GlobalState:
     x_new = np.concatenate([gs.vehicle + first_sighting_offset(b, gs.beta_hat)
                             for b in new.values()])
     k, m = gs.dim * gs.n_landmarks, x_new.size
-    x = np.insert(gs.state.x, k, x_new)
-    P = np.insert(np.insert(gs.state.P, [k] * m, 0.0, axis=0), [k] * m, 0.0, axis=1)
-    P[k:k + m, k:k + m] = 100.0 * np.eye(m)   # PSD P plus a PD block: no check
+
+    def grow(M, var):   # PD M plus a PD block: no check
+        M = np.insert(np.insert(M, [k] * m, 0.0, axis=0), [k] * m, 0.0, axis=1)
+        M[k:k + m, k:k + m] = var * np.eye(m)
+        return M
+
     return GlobalState(landmark_ids=gs.landmark_ids + list(new),
-                       state=FilterState._derived(x, P, gs.state.t),
-                       beta_hat=gs.beta_hat)
+                       state=FilterState._derived(np.insert(gs.state.x, k, x_new),
+                                                  grow(gs.state.P, 100.0), gs.state.t),
+                       beta_hat=gs.beta_hat, Y=grow(gs.Y, 1 / 100.0))
 
 
 def step_global(gs: GlobalState, u: float, omega: float,
@@ -180,16 +200,18 @@ def step_global(gs: GlobalState, u: float, omega: float,
                                    [bundles[i].bearing.theta for i in seen],
                                    beta_hat)
     inputs = RobotInputs(u=np.array([0.0, float(u)]), omega=skew(omega))
-    n = gs.state.dim
+    n, state, Y = gs.state.dim, gs.state, gs.Y
     body = build_measurement(case, bundles, inputs, vmeas.range_hints(offsets))
-    vm_all = None
     if body is not None:   # the whole tick's body rows, placed by one lift
         rows, sighting = vmeas.flat_rows(body)
         vm_all = vmeas._lift(rows, body_from_global(beta_hat), n,
                              blocks[sighting], gs.n_landmarks)
+        x, Y, P = info_correct(state.x, Y, vm_all, cfg.dt, state.t)
+        state = FilterState._derived(x, P, state.t)
 
-    # A = 0: only the vehicle block (last) moves, at u along the heading
+    # A = 0 and no Q: P is unchanged, and only the vehicle block (last)
+    # moves, at u along the heading
     b = np.concatenate([np.zeros(n - gs.dim), float(u) * heading_forward(beta_hat)])
-    new_state = ode_step(gs.state, np.zeros((2, 2)), b, vm_all, None, cfg)
+    new_state = ode_step(state, np.zeros((2, 2)), b, None, None, cfg)
     beta_next = track_heading(beta_hat, omega, beta_d, cfg.dt)
-    return GlobalState(gs.landmark_ids, new_state, beta_next)
+    return GlobalState(gs.landmark_ids, new_state, beta_next, Y)

@@ -7,7 +7,7 @@ import pytest
 
 from ltvslam import coop, kalman, sim, vmeas
 from ltvslam.core import FilterState, RobotInputs, skew
-from ltvslam.kalman import DivergenceError, FilterConfig, ode_step, step
+from ltvslam.kalman import DivergenceError, FilterConfig, info_correct, ode_step, step
 from ltvslam.runner import RunConfig, make_coop_maps
 from ltvslam.slam_global import init_global, step_global
 from ltvslam.slam_local import LocalMap
@@ -41,6 +41,32 @@ def test_correction_is_exact_information_flow():
     expected = np.linalg.inv(np.linalg.inv(P0) + 0.1 * vm.H.T @ vm.H / 0.5)
     assert np.allclose(a.P, expected, atol=1e-12)
     assert np.allclose(b.P, expected, atol=1e-12)
+    # the information form adds the same term to Y = P^-1 and inverts
+    x, Y, P = info_correct(np.zeros(2), np.linalg.inv(P0), vm, 0.1, 0.0)
+    assert np.allclose(P, expected, atol=1e-12)
+    assert np.allclose(Y, np.linalg.inv(expected), atol=1e-12)
+
+
+def test_info_correct_rejects_a_full_r_and_a_column_mismatch():
+    # only R's diagonal is read, so an R that is not diagonal is an error
+    Y = np.eye(2)
+    full = vmeas.VirtualMeasurement(y=[0.0, 1.0], H=np.eye(2), R=[[1.0, 0.1], [0.1, 1.0]])
+    with pytest.raises(ValueError, match="diagonal"):
+        info_correct(np.zeros(2), Y, full, 0.01, 0.0)
+    with pytest.raises(ValueError, match="3 columns for state size 2"):
+        info_correct(np.zeros(2), Y, vmeas.VirtualMeasurement(
+            y=[0.0], H=[[1.0, 0.0, 0.0]], R=[[1.0]]), 0.01, 0.0)
+
+
+@pytest.mark.parametrize("Y", [np.array([[1.0, 0.0], [0.0, np.nan]]),
+                               np.array([[1.0, 0.0], [0.0, np.inf]]),
+                               np.zeros((2, 2))],
+                         ids=["nan", "inf", "singular"])
+def test_info_correct_names_a_non_finite_or_singular_y_a_divergence(Y):
+    # a row on the first coordinate leaves a zero Y singular
+    vm = vmeas.VirtualMeasurement(y=[1.0], H=[[1.0, 0.0]], R=[[1.0]])
+    with pytest.raises(DivergenceError, match=r"^filter diverged at t=0\.31$"):
+        info_correct(np.zeros(2), Y, vm, 0.01, 0.3)
 
 
 def test_stable_with_huge_prior_and_tiny_r():
