@@ -57,14 +57,14 @@ def _finite(ctx, param, value: float) -> float:
 
 
 @main.command("noise-report")
-@click.option("--sigma-theta", default=5.0, type=click.FloatRange(min=0),
+@click.option("--sigma-theta", default=5.0, type=click.FloatRange(min=0, max=180),
               callback=_finite, help="Bearing std, deg.")
-@click.option("--r", "r_m", default=4.0, callback=_finite,
-              type=click.FloatRange(min=0, min_open=True), help="True range, m.")
+@click.option("--r", "r_m", default=4.0, callback=_finite, help="True range, m.",
+              type=click.FloatRange(min=0, min_open=True, max=noisecal.R_MAX))
 @click.option("--theta", default=45.0, type=float, callback=_finite,
               help="True bearing, deg.")
 @click.option("--samples", default=10000, type=click.IntRange(min=100))
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 def noise_report(sigma_theta, r_m, theta, samples, seed):
     """Report analytic vs Monte Carlo noise porting for a bearing+range sighting."""
     sig = math.radians(sigma_theta)

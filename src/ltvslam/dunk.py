@@ -87,9 +87,9 @@ def pair_measurement(builds: list[tuple], T: np.ndarray, r_hints=None
     by its robot's rotation T[j] (M becomes [M T, -M T]) and padded with
     zero-information rows to the widest build's; None if no build gives rows."""
     n = [len(bundles) for _, bundles, _ in builds]
-    body = vmeas.place_rows(sum(n), *((slice(e - k, e), build_measurement(
+    body = vmeas.stack_measurements(sum(n), [(slice(e - k, e), build_measurement(
         *b, None if r_hints is None else r_hints[e - k:e])) for b, k, e in zip(
-            builds, n, accumulate(n))))
+            builds, n, accumulate(n))])
     # T per row, laid out as body_from_global's transposed view, so each
     # product M T is the one a one-map lift forms
     T = np.repeat(np.swapaxes(T, -1, -2), n, axis=0).swapaxes(-1, -2)
@@ -230,10 +230,9 @@ def pair_tick(robots: list[RobotStep]) -> list[Consensus | None]:
     self_rows = [s0 + net.ids[st.self_id] for st, net, s0 in zip(robots, nets, start)
                  if st.self_id is not None]
     vm = vmeas.stack_measurements(
-        vmeas.place_rows(len(x), ([at[i] for i in mine], rows),
-                         (self_rows or None, SELF_TIE)),
-        vmeas.place_rows(len(x), *((slice(s0, s0 + k), feedback_measurement(
-            net.last_consensus)) for net, s0, k in zip(nets, start, counts))))
+        len(x), [([at[i] for i in mine], rows), (self_rows or None, SELF_TIE)],
+        [(slice(s0, s0 + k), feedback_measurement(net.last_consensus))
+         for net, s0, k in zip(nets, start, counts)])
     P = np.concatenate([net.state.P for net in nets])
     try:
         fleet = ode_step(FilterState._derived(x, P, t), A, b, vm, None, cfg)

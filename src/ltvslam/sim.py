@@ -130,6 +130,12 @@ class Scenario:
             repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
             if repeated:
                 raise ValueError(f"{kind} ids must be unique, repeated: {repeated}")
+        for vid, spec in self.vehicles:   # a vehicle would reach a landmark's spot
+            for lm in self.landmarks:
+                off = (math.dist(lm.position, spec.x0) if spec.omega == 0.0 else
+                       abs(math.dist(lm.position, spec.center) - spec.radius))
+                if off <= 1e-6 * max(spec.radius, 1.0):
+                    raise ValueError(f"landmark {lm.id} lies on vehicle {vid}'s path")
 
     def pose_fns(self) -> dict:
         return {vid: circle_trajectory(spec.center, spec.radius, spec.omega,

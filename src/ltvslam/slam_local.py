@@ -82,8 +82,8 @@ class LocalMap:
         vm = build_measurement(self.case, list(observations.values()), inputs,
                                vmeas.range_hints(self.state.x[at]))
         try:
-            self.state = step(self.state, inputs, vmeas.place_rows(len(ids), (at, vm)),
-                              self.cfg)
+            self.state = step(self.state, inputs,
+                              vmeas.stack_measurements(len(ids), [(at, vm)]), self.cfg)
         except DivergenceError as err:   # the row at fault is a landmark id's
             raise DivergenceError(f"landmark {list(ids)[err.row]} diverged at "
                                   f"t={t + self.cfg.dt:g}", err.row) from None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import attrgetter
 
 import numpy as np
@@ -164,43 +164,31 @@ class VirtualMeasurement:
         return self.y - self.H @ np.asarray(x, dtype=float)
 
 
-def stack_measurements(*vms: "VirtualMeasurement | None") -> VirtualMeasurement | None:
-    """The given row sets (None skipped) as one, with a block-diagonal R;
-    sets with a leading filter axis (all alike) stack filter by filter."""
-    parts = [vm for vm in vms if vm is not None]
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    y = np.concatenate([vm.y for vm in parts], -1)
-    H = np.concatenate([vm.H for vm in parts], -2)
-    R, k = np.zeros(y.shape + y.shape[-1:]), 0
-    for vm in parts:
-        R[..., k:k + vm.rows, k:k + vm.rows] = vm.R
-        k += vm.rows
-    return VirtualMeasurement._derived(y, H, R)
+def stack_measurements(n: int, *bands) -> VirtualMeasurement | None:
+    """The rows of an n-filter map, band after band, with a block-diagonal R.
 
-
-def place_rows(n: int, *placed) -> VirtualMeasurement | None:
-    """The rows of an n-filter map: each ``(index, vm)`` (either None:
-    skipped) gives filter index[j] the rows vm[j] (vm with no filter axis: vm itself).
-
-    Every filter has as many rows as the widest vm; the rest are
-    zero-information rows (H 0, y 0, R 1), which leave a filter as it is.
-    One per-filter vm that gives every filter its rows in order is the result.
+    A band's ``(index, vm)`` (either None: skipped) gives filter index[j]
+    the rows vm[j] (vm with no filter axis: vm itself).  Every filter has as
+    many rows in a band as its widest vm; the rest are zero-information rows
+    (H 0, y 0, R 1), which leave a filter as it is.  One per-filter vm that
+    gives every filter its rows in order is the result.
     """
-    placed = [(i, vm) for i, vm in placed if i is not None and vm is not None]
-    if not placed:
+    bands = [b for b in ([(i, vm) for i, vm in band if i is not None and vm is not None]
+                         for band in bands) if b]
+    if not bands:
         return None
-    if len(placed) == 1:
-        (i, vm), order = placed[0], list(range(n))
+    if len(bands) == 1 and len(bands[0]) == 1:
+        (i, vm), order = bands[0][0], list(range(n))
         if vm.y.shape[:-1] == (n,) and (order[i] if isinstance(i, slice) else list(i)) == order:
             return vm
-    k = max(vm.rows for _, vm in placed)
-    y, H = np.zeros((n, k)), np.zeros((n, k, placed[0][1].H.shape[-1]))
+    widths = [max(vm.rows for _, vm in band) for band in bands]
+    k = sum(widths)
+    y, H = np.zeros((n, k)), np.zeros((n, k, bands[0][0][1].H.shape[-1]))
     R = np.zeros((n, k, k)) + np.eye(k)
-    for i, vm in placed:
-        y[i, :vm.rows], H[i, :vm.rows], R[i, :vm.rows, :vm.rows] = vm.y, vm.H, vm.R
+    for band, k0 in zip(bands, accumulate([0, *widths])):
+        for i, vm in band:
+            rows = slice(k0, k0 + vm.rows)
+            y[i, rows], H[i, rows], R[i, rows, rows] = vm.y, vm.H, vm.R
     return VirtualMeasurement._derived(y, H, R)
 
 

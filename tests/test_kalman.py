@@ -202,10 +202,12 @@ def test_a_zero_information_row_leaves_a_filter_as_it_is(rng):
         state, rows = _filters(rng, 1, 4, 2)
         state = FilterState._derived(state.x[0], state.P[0], 0.0)
         rows = vmeas.VirtualMeasurement._derived(rows.y[0], rows.H[0], rows.R[0])
-        pad = vmeas.VirtualMeasurement(y=[0.0], H=np.zeros((1, 4)), R=[[1.0]])
+        R = np.eye(rows.rows + 1)
+        R[:-1, :-1] = rows.R
+        padded = vmeas.VirtualMeasurement._derived(
+            np.append(rows.y, 0.0), np.vstack([rows.H, np.zeros((1, 4))]), R)
         ref = ode_step(state, skew(0.4).matrix, np.ones(4), rows, None, cfg)
-        got = ode_step(state, skew(0.4).matrix, np.ones(4),
-                       vmeas.stack_measurements(rows, pad), None, cfg)
+        got = ode_step(state, skew(0.4).matrix, np.ones(4), padded, None, cfg)
         assert np.abs(got.x - ref.x).max() <= 1e-14 * np.abs(ref.x).max()
         assert np.abs(got.P - ref.P).max() <= 1e-14 * np.abs(ref.P).max()
 

@@ -271,6 +271,7 @@ BAD_SCENARIO_EDITS = {
     "string-seed": lambda d: d.update(seed="7"),
     "boolean-seed": lambda d: d.update(seed=True),
     "off-circle-start": lambda d: d["vehicles"][0].update(x0=[6.0, 0.0]),
+    "landmark-on-path": lambda d: d["landmarks"][0].update(position_m=[5.0, 0.0]),
     "string-landmark-id": lambda d: d["landmarks"][0].update(id="a"),
     "boolean-landmark-id": lambda d: d["landmarks"][0].update(id=True),
     "boolean-vehicle-id": lambda d: d["vehicles"][0].update(id=False),
@@ -398,7 +399,8 @@ def test_cli_noise_report():
                                    ["--sigma-theta", "-1"], ["--theta", "nan"],
                                    ["--theta", "inf"], ["--r", "inf"],
                                    ["--r", "nan"], ["--sigma-theta", "inf"],
-                                   ["--sigma-theta", "nan"]])
+                                   ["--sigma-theta", "nan"], ["--seed", "-1"],
+                                   ["--r", "1000"], ["--sigma-theta", "1e300"]])
 def test_cli_noise_report_rejects_bad_input(flags):
     out = CliRunner().invoke(cli_main, ["noise-report", *flags])
     assert out.exit_code == 2, out.output

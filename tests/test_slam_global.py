@@ -168,13 +168,17 @@ def test_step_global_lifts_a_ticks_rows_once(monkeypatch):
                        T, 8, k, 3)
              for k, b in enumerate(obs.values())]
     assert [p.rows for p in parts] == [2, 1, 2]
-    parts[1] = vmeas.stack_measurements(parts[1], vmeas.VirtualMeasurement(
-        y=[0.0], H=np.zeros((1, 8)), R=[[1.0]]))
-    ref = vmeas.stack_measurements(*parts)
+    # the three row sets, the centre one's padded, stacked with a block-diagonal R
+    parts.insert(2, vmeas.VirtualMeasurement(y=[0.0], H=np.zeros((1, 8)), R=[[1.0]]))
+    k = np.cumsum([0, *(p.rows for p in parts)])
+    ref_R = np.zeros((k[-1], k[-1]))
+    for p, k0, k1 in zip(parts, k, k[1:]):
+        ref_R[k0:k1, k0:k1] = p.R
     vm, = rows
     assert len(lifts) == 1
-    assert np.array_equal(vm.y, ref.y) and np.array_equal(vm.R, ref.R)
-    assert np.abs(vm.H - ref.H).max() <= 1e-14
+    assert np.array_equal(vm.y, np.concatenate([p.y for p in parts]))
+    assert np.array_equal(vm.R, ref_R)
+    assert np.abs(vm.H - np.concatenate([p.H for p in parts])).max() <= 1e-14
 
     # Case V of a stationary vehicle: no rows, so a pure prediction
     gs = init_global(pos, beta0=beta)

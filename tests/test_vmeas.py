@@ -193,29 +193,39 @@ def test_case_rows_r_is_positive_definite_at_zero_range():
 
 def test_stack_measurements_blocks():
     a = vmeas.VirtualMeasurement(y=[1.0], H=[[1.0, 0.0]], R=[[2.0]])
-    b = vmeas.VirtualMeasurement(y=[2.0, 3.0], H=np.eye(2), R=np.diag([1.0, 4.0]))
-    s = vmeas.stack_measurements(a, None, b)
-    assert s.rows == 3
-    assert np.allclose(s.y, [1.0, 2.0, 3.0])
-    assert np.allclose(s.R, np.diag([2.0, 1.0, 4.0]))
-    assert vmeas.stack_measurements(None, None) is None
-    assert vmeas.stack_measurements(a) is a
+    b = vmeas.VirtualMeasurement(y=[2.0, 3.0], H=np.eye(2), R=[[1.0, 0.5], [0.5, 4.0]])
+    # filter 1 is absent from band 1 and present in band 2, filter 0 the reverse
+    s = vmeas.stack_measurements(3, [([0, 2], a), (None, b), ([1], None)],
+                                 [(slice(1, 3), b)])
+    assert s.rows == 3 and s.y.shape == (3, 3) and s.H.shape == (3, 3, 2)
+    assert np.array_equal(s.y, [[1.0, 0.0, 0.0], [0.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    assert np.array_equal(s.H[0], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(s.H[1], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(s.R[0], np.diag([2.0, 1.0, 1.0]))
+    assert np.array_equal(s.R[1], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 4.0]])
+    assert np.array_equal(s.R[2], [[2.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 4.0]])
+    assert vmeas.stack_measurements(3) is None
+    assert vmeas.stack_measurements(3, [(None, a), ([0], None)], []) is None
 
 
-def test_place_rows_keeps_a_vm_that_fills_the_map_in_order(rng):
+def test_stack_measurements_keeps_a_vm_that_fills_the_map_in_order(rng):
     vm = vmeas.VirtualMeasurement._derived(rng.normal(size=(4, 2)), rng.normal(
         size=(4, 2, 3)), np.tile(np.diag([1.0, 2.0]), (4, 1, 1)))
-    assert vmeas.place_rows(4, (slice(0, 4), vm)) is vm
-    assert vmeas.place_rows(4, ([0, 1, 2, 3], vm), (None, vm)) is vm
+    assert vmeas.stack_measurements(4, [(slice(0, 4), vm)]) is vm
+    assert vmeas.stack_measurements(4, [([0, 1, 2, 3], vm), (None, vm)]) is vm
+    assert vmeas.stack_measurements(4, [], [([0, 1, 2, 3], vm)], [(None, vm)]) is vm
     # the same rows placed in two parts: the padding path gives vm's bits
     parts = [vmeas.VirtualMeasurement._derived(vm.y[s], vm.H[s], vm.R[s])
              for s in (slice(0, 3), slice(3, 4))]
-    padded = vmeas.place_rows(4, ([0, 1, 2], parts[0]), ([3], parts[1]))
+    padded = vmeas.stack_measurements(4, [([0, 1, 2], parts[0]), ([3], parts[1])])
     for name in ("y", "H", "R"):
         assert np.array_equal(getattr(padded, name), getattr(vm, name))
-    assert vmeas.place_rows(5, (slice(1, 5), vm)) is not vm   # filter 0 has none
-    flipped = vmeas.place_rows(4, ([3, 2, 1, 0], vm))
+    assert vmeas.stack_measurements(5, [(slice(1, 5), vm)]) is not vm   # filter 0 has none
+    flipped = vmeas.stack_measurements(4, [([3, 2, 1, 0], vm)])
     assert flipped is not vm and np.array_equal(flipped.y, vm.y[::-1])
+    # vm in two bands is stacked, not passed through
+    twice = vmeas.stack_measurements(4, [(slice(0, 4), vm)], [(slice(0, 4), vm)])
+    assert np.array_equal(twice.y, np.hstack([vm.y, vm.y]))
 
 
 def test_case2_r_uses_range_bound_not_r_max():

@@ -19,7 +19,8 @@ largest relative change of the non-timing floats of ``metrics.json``
 (``final_e_c``, ``final_e_h``, ``final_discrepancy_m`` and each landmark of
 ``final_errors_m``) and the field it is in, and each run's sensing time
 (``stage_seconds["sense"]``, kept -> now; a wall time, so it varies from run
-to run).
+to run).  It ends with ``N of 21 byte-identical`` and exits 1 when a
+trace moved or a kept run is missing.
 
 Usage: python3 tools/trace_digests.py [--keep DIR] [--compare DIR]
 """
@@ -109,13 +110,14 @@ def sense_seconds(metrics: Path, kept: Path) -> str:
     return f"sense {old:.3f} -> {new:.3f} s"
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--keep", type=Path,
                         help="write the runs under this directory")
     parser.add_argument("--compare", type=Path,
                         help="report deviations from the traces kept here")
     args = parser.parse_args()
+    identical = total = 0
     with tempfile.TemporaryDirectory() as tmp:
         root = args.keep or Path(tmp)
         root.mkdir(parents=True, exist_ok=True)
@@ -124,14 +126,23 @@ def main() -> None:
             run(cfg)
             trace = Path(cfg.out_dir, "trace.csv")
             line = f"{name} {hashlib.sha256(trace.read_bytes()).hexdigest()[:16]}"
+            total += 1
             if args.compare is not None:
                 kept = args.compare / name
                 metrics = Path(cfg.out_dir, "metrics.json")
-                line += "  ".join(["", deviation(trace, kept / "trace.csv"),
-                                   metrics_deviation(metrics, kept / "metrics.json"),
-                                   sense_seconds(metrics, kept / "metrics.json")])
+                if not all((kept / f).is_file() for f in ("trace.csv", "metrics.json")):
+                    line += f"  no kept run in {kept}"
+                else:
+                    identical += trace.read_bytes() == (kept / "trace.csv").read_bytes()
+                    line += "  ".join(["", deviation(trace, kept / "trace.csv"),
+                                       metrics_deviation(metrics, kept / "metrics.json"),
+                                       sense_seconds(metrics, kept / "metrics.json")])
             print(line, flush=True)
+    if args.compare is None:
+        return 0
+    print(f"{identical} of {total} byte-identical")
+    return 0 if identical == total else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
